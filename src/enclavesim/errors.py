@@ -41,10 +41,6 @@ class HypercallError(SimulationError):
     """Recoverable hypercall failure, reported to the calling vCPU."""
 
 
-class NotPrimary(HypercallError):
-    pass
-
-
 class PageNotMapped(HypercallError):
     pass
 

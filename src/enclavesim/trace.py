@@ -2,16 +2,18 @@
 
 Every hypervisor-visible action (mapping changes, zeroing, context switches,
 hypercalls, faults, channel transitions) is recorded as one event carrying a
-monotonically increasing step number and a cost-ledger snapshot.  Two runs of
-the same scenario must serialize byte-for-byte identically, so records are
-emitted with sorted keys and fixed separators and contain only ints, strings,
-bools and nested dicts/lists of those.
+monotonically increasing step number and the simulated time ``t`` right after
+the event's own cost was charged.  The trace is the one record of a run: the
+cost ledger is a fold over its events.  Two runs of the same scenario must
+serialize byte-for-byte identically, so records are emitted with sorted keys
+and fixed separators and contain only ints, strings, bools and nested
+dicts/lists of those.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -21,7 +23,7 @@ class TraceEvent:
     pcpu: int
     vcpu: Optional[str]
     detail: Dict[str, Any]
-    ledger: Dict[str, int]
+    t: int
 
     def to_record(self) -> Dict[str, Any]:
         return {
@@ -30,27 +32,25 @@ class TraceEvent:
             "pcpu": self.pcpu,
             "vcpu": self.vcpu,
             "detail": self.detail,
-            "ledger": self.ledger,
+            "t": self.t,
         }
 
 
 @dataclass
 class TraceRecorder:
+    clock: Callable[[], int]    # simulated time, read once per event
     events: List[TraceEvent] = field(default_factory=list)
     _step: int = 0
 
     def emit(self, kind: str, pcpu: int, vcpu: Optional[str],
-             ledger: Dict[str, int], **detail: Any) -> TraceEvent:
-        ev = TraceEvent(self._step, kind, pcpu, vcpu, detail, ledger)
+             **detail: Any) -> TraceEvent:
+        ev = TraceEvent(self._step, kind, pcpu, vcpu, detail, self.clock())
         self._step += 1
         self.events.append(ev)
         return ev
 
     def count(self, kind: str) -> int:
         return sum(1 for ev in self.events if ev.kind == kind)
-
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [ev for ev in self.events if ev.kind == kind]
 
     def to_jsonl(self) -> str:
         lines = [

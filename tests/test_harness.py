@@ -1,5 +1,7 @@
 """The watchdog oracles must bite when fed corrupted state, stay quiet on
 clean runs, and the scenario/CLI layers must hold their contracts."""
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from enclavesim.harness import (
     parse_scenario,
     run_scenario,
     run_scenario_text,
+    sabotage_teardown,
     verify_oracle_sensitivity,
 )
 from enclavesim.harness.cli import main as cli_main
@@ -61,11 +64,12 @@ def test_memory_oracle_catches_silent_poke():
 # -- zeroize watchdog ----------------------------------------------------------
 
 
-def destroy_under_watch(sabotage):
+def destroy_under_watch(defect=None):
     sim, driver = make_sim()
     watch = ZeroizeWatch(sim.hv)
     sim.machine.observers.append(watch)
-    sim.hv.sabotage |= sabotage
+    if defect is not None:
+        sabotage_teardown(sim.hv, defect)
     fd = driver.create(image_for_pages("counter", 3, 1))
     driver.invoke(fd, 1)
     driver.destroy(fd)
@@ -73,16 +77,16 @@ def destroy_under_watch(sabotage):
 
 
 def test_zeroize_watch_quiet_on_honest_teardown():
-    assert destroy_under_watch(set()) == []
+    assert destroy_under_watch() == []
 
 
 def test_zeroize_watch_catches_skipped_wipe():
-    violations = destroy_under_watch({"skip_zeroize"})
+    violations = destroy_under_watch("skip_zeroize")
     assert any("without zeroize" in v for v in violations)
 
 
 def test_zeroize_watch_catches_wrong_order():
-    violations = destroy_under_watch({"remap_before_zeroize"})
+    violations = destroy_under_watch("remap_before_zeroize")
     assert violations
 
 
@@ -188,7 +192,12 @@ def test_trace_completeness_detects_tampering():
     sim.machine.ledger.hypercalls += 1
     assert any("hypercall" in p for p in check_trace_completeness(sim))
     sim.machine.ledger.hypercalls -= 1
-    del sim.trace.events[3]
+    events = sim.trace.events
+    events[5] = dataclasses.replace(events[5], t=events[5].t + 1)
+    assert any("step 5 has t=" in p for p in check_trace_completeness(sim))
+    events[5] = dataclasses.replace(events[5], t=events[5].t - 1)
+    assert check_trace_completeness(sim) == []
+    del events[3]
     assert any("dense" in p for p in check_trace_completeness(sim))
 
 
@@ -291,6 +300,26 @@ def test_bundled_scenarios_run_clean():
         scenario = parse_scenario(path.read_text(), name=path.stem)
         result = run_scenario(scenario)
         assert result.ok, (path.name, result.violations)
+
+
+# SHA-256 of each bundled scenario's JSONL trace.  A change that alters
+# behaviour, cost or the trace format shows up here; re-bless these only on
+# purpose and say why.
+GOLDEN_TRACE_SHA256 = {
+    "adversary_demo": "d12098c07fb3d3876276f9b140ba39bd1dad099d71a6a815a825435a7a948d6a",
+    "preempt_demo": "b677f0fe5396d8743fe1c3864cb7bdb6a0d3b2d599ff956aa398f85abd83d40f",
+    "stack_demo": "bfe06b698db14bae2e212f7569c2c806bdce633cb7870f01a376464a2ce3f08d",
+    "wallet_demo": "52525fb8913ca3bdcf875c51743e57bf47b62c39860d6f1a8890c523f728bf91",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_SHA256))
+def test_bundled_scenario_traces_match_golden_digests(name):
+    path = SCENARIO_DIR / (name + ".txt")
+    result = run_scenario(parse_scenario(path.read_text(), name=name))
+    assert result.ok, result.violations
+    digest = hashlib.sha256(result.sim.trace.to_jsonl().encode()).hexdigest()
+    assert digest == GOLDEN_TRACE_SHA256[name]
 
 
 def test_scenarios_are_deterministic():

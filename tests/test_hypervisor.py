@@ -28,6 +28,7 @@ from enclavesim.machine import PAGE_SHIFT, PAGE_SIZE, MachineConfig, Observer
 from enclavesim.sim import Simulation
 from enclavesim.stage2 import PERM_RO, PERM_RW, PERM_RWX
 from enclavesim.guest_os import EnclaveDriver
+from enclavesim.harness import sabotage_teardown
 from enclavesim.ta_runtime import image_for_pages
 
 
@@ -178,14 +179,14 @@ def test_sabotage_switches_flip_teardown():
     fd = driver.create(image_for_pages("echo", 4, 1))
     spy = EventSpy()
     sim.machine.observers.append(spy)
-    sim.hv.sabotage.add("remap_before_zeroize")
+    sabotage_teardown(sim.hv, "remap_before_zeroize")
     driver.destroy(fd)
     zero_idx = [i for i, ev in enumerate(spy.events) if ev[0] == "zero"]
     table_idx = [i for i, ev in enumerate(spy.events)
                  if ev[0] in ("map", "unmap", "protect")]
     assert min(zero_idx) > max(table_idx)
 
-    sim.hv.sabotage = {"skip_zeroize"}
+    sabotage_teardown(sim.hv, "skip_zeroize")
     fd = driver.create(image_for_pages("echo", 4, 1))
     spy.events.clear()
     driver.destroy(fd)
