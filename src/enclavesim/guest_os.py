@@ -44,9 +44,6 @@ class OsAllocator:
     def free_count(self) -> int:
         return len(self._free)
 
-    def total_tracked(self) -> int:
-        return len(self._free) + sum(len(p) for p in self.allocations.values())
-
     def snapshot(self) -> tuple:
         return (tuple(self._free),
                 tuple(sorted((aid, tuple(pages))

@@ -9,7 +9,8 @@
                     [--cmds 1,2,3]
 
 Exit status 0 means every check that ran held; 1 means a violation,
-containment failure or fuzz divergence.
+containment failure or fuzz divergence; 2 means a usage error, such as a
+malformed scenario script.
 """
 from __future__ import annotations
 
@@ -45,14 +46,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             result = run_scenario(scenario)
         except (ScenarioParseError, ExpectationFailed) as err:
             print("%s: %s" % (path, err))
-            status = 1
+            usage = isinstance(err, ScenarioParseError)  # malformed script
+            status = max(status, 2 if usage else 1)
             continue
         for line in result.outputs:
             print(line)
         for violation in result.violations:
             print("%s: VIOLATION: %s" % (path, violation))
         if result.violations:
-            status = 1
+            status = max(status, 1)
         else:
             print("%s: ok (%d trace events, t=%d)"
                   % (path, len(result.sim.trace.events), result.sim.now()))

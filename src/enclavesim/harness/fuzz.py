@@ -355,7 +355,6 @@ def _full_state(sim, driver) -> tuple:
     hv = sim.hv
     return (
         {vmid: vm.table.snapshot() for vmid, vm in hv.vms.items()},
-        sorted(hv.vms),
         sorted(hv.enclaves),
         driver.allocator.snapshot(),
         tuple(driver.open_fds()),

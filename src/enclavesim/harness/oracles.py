@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..hypervisor import Hypervisor, Vcpu, VmKind, VmState
+from ..hypervisor import Hypervisor, Vcpu, VmKind
 from ..machine import PAGE_SIZE, Observer, PhysicalMachine
 from ..stage2 import Perms
 
@@ -80,10 +80,6 @@ def check_frame_exclusivity(hv: Hypervisor,
     against a second source instead of trusted.
     """
     problems = []
-    for vm in hv.vms.values():
-        if vm.state is VmState.DESTROYED and len(vm.table) != 0:
-            problems.append("destroyed vm%d still maps %d pages"
-                            % (vm.vmid, len(vm.table)))
     shared_seen: Set[int] = set()
     for frame, owners in _mappers(hv).items():
         if len(owners) <= 1:
@@ -117,8 +113,6 @@ def check_stack_integrity(hv: Hypervisor) -> List[str]:
     on_stack: Set[int] = set()
     for pcpu in hv.machine.pcpus:
         cur = pcpu.current_vcpu
-        if cur is None:
-            continue
         if cur.head is not None:
             problems.append("pcpu %d running %s which still has a child"
                             % (pcpu.id, cur.name))
@@ -143,9 +137,8 @@ def check_stack_integrity(hv: Hypervisor) -> List[str]:
                 problems.append("pcpu %d stack walk did not terminate"
                                 % pcpu.id)
                 break
-        base = seen[-1] if seen else None
-        if base is not None and (base.vm.kind is not VmKind.PRIMARY
-                                 or base.pcpu != pcpu.id):
+        base = seen[-1]
+        if base.vm.kind is not VmKind.PRIMARY or base.pcpu != pcpu.id:
             problems.append("pcpu %d stack base is %s, not its primary vcpu"
                             % (pcpu.id, base.name))
     for vm in hv.vms.values():
@@ -206,12 +199,6 @@ class ReferenceStackModel:
             return "unwound"
         self.pending.add(name)
         return "pending"
-
-    def completed_invoke(self, pcpu: int, child: str) -> None:
-        """A driver invoke that ran to completion: push plus pop, net stack
-        change zero, two switches, pending on the caller consumed."""
-        self.push(pcpu, child)
-        self.pop(pcpu)
 
 
 # -- secret scanning ----------------------------------------------------------
@@ -337,13 +324,19 @@ class WriteConfinementOracle(Observer):
             per[frame] = per.get(frame, 0) + 1
 
     def _leave(self, vm: int, ipa_page: int) -> None:
-        frame, perms = self._tables[vm].pop(ipa_page)
+        # a VM's entries go with its last mapping: retired VMs leave none
+        table = self._tables[vm]
+        frame, perms = table.pop(ipa_page)
+        if not table:
+            del self._tables[vm]
         self._map_count[frame] -= 1
         if perms.write:
             per = self._writable[vm]
             per[frame] -= 1
             if per[frame] == 0:
                 del per[frame]
+                if not per:
+                    del self._writable[vm]
 
     def on_map(self, vm: int, ipa_page: int, frame: int, perms) -> None:
         self._enter(vm, ipa_page, frame, perms)

@@ -62,6 +62,30 @@ class Step:
     def fail(self, msg: str) -> ScenarioParseError:
         return ScenarioParseError("line %d: %s" % (self.lineno, msg))
 
+    def number(self, text: str, valid: Optional[range] = None,
+               what: str = "value") -> int:
+        """`text` as an integer, which must lie in `valid` if given."""
+        try:
+            value = int(text, 0)
+        except ValueError:
+            raise self.fail("bad integer %r" % text) from None
+        if valid is not None and value not in valid:
+            raise self.fail("%s %d not in %r" % (what, value, valid))
+        return value
+
+    def options(self, parts: Tuple[str, ...], allowed: Dict[str, str],
+                valid: Optional[Dict[str, range]] = None) -> Dict[str, int]:
+        """key=value integers; `allowed` maps each key to its field name."""
+        out = {}
+        for part in parts:
+            key, eq, val = part.partition("=")
+            if not eq:
+                raise self.fail("expected key=value, got %r" % part)
+            if key not in allowed:
+                raise self.fail("unknown key %r" % key)
+            out[allowed[key]] = self.number(val, (valid or {}).get(key), key)
+        return out
+
 
 @dataclass
 class Scenario:
@@ -83,23 +107,7 @@ class ScenarioResult:
         return not self.violations
 
 
-def _parse_kv(parts: List[str], lineno: int, allowed: Dict[str, str]) -> Dict[str, int]:
-    out = {}
-    for part in parts:
-        if "=" not in part:
-            raise ScenarioParseError("line %d: expected key=value, got %r"
-                                     % (lineno, part))
-        key, _, val = part.partition("=")
-        if key not in allowed:
-            raise ScenarioParseError("line %d: unknown key %r" % (lineno, key))
-        try:
-            out[allowed[key]] = int(val, 0)
-        except ValueError:
-            raise ScenarioParseError("line %d: bad integer %r"
-                                     % (lineno, val)) from None
-    return out
-
-
+_U32 = 1 << 32   # command ids, payload lengths and image sizes are u32
 _ACTIONS = {"create", "invoke", "resume", "destroy", "timer", "tick",
             "adversary", "expect", "aux", "schedule", "yield", "interrupt"}
 
@@ -114,41 +122,37 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         if not line:
             continue
         parts = line.split()
-        op, args = parts[0], parts[1:]
-        if op == "machine":
-            if saw_action:
-                raise ScenarioParseError(
-                    "line %d: machine directive after first action" % lineno)
-            config_kw.update(_parse_kv(
-                args, lineno,
+        step = Step(lineno, parts[0], tuple(parts[1:]))
+        if step.op in ("machine", "seed") and saw_action:
+            raise step.fail("%s directive after first action" % step.op)
+        if step.op == "machine":
+            config_kw.update(step.options(
+                step.args,
                 {"frames": "frames", "pcpus": "pcpus", "max_vms": "max_vms",
-                 "reserved": "os_reserved_pages"}))
-        elif op == "seed":
-            if saw_action:
-                raise ScenarioParseError(
-                    "line %d: seed directive after first action" % lineno)
-            if len(args) != 1:
-                raise ScenarioParseError("line %d: seed takes one integer"
-                                         % lineno)
-            seed = int(args[0], 0)
-        elif op in _ACTIONS:
+                 "reserved": "os_reserved_pages"}, {"pcpus": range(1, _U32)}))
+        elif step.op == "seed":
+            if len(step.args) != 1:
+                raise step.fail("seed takes one integer")
+            seed = step.number(step.args[0])
+        elif step.op in _ACTIONS:
             saw_action = True
-            steps.append(Step(lineno, op, tuple(args)))
+            steps.append(step)
         else:
-            raise ScenarioParseError("line %d: unknown statement %r"
-                                     % (lineno, op))
+            raise step.fail("unknown statement %r" % step.op)
     return Scenario(MachineConfig(**config_kw), seed, steps, name)
 
 
-def _parse_payload(spec: str, rng) -> bytes:
+def _parse_payload(step: Step, spec: str, rng) -> bytes:
     if spec.startswith("str:"):
         return spec[4:].encode()
     if spec.startswith("hex:"):
-        return bytes.fromhex(spec[4:])
+        try:
+            return bytes.fromhex(spec[4:])
+        except ValueError:
+            raise step.fail("bad hex payload %r" % spec) from None
     if spec.startswith("rand:"):
-        return rng.randbytes(int(spec[5:]))
-    raise ScenarioParseError("payload must be str:, hex: or rand:N, got %r"
-                             % spec)
+        return rng.randbytes(step.number(spec[5:], range(_U32), "length"))
+    raise step.fail("payload must be str:, hex: or rand:N, got %r" % spec)
 
 
 class _Runner:
@@ -167,6 +171,11 @@ class _Runner:
 
     def _say(self, msg: str) -> None:
         self.outputs.append(msg)
+
+    def _pcpu(self, step: Step, options: Tuple[str, ...]) -> int:
+        """The `pcpu=` option, a pCPU of this machine; 0 if absent."""
+        return step.options(options, {"pcpu": "pcpu"}, {
+            "pcpu": range(self.scenario.config.pcpus)}).get("pcpu", 0)
 
     def _fd(self, step: Step, var: str) -> int:
         if var not in self.fds:
@@ -215,15 +224,15 @@ class _Runner:
         var, ta_name = step.args[0], step.args[1]
         if ta_name not in REGISTRY:
             raise step.fail("no registered program %r" % ta_name)
-        geom = _parse_kv(list(step.args[2:]), step.lineno,
-                         {"mem": "mem", "chan": "chan"})
+        image = image_for(ta_name)
+        # a custom mem must still hold the program's code
+        geom = step.options(step.args[2:], {"mem": "mem", "chan": "chan"},
+                            {"mem": range(image.code_pages, _U32),
+                             "chan": range(1, _U32)})
         if geom:
             image = image_for_pages(ta_name,
-                                    geom.get("mem",
-                                             image_for(ta_name).mem_size_pages),
+                                    geom.get("mem", image.mem_size_pages),
                                     geom.get("chan", 1))
-        else:
-            image = image_for(ta_name)
 
         def go():
             fd = self.driver.create(image)
@@ -238,10 +247,11 @@ class _Runner:
         if len(step.args) < 2:
             raise step.fail("invoke needs: invoke <var> <cmd> [payload]")
         fd = self._fd(step, step.args[0])
-        cmd = int(step.args[1], 0)
+        cmd = step.number(step.args[1], range(_U32), "command")
         payload = b""
         if len(step.args) > 2:
-            payload = _parse_payload(" ".join(step.args[2:]), self.sim.rng)
+            payload = _parse_payload(step, " ".join(step.args[2:]),
+                                     self.sim.rng)
 
         def go():
             status, ret = self.driver.invoke(fd, cmd, payload)
@@ -281,9 +291,8 @@ class _Runner:
     def _op_timer(self, step: Step) -> None:
         if not step.args:
             raise step.fail("timer needs a delay")
-        delay = int(step.args[0], 0)
-        kw = _parse_kv(list(step.args[1:]), step.lineno, {"pcpu": "pcpu"})
-        deadline = self.sim.arm_timer(delay, kw.get("pcpu", 0))
+        delay = step.number(step.args[0])
+        deadline = self.sim.arm_timer(delay, self._pcpu(step, step.args[1:]))
         self.last = {"lineno": step.lineno}
         self._say("line %d: timer armed for t=%d" % (step.lineno, deadline))
 
@@ -296,14 +305,11 @@ class _Runner:
                 or step.args[2] not in ("private", "channel"):
             raise step.fail(
                 "adversary needs: adversary read|write <var> private|channel <idx>")
-        mode, var, region, idx = (step.args[0], step.args[1], step.args[2],
-                                  int(step.args[3], 0))
-        fd = self._fd(step, var)
-        rec = self.driver.record_of(fd)
+        mode, var, region = step.args[:3]
+        rec = self.driver.record_of(self._fd(step, var))
         pages = (rec.primary_private_pages() if region == "private"
                  else rec.primary_channel_pages())
-        if not 0 <= idx < len(pages):
-            raise step.fail("page index %d out of range" % idx)
+        idx = step.number(step.args[3], range(len(pages)), "page index")
         ipa = pages[idx] << PAGE_SHIFT
         self.last = {"lineno": step.lineno}
         if mode == "read":
@@ -323,9 +329,9 @@ class _Runner:
     def _op_aux(self, step: Step) -> None:
         if not step.args:
             raise step.fail("aux needs a name")
-        kw = _parse_kv(list(step.args[1:]), step.lineno, {"pcpu": "pcpu"})
         name = step.args[0]
-        self.auxes[name] = self.sim.hv.make_aux_vcpu(kw.get("pcpu", 0), name)
+        self.auxes[name] = self.sim.hv.make_aux_vcpu(
+            self._pcpu(step, step.args[1:]), name)
         self.last = {"lineno": step.lineno}
 
     def _resolve_vcpu(self, step: Step, name: str):
@@ -342,9 +348,8 @@ class _Runner:
         self._guard(step, lambda: self.sim.hv.schedule_vcpu(vcpu.pcpu, vcpu))
 
     def _op_yield(self, step: Step) -> None:
-        kw = _parse_kv(list(step.args), step.lineno, {"pcpu": "pcpu"})
-        self._guard(step,
-                    lambda: self.sim.hv.yield_vcpu(kw.get("pcpu", 0)))
+        pcpu = self._pcpu(step, step.args)
+        self._guard(step, lambda: self.sim.hv.yield_vcpu(pcpu))
 
     def _op_interrupt(self, step: Step) -> None:
         if not step.args:
@@ -366,7 +371,9 @@ class _Runner:
         what, value = step.args[0], " ".join(step.args[1:])
         if what == "status":
             got = self.last.get("status")
-            want = ChannelStatus[value.upper()]
+            want = ChannelStatus.__members__.get(value.upper())
+            if want is None:
+                raise step.fail("unknown status %r" % value)
             if got is not want:
                 raise ExpectationFailed(
                     "line %d: expected status %s, got %s"
@@ -375,13 +382,13 @@ class _Runner:
         elif what == "payload":
             got = self.last.get("payload")
             if value.startswith("len:"):
-                want_len = int(value[4:], 0)
+                want_len = step.number(value[4:])
                 if got is None or len(got) != want_len:
                     raise ExpectationFailed(
                         "line %d: expected %d payload bytes, got %r"
                         % (step.lineno, want_len, got))
             else:
-                want = _parse_payload(value, self.sim.rng)
+                want = _parse_payload(step, value, self.sim.rng)
                 if got != want:
                     raise ExpectationFailed(
                         "line %d: payload %r != expected %r"

@@ -7,6 +7,10 @@ the (zeroed) pages back at destroy time, so at every instant each frame is
 reachable from at most one VM, except channel frames which are deliberately
 shared.
 
+A destroyed enclave is retired: its record and VM leave ``enclaves`` and
+``vms``, which hold only live state.  Handles are never reused, so a later
+call with a retired handle raises ``EnclaveDestroyed``, not ``BadHandle``.
+
 Scheduling is a per-pCPU LIFO stack of vCPUs expressed through two links on
 each vCPU: ``head`` points at the vCPU stacked immediately above (more
 recently scheduled), ``tail`` at the one below.  Invoking an enclave pushes
@@ -243,8 +247,6 @@ class Hypervisor:
 
     def _push(self, pcpu: Pcpu, child: Vcpu, reason: str) -> None:
         parent = pcpu.current_vcpu
-        if parent is None:
-            raise SimulationError("pcpu %d has no running vcpu" % pcpu.id)
         if parent.head is not None or child.tail is not None:
             raise SimulationError("stack links corrupt on push")
         parent.head = child
@@ -258,8 +260,6 @@ class Hypervisor:
         """Unlink the running vCPU and fall back to its parent.  Does not
         charge a context switch; the caller decides how many pops share one."""
         cur = pcpu.current_vcpu
-        if cur is None:
-            raise SimulationError("pcpu %d has no running vcpu" % pcpu.id)
         parent = cur.tail
         if parent is None:
             raise NoParent("vcpu %s has nothing underneath it" % cur.name)
@@ -364,14 +364,11 @@ class Hypervisor:
     def _lookup(self, handle: int) -> EnclaveRecord:
         rec = self.enclaves.get(handle)
         if rec is None:
+            # handles count up from 1 and only a successful create takes one
+            if 0 < handle < self._next_handle:
+                raise EnclaveDestroyed("enclave %d was destroyed" % handle)
             raise BadHandle("no enclave with handle %d" % handle)
-        if rec.vm.state is VmState.DESTROYED:
-            raise EnclaveDestroyed("enclave %d was destroyed" % handle)
         return rec
-
-    def _live_enclaves(self) -> int:
-        return sum(1 for r in self.enclaves.values()
-                   if r.vm.state is VmState.ACTIVE)
 
     # -- create -----------------------------------------------------------
 
@@ -395,7 +392,7 @@ class Hypervisor:
                               meta.mem_size_pages + channel_pages))
         if len(set(pages)) != len(pages):
             raise InvalidDonation("duplicate page in donation")
-        if 1 + self._live_enclaves() + 1 > self.machine.config.max_vms:
+        if 1 + len(self.enclaves) + 1 > self.machine.config.max_vms:
             raise Exhausted("VM limit %d reached" % self.machine.config.max_vms)
         ptab = self.primary.table
         staged: List[Tuple[int, int, Perms]] = []
@@ -447,24 +444,28 @@ class Hypervisor:
     # -- destroy ------------------------------------------------------------
 
     def _do_destroy(self, handle: int) -> None:
-        """Tear down an enclave.  Every donated frame is zeroed before any
-        mapping changes, so no frame ever re-enters the primary carrying
-        enclave data."""
+        """Tear down an enclave and retire it.  Every donated frame is zeroed
+        before any mapping changes, so no frame ever re-enters the primary
+        carrying enclave data."""
         rec = self._lookup(handle)
-        vcpu = rec.vm.vcpus[0]
+        vm, vcpu = rec.vm, rec.vm.vcpus[0]
         pcpu = self.machine.pcpus[vcpu.pcpu]
         if vcpu.tail is not None or pcpu.current_vcpu is vcpu:
             raise EnclaveActive("enclave %d is scheduled on pcpu %d"
                                 % (handle, vcpu.pcpu))
         self._teardown(rec)
-        rec.vm.state = VmState.DESTROYED
+        # last chance to see a leftover mapping: nothing holds the VM after
+        if len(vm.table) != 0:
+            raise SimulationError("destroyed vm%d still maps %d pages"
+                                  % (vm.vmid, len(vm.table)))
+        vm.state = VmState.DESTROYED
+        del self.enclaves[handle]
+        del self.vms[vm.vmid]
         for dp in rec.pages:
             if dp.is_channel:
                 self._shared_frames.discard(dp.frame)
-        if vcpu.saved_context is not None:
-            vcpu.saved_context.close()
-            vcpu.saved_context = None
-        vcpu.halted = True
+        vcpu.saved_context.close()
+        vcpu.saved_context = None
 
     def _teardown(self, rec: EnclaveRecord) -> None:
         """Zero every donated frame, then hand the pages back."""

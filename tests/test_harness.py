@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from enclavesim.errors import ScenarioParseError
+from enclavesim.errors import ScenarioParseError, SimulationError
 from enclavesim.guest_os import EnclaveDriver
 from enclavesim.harness import (
     ExpectationFailed,
@@ -111,6 +111,21 @@ def test_confinement_quiet_on_clean_run():
     assert oracle.violations == []
 
 
+def test_confinement_shadow_holds_only_mapping_vms():
+    sim, driver = make_sim()
+    oracle = WriteConfinementOracle(sim.hv)
+    sim.machine.observers.append(oracle)
+    live = driver.create(image_for_pages("echo", 3, 1))
+    for _ in range(20):
+        fd = driver.create(image_for_pages("counter", 3, 1))
+        driver.invoke(fd, 1)
+        driver.destroy(fd)
+    want = {sim.hv.primary.vmid, driver.record_of(live).vm.vmid}
+    assert set(oracle._tables) == want
+    assert set(oracle._writable) == want
+    assert oracle.violations == []
+
+
 def test_confinement_flags_write_to_unreachable_frame():
     sim, driver = make_sim()
     fd = driver.create(image_for_pages("echo", 3, 1))
@@ -160,14 +175,16 @@ def test_exclusivity_flags_executable_sharing():
     assert any("perms" in p for p in problems)
 
 
-def test_exclusivity_flags_destroyed_vm_with_mappings():
+def test_retirement_refuses_vm_with_leftover_mappings():
+    # teardown unmaps only the donated pages, so a stray mapping outlives it;
+    # the VM leaves every registry at retirement, so that is the last check
     sim, driver = make_sim()
     fd = driver.create(image_for_pages("echo", 3, 1))
     rec = driver.record_of(fd)
-    driver.destroy(fd)
-    rec.vm.table.map(0, 250, PERM_RO)
-    problems = check_frame_exclusivity(sim.hv)
-    assert any("destroyed" in p for p in problems)
+    rec.vm.table.map(rec.total_pages, 250, PERM_RO)
+    with pytest.raises(SimulationError, match="destroyed vm%d still maps 1 "
+                       "pages" % rec.vm.vmid):
+        sim.hv.destroy_enclave(sim.primary_vcpu(0), rec.handle)
 
 
 def test_stack_integrity_sees_broken_links():
@@ -293,6 +310,30 @@ def test_scenario_rejects_malformed_scripts(bad):
         run_scenario_text(bad)
 
 
+@pytest.mark.parametrize("bad, lineno", [
+    ("seed abc", 1),
+    ("create e echo\ninvoke e zz", 2),
+    ("create e echo\ninvoke e 0 hex:zz", 2),
+    ("create e echo\ninvoke e 0 rand:x", 2),
+    ("create e echo\ninvoke e -1", 2),
+    ("create e echo\ninvoke e 0 str:a\nexpect status bogus", 3),
+    ("create e echo\nadversary read e private x", 2),
+    ("create e echo mem=1", 1),
+    ("create e echo chan=0", 1),
+    ("timer 5 pcpu=3", 1),
+    ("yield pcpu=4", 1),
+    ("aux a pcpu=5\nschedule a", 1),
+    ("machine pcpus=0", 1),
+])
+def test_scenario_bad_values_name_their_line(bad, lineno, tmp_path, capsys):
+    with pytest.raises(ScenarioParseError, match="^line %d: " % lineno):
+        run_scenario_text(bad)
+    script = tmp_path / "bad.txt"
+    script.write_text(bad)
+    assert cli_main(["run", str(script)]) == 2
+    assert "line %d: " % lineno in capsys.readouterr().out
+
+
 def test_bundled_scenarios_run_clean():
     paths = sorted(SCENARIO_DIR.glob("*.txt"))
     assert len(paths) >= 4
@@ -358,6 +399,13 @@ def test_cli_run_and_trace(tmp_path, capsys):
 def test_cli_trace_wants_one_scenario(capsys):
     demo = str(SCENARIO_DIR / "stack_demo.txt")
     assert cli_main(["run", demo, demo, "--trace", "/tmp/x.jsonl"]) == 2
+    capsys.readouterr()
+
+
+def test_cli_run_failed_expectation_exits_1(tmp_path, capsys):
+    script = tmp_path / "expect.txt"
+    script.write_text("create e echo\ninvoke e 0 str:x\nexpect status error\n")
+    assert cli_main(["run", str(script)]) == 1
     capsys.readouterr()
 
 

@@ -253,9 +253,21 @@ def test_vm_limit():
 def test_destroy_frees_vm_slot():
     sim = boot(max_vms=2)
     driver = EnclaveDriver(sim)
-    fd = driver.create(image_for_pages("echo", 3, 1))
-    driver.destroy(fd)
+    for _ in range(50):
+        driver.destroy(driver.create(image_for_pages("echo", 3, 1)))
     driver.create(image_for_pages("echo", 3, 1))  # slot is free again
+
+
+def test_registries_hold_only_live_enclaves():
+    sim = boot(frames=192)
+    driver = EnclaveDriver(sim)
+    live = [driver.create(image_for_pages("echo", 3, 1)) for _ in range(3)]
+    for i in range(200):
+        fd = driver.create(image_for_pages("echo", 3, 1))
+        assert driver.invoke(fd, 0, b"cycle %d" % i)[1] == b"cycle %d" % i
+        driver.destroy(fd)
+    assert len(sim.hv.enclaves) == len(live)
+    assert len(sim.hv.vms) == 1 + len(live)
 
 
 # -- privilege split -----------------------------------------------------------
@@ -287,13 +299,24 @@ def test_bad_and_stale_handles():
         sim.hv.invoke_enclave(caller, 99)
     with pytest.raises(BadHandle):
         sim.hv.destroy_enclave(caller, 99)
+    for never_issued in (0, -1):
+        with pytest.raises(BadHandle):
+            sim.hv.invoke_enclave(caller, never_issued)
+        with pytest.raises(BadHandle):
+            sim.hv.destroy_enclave(caller, never_issued)
     handle = hand_create(sim, [100, 101, 102, 103], mem=3, chan=1)
+    rec = sim.hv.enclaves[handle]
     sim.hv.destroy_enclave(caller, handle)
-    assert sim.hv.enclaves[handle].vm.state is VmState.DESTROYED
+    # retired: neither registry holds it, but the handle is remembered
+    assert handle not in sim.hv.enclaves
+    assert rec.vm.vmid not in sim.hv.vms
+    assert rec.vm.state is VmState.DESTROYED
     with pytest.raises(EnclaveDestroyed):
         sim.hv.invoke_enclave(caller, handle)
     with pytest.raises(EnclaveDestroyed):
         sim.hv.destroy_enclave(caller, handle)
+    with pytest.raises(BadHandle):
+        sim.hv.invoke_enclave(caller, handle + 1)
 
 
 def test_destroy_refused_while_scheduled():
