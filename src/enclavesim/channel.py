@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .errors import ChannelBusy, ChannelError, ChannelNoRequest, ChannelTooLarge
 from .machine import PAGE_SIZE, PhysicalMachine
@@ -102,8 +102,14 @@ class ChannelView:
     def status(self) -> int:
         return _STATUS_WORD.unpack(self._read(4, 4))[0]
 
-    def _set_status(self, new: ChannelStatus) -> None:
-        old_raw = self.status()
+    def _set_status(self, new: ChannelStatus,
+                    payload: Optional[bytes] = None) -> None:
+        """Move the status word to `new` and show the observers the header
+        as it now reads, with the active payload.  The header is read once,
+        before the write, and the new status word spliced in.  A caller that
+        has just written the payload hands it over; otherwise it is read."""
+        header = self._read(0, HEADER_LEN)
+        _, old_raw, _, arg_len, ret_len = CHANNEL_HEADER.unpack(header)
         try:
             old = ChannelStatus(old_raw)
         except ValueError:
@@ -111,16 +117,17 @@ class ChannelView:
         if (old, new) not in LEGAL_TRANSITIONS:
             raise ChannelError("illegal channel transition %s -> %s"
                                % (old.name, new.name))
-        self._write(4, _STATUS_WORD.pack(new))
-        header = self._read(0, HEADER_LEN)
-        _, _, _, arg_len, ret_len = CHANNEL_HEADER.unpack(header)
-        if new is ChannelStatus.REQUEST:
-            active = min(arg_len, self.capacity)
-        elif new in (ChannelStatus.DONE, ChannelStatus.ERROR):
-            active = min(ret_len, self.capacity)
-        else:
-            active = 0
-        payload = self._read(HEADER_LEN, active) if active else b""
+        word = _STATUS_WORD.pack(new)
+        self._write(4, word)
+        header = header[:4] + word + header[8:]
+        if payload is None:
+            if new is ChannelStatus.REQUEST:
+                active = min(arg_len, self.capacity)
+            elif new in (ChannelStatus.DONE, ChannelStatus.ERROR):
+                active = min(ret_len, self.capacity)
+            else:
+                active = 0
+            payload = self._read(HEADER_LEN, active) if active else b""
         for obs in self.machine.observers:
             obs.on_channel(self.side, int(old), int(new), header, payload)
 
@@ -142,7 +149,7 @@ class ChannelView:
         self._write(8, struct.pack("<III", cmd_id, len(args), 0))
         if args:
             self._write(HEADER_LEN, args)
-        self._set_status(ChannelStatus.REQUEST)
+        self._set_status(ChannelStatus.REQUEST, args)
 
     def serve(self) -> Tuple[int, bytes]:
         """Enclave side: fetch the pending request."""
@@ -158,22 +165,20 @@ class ChannelView:
 
     def complete(self, ret: bytes) -> None:
         """Enclave side: publish a successful reply (payload before status)."""
-        if len(ret) > self.capacity:
-            raise ChannelTooLarge("ret %d > capacity %d"
-                                  % (len(ret), self.capacity))
-        if ret:
-            self._write(HEADER_LEN, ret)
-        self._write(16, _STATUS_WORD.pack(len(ret)))
-        self._set_status(ChannelStatus.DONE)
+        self._reply(ChannelStatus.DONE, ret)
 
     def complete_error(self, ret: bytes = b"") -> None:
+        """Enclave side: publish a failed request's reply."""
+        self._reply(ChannelStatus.ERROR, ret)
+
+    def _reply(self, status: ChannelStatus, ret: bytes) -> None:
         if len(ret) > self.capacity:
             raise ChannelTooLarge("ret %d > capacity %d"
                                   % (len(ret), self.capacity))
         if ret:
             self._write(HEADER_LEN, ret)
         self._write(16, _STATUS_WORD.pack(len(ret)))
-        self._set_status(ChannelStatus.ERROR)
+        self._set_status(status, ret)
 
     def mark_preempted(self) -> None:
         """Driver side: record that the enclave was interrupted mid-request."""

@@ -195,9 +195,9 @@ class EnclaveDriver:
     def resume(self, fd: int) -> Tuple[ChannelStatus, bytes]:
         """Re-enter an enclave that was interrupted mid-command."""
         rec = self._get(fd)
-        if rec.channel.status() != ChannelStatus.PREEMPTED:
-            raise DriverError("resume with channel status %d"
-                              % rec.channel.status())
+        status = rec.channel.status()
+        if status != ChannelStatus.PREEMPTED:
+            raise DriverError("resume with channel status %d" % status)
         rec.channel.rearm_request()
         outcome = self.hv.invoke_enclave(self.sim.primary_vcpu(self.pcpu_id),
                                          rec.handle)

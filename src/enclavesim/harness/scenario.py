@@ -22,9 +22,9 @@ Format, one statement per line, `#` starts a comment:
 
     timer 40                        # arm a timer `delay` cost units out
     tick                            # poll timers outside guest execution
-    adversary read e private 0      # primary touches donated page 0
+    adversary read e private 0      # primary reads 16 bytes of donated page 0
     expect fault unmapped
-    adversary write e private 3
+    adversary write e private 3     # primary writes 16 bytes of 0xa5
     aux a1                          # bare schedulable vcpu, pcpu 0
     schedule a1
     interrupt primary               # unwinds everything above the base
@@ -32,7 +32,11 @@ Format, one statement per line, `#` starts a comment:
 
 `expect` always refers to the immediately preceding action.  Adversary
 accesses and failed driver calls are recorded, never raised, so containment
-is scriptable; an error that was not expected fails the run.
+is scriptable; an error that was not expected fails the run.  A successful
+adversary read leaves its bytes as the `payload`.  An adversary statement
+names the pages the variable's enclave was created with, so after `destroy`
+it probes the former pages: a reclaimed page reads as zeros, and one that
+was donated again faults.
 """
 from __future__ import annotations
 
@@ -164,6 +168,9 @@ class _Runner:
         self.confinement = WriteConfinementOracle(self.sim.hv)
         self.sim.machine.observers += [self.zerowatch, self.confinement]
         self.fds: Dict[str, int] = {}
+        # primary-view (private, channel) pages of each variable's enclave,
+        # kept after destroy for the adversary
+        self.pages: Dict[str, Tuple[List[int], List[int]]] = {}
         self.auxes: Dict[str, object] = {}
         self.outputs: List[str] = []
         # outcome of the most recent action, consulted by `expect`
@@ -236,7 +243,10 @@ class _Runner:
 
         def go():
             fd = self.driver.create(image)
+            rec = self.driver.record_of(fd)
             self.fds[var] = fd
+            self.pages[var] = (rec.primary_private_pages(),
+                               rec.primary_channel_pages())
             self.last["fd"] = fd
             self._say("line %d: create %s -> fd %d (%d+%d pages)"
                       % (step.lineno, var, fd, image.mem_size_pages,
@@ -306,9 +316,10 @@ class _Runner:
             raise step.fail(
                 "adversary needs: adversary read|write <var> private|channel <idx>")
         mode, var, region = step.args[:3]
-        rec = self.driver.record_of(self._fd(step, var))
-        pages = (rec.primary_private_pages() if region == "private"
-                 else rec.primary_channel_pages())
+        if var not in self.pages:
+            raise step.fail("unknown enclave variable %r" % var)
+        private, channel = self.pages[var]
+        pages = private if region == "private" else channel
         idx = step.number(step.args[3], range(len(pages)), "page index")
         ipa = pages[idx] << PAGE_SHIFT
         self.last = {"lineno": step.lineno}
@@ -321,7 +332,8 @@ class _Runner:
             self._say("line %d: adversary %s %s[%d] -> fault %s"
                       % (step.lineno, mode, region, idx, out.kind.value))
         else:
-            self.last["data"] = out if mode == "read" else b""
+            if mode == "read":
+                self.last["payload"] = out
             self._say("line %d: adversary %s %s[%d] -> succeeded"
                       % (step.lineno, mode, region, idx))
 

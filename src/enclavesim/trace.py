@@ -5,15 +5,27 @@ hypercalls, faults, channel transitions) is recorded as one event carrying a
 monotonically increasing step number and the simulated time ``t`` right after
 the event's own cost was charged.  The trace is the one record of a run: the
 cost ledger is a fold over its events.  Two runs of the same scenario must
-serialize byte-for-byte identically, so records are emitted with sorted keys
-and fixed separators and contain only ints, strings, bools and nested
-dicts/lists of those.
+serialize byte-for-byte identically, so details contain only ints, strings,
+bools, None and nested dicts/lists/tuples of those.
+
+One event is one line, its six keys in sorted order and no spaces:
+
+    {"detail":{...},"event":"s2_map","pcpu":0,"step":7,"t":12,"vcpu":"primary.v0"}
+
+The line equals ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
+of that record.  Only ``detail`` goes through the JSON encoder; the fixed
+keys are written directly, with strings escaped as ``json.dumps`` escapes
+them (ASCII only) and a missing vCPU written as ``null``.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Dict, List, Optional
+
+_LINE = '{"detail":%s,"event":%s,"pcpu":%d,"step":%d,"t":%d,"vcpu":%s}\n'
+_encode_detail = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -24,16 +36,6 @@ class TraceEvent:
     vcpu: Optional[str]
     detail: Dict[str, Any]
     t: int
-
-    def to_record(self) -> Dict[str, Any]:
-        return {
-            "step": self.step,
-            "event": self.kind,
-            "pcpu": self.pcpu,
-            "vcpu": self.vcpu,
-            "detail": self.detail,
-            "t": self.t,
-        }
 
 
 @dataclass
@@ -53,11 +55,12 @@ class TraceRecorder:
         return sum(1 for ev in self.events if ev.kind == kind)
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(ev.to_record(), sort_keys=True, separators=(",", ":"))
+        return "".join([
+            _LINE % (_encode_detail(ev.detail), _quote(ev.kind), ev.pcpu,
+                     ev.step, ev.t,
+                     "null" if ev.vcpu is None else _quote(ev.vcpu))
             for ev in self.events
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        ])
 
     def write_jsonl(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enclavesim.channel import (
+    CHANNEL_HEADER,
     CHANNEL_MAGIC,
     HEADER_LEN,
     LEGAL_TRANSITIONS,
@@ -18,8 +19,17 @@ from enclavesim.errors import (
     ChannelNoRequest,
     ChannelTooLarge,
 )
-from enclavesim.machine import PAGE_SIZE, MachineConfig, Observer, PhysicalMachine
+from enclavesim.guest_os import EnclaveDriver
+from enclavesim.machine import (
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    MachineConfig,
+    Observer,
+    PhysicalMachine,
+)
+from enclavesim.sim import Simulation
 from enclavesim.stage2 import PERM_RO, PERM_RW, Stage2Table
+from enclavesim.ta_runtime import image_for_pages
 
 
 def make_channel(pages=1):
@@ -197,6 +207,93 @@ def test_channel_writes_are_marked(monkeypatch):
     primary.write_request(1, b"hi")
     assert depths and all(d > 0 for d in depths)
     assert machine.channel_op_depth == 0
+
+
+class FrameCheck(Observer):
+    """Re-reads each transition's header and active payload straight from
+    the frames, through the side's stage-2 table, and asserts they equal
+    the bytes `on_channel` was handed."""
+
+    def __init__(self, machine, views):
+        self.machine = machine
+        self.views = views          # side -> (table, channel base ipa)
+        self.seen = []
+
+    def _frames(self, table, ipa, length):
+        out = b""
+        while length:
+            frame, _ = table.lookup(ipa >> PAGE_SHIFT)
+            chunk = min(length, PAGE_SIZE - ipa % PAGE_SIZE)
+            out += self.machine.read_frame(frame, ipa % PAGE_SIZE, chunk)
+            ipa, length = ipa + chunk, length - chunk
+        return out
+
+    def on_channel(self, side, old, new, header, payload):
+        table, base = self.views[side]
+        stored = self._frames(table, base, HEADER_LEN)
+        _, status, _, arg_len, ret_len = CHANNEL_HEADER.unpack(stored)
+        active = {ChannelStatus.REQUEST: arg_len, ChannelStatus.DONE: ret_len,
+                  ChannelStatus.ERROR: ret_len}.get(new, 0)
+        assert status == new
+        assert header == stored
+        assert payload == self._frames(table, base + HEADER_LEN, active)
+        self.seen.append((side, ChannelStatus(new).name, len(payload)))
+
+
+def _run_checked(program, chan_pages, steps):
+    """Run `steps(sim, driver, fd)` on one enclave with a FrameCheck
+    attached; returns the transitions it checked."""
+    sim = Simulation(MachineConfig(frames=256))
+    driver = EnclaveDriver(sim)
+    fd = driver.create(image_for_pages(program, 4, chan_pages))
+    view, rec = driver.fd_info(fd).channel, driver.record_of(fd)
+    check = FrameCheck(sim.machine, {
+        "primary": (view.table, view.base_ipa),
+        "enclave": (rec.vm.table, rec.channel_ipa)})
+    sim.machine.observers.append(check)
+    steps(sim, driver, fd)
+    return check.seen
+
+
+def _echo(n):
+    payload = (bytes(range(1, 256)) * 32)[:n]
+
+    def steps(sim, driver, fd):
+        assert driver.invoke(fd, 0, payload) == (ChannelStatus.DONE, payload)
+    return steps
+
+
+def _unknown_command(sim, driver, fd):
+    assert driver.invoke(fd, 99, b"x") == (ChannelStatus.ERROR, b"")
+
+
+def _preempt_and_resume(sim, driver, fd):
+    sim.arm_timer(8)
+    args = (6).to_bytes(4, "little") + (4).to_bytes(4, "little")
+    assert driver.invoke(fd, 1, args) == (ChannelStatus.PREEMPTED, b"")
+    assert driver.resume(fd) == (ChannelStatus.DONE, b"spun")
+
+
+CROSSING = 2 * PAGE_SIZE - HEADER_LEN - 100   # payload reaches into page 2
+
+
+@pytest.mark.parametrize("program,chan_pages,steps,want", [
+    ("echo", 1, _echo(0), [("primary", "REQUEST", 0),
+                           ("enclave", "DONE", 0)]),
+    ("echo", 1, _echo(1), [("primary", "REQUEST", 1),
+                           ("enclave", "DONE", 1)]),
+    ("echo", 2, _echo(CROSSING), [("primary", "REQUEST", CROSSING),
+                                  ("enclave", "DONE", CROSSING)]),
+    ("echo", 1, _unknown_command, [("primary", "REQUEST", 1),
+                                   ("enclave", "ERROR", 0)]),
+    ("spinner", 1, _preempt_and_resume, [("primary", "REQUEST", 8),
+                                         ("primary", "PREEMPTED", 0),
+                                         ("primary", "REQUEST", 8),
+                                         ("enclave", "DONE", 4)]),
+], ids=["echo-0", "echo-1", "echo-page-2", "unknown-command",
+        "preempt-resume"])
+def test_on_channel_gets_the_stored_bytes(program, chan_pages, steps, want):
+    assert _run_checked(program, chan_pages, steps) == want
 
 
 @settings(max_examples=60, deadline=None)

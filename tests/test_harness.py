@@ -288,6 +288,39 @@ def test_scenario_adversary_and_interrupts():
     assert result.ok
 
 
+def test_scenario_adversary_reads_are_payloads_and_outlive_destroy():
+    """A read leaves its bytes as the payload.  After destroy the adversary
+    probes the variable's former pages: reclaimed ones read as zeros, a page
+    donated again faults."""
+    zeros = "hex:" + "00" * 16
+    result = run_scenario_text("""
+        machine frames=128
+        create e echo mem=3
+        adversary read e channel 0
+        expect payload hex:42454348000000000000000000000000
+        destroy e
+        adversary read e private 0
+        expect payload len:16
+        expect payload %s
+        adversary read e channel 0
+        expect payload %s
+        adversary write e private 2
+        adversary read e private 2
+        expect payload hex:%s
+        create f echo mem=3
+        adversary read e private 0
+        expect fault unmapped
+    """ % (zeros, zeros, "a5" * 16))
+    assert result.ok
+    with pytest.raises(ExpectationFailed, match="payload"):
+        run_scenario_text("""
+            create e echo
+            destroy e
+            adversary read e private 0
+            expect payload hex:01
+        """)
+
+
 def test_scenario_expectation_failure_raises():
     with pytest.raises(ExpectationFailed):
         run_scenario_text("""
