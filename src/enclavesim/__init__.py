@@ -10,7 +10,6 @@ from .channel import CHANNEL_MAGIC, ChannelStatus, ChannelView
 from .errors import SimulationError
 from .guest_os import EnclaveDriver, OsAllocator
 from .hypervisor import (
-    Call,
     CreateEnclave,
     DestroyEnclave,
     EnclaveRecord,
@@ -30,7 +29,6 @@ from .machine import (
     PAGE_SHIFT,
     PAGE_SIZE,
     CostLedger,
-    CostWeights,
     MachineConfig,
     Observer,
     PhysicalMachine,
@@ -53,12 +51,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Access",
     "AccessFault",
-    "Call",
     "CHANNEL_MAGIC",
     "ChannelStatus",
     "ChannelView",
     "CostLedger",
-    "CostWeights",
     "CreateEnclave",
     "DestroyEnclave",
     "EnclaveDriver",

@@ -167,9 +167,9 @@ class ChannelView:
         """Enclave side: publish a successful reply (payload before status)."""
         self._reply(ChannelStatus.DONE, ret)
 
-    def complete_error(self, ret: bytes = b"") -> None:
-        """Enclave side: publish a failed request's reply."""
-        self._reply(ChannelStatus.ERROR, ret)
+    def complete_error(self) -> None:
+        """Enclave side: publish a failed request's (empty) reply."""
+        self._reply(ChannelStatus.ERROR, b"")
 
     def _reply(self, status: ChannelStatus, ret: bytes) -> None:
         if len(ret) > self.capacity:

@@ -1,6 +1,6 @@
 """Cost measurements over the simulated clock.
 
-The simulated clock is the weighted cost ledger, so timings are exact
+The simulated clock is the cost ledger's unit sum, so timings are exact
 integers and rerunning an operation must reproduce them to the unit.  The
 benchmark measures the three lifecycle operations across donation sizes and
 checks the claims the cost model makes: invoke cost does not depend on

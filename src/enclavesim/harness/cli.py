@@ -59,7 +59,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print("%s: ok (%d trace events, t=%d)"
                   % (path, len(result.sim.trace.events), result.sim.now()))
         if args.trace:
-            result.sim.write_trace(args.trace)
+            result.sim.trace.write_jsonl(args.trace)
             print("trace written to %s" % args.trace)
     return status
 

@@ -86,16 +86,17 @@ class FuzzReport:
 
 # -- stack profile ------------------------------------------------------------
 
-def fuzz_stack_ops(ops: int = 10000, seed: int = 0, pcpus: int = 2,
-                   auxes_per_pcpu: int = 6) -> FuzzReport:
+def fuzz_stack_ops(ops: int = 10000, seed: int = 0) -> FuzzReport:
     """Drive schedule/yield/interrupt through the public mechanism entry
     points and compare every observable against the reference model after
-    every single operation."""
+    every single operation.  Two pCPUs with six aux vCPUs each, so a
+    cross-pCPU interrupt always has a target."""
     report = FuzzReport("stack", ops, seed)
+    pcpus = 2
     sim = Simulation(MachineConfig(frames=96, pcpus=pcpus), seed=seed)
     hv = sim.hv
     rng = random.Random(seed)
-    auxes = {p: [hv.make_aux_vcpu(p) for _ in range(auxes_per_pcpu)]
+    auxes = {p: [hv.make_aux_vcpu(p) for _ in range(6)]
              for p in range(pcpus)}
     by_name = {v.name: v for vs in auxes.values() for v in vs}
     bases = []
@@ -118,8 +119,6 @@ def fuzz_stack_ops(ops: int = 10000, seed: int = 0, pcpus: int = 2,
         if kind == "push" and not idle:
             kind = "pop"
         if kind == "pop" and len(model.stacks[p]) <= 1:
-            kind = "irq"
-        if kind == "xirq" and pcpus < 2:
             kind = "irq"
 
         if kind == "push":

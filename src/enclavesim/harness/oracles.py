@@ -398,16 +398,14 @@ def check_allocator_conservation(allocator) -> List[str]:
 def check_trace_completeness(sim) -> List[str]:
     """The trace is the one record of a run, so one pass over it must
     reproduce the cost ledger: steps are dense, each event's `t` is the
-    running sum of event costs under the machine's weights, and the
-    per-counter totals equal the ledger's (and the machine's fault count)."""
-    w = sim.machine.config.weights
-    # event kind -> (counter it charges, cost per counted unit)
-    charges = {"s2_map": ("pt_ops", w.pt_op), "s2_unmap": ("pt_ops", w.pt_op),
-               "s2_protect": ("pt_ops", w.pt_op),
-               "zero_frame": ("zero_bytes", w.zero_page),
-               "ctx_switch": ("ctx_switches", w.ctx_switch),
-               "hypercall": ("hypercalls", w.hypercall),
-               "work": ("work_units", w.work_unit), "fault": ("faults", 0)}
+    running sum of event costs (one unit per charged event, per work unit
+    and per zeroed page; a fault costs nothing), and the per-counter totals
+    equal the ledger's (and the machine's fault count)."""
+    # event kind -> the ledger counter it charges
+    charges = {"s2_map": "pt_ops", "s2_unmap": "pt_ops",
+               "s2_protect": "pt_ops", "zero_frame": "zero_bytes",
+               "ctx_switch": "ctx_switches", "hypercall": "hypercalls",
+               "work": "work_units"}
     expected = dict(sim.machine.ledger.snapshot(),
                     faults=sim.machine.fault_count)
     folded = dict.fromkeys(expected, 0)
@@ -415,10 +413,11 @@ def check_trace_completeness(sim) -> List[str]:
     t = 0
     for step, ev in enumerate(sim.trace.events):
         if ev.kind in charges:
-            counter, weight = charges[ev.kind]
             n = ev.detail["units"] if ev.kind == "work" else 1
-            folded[counter] += n
-            t += n * weight
+            folded[charges[ev.kind]] += n
+            t += n
+        elif ev.kind == "fault":
+            folded["faults"] += 1
         # report the first break only; every later event inherits it
         if ev.step != step and not problems:
             problems.append("trace steps not dense from zero (step %d at "

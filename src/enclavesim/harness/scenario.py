@@ -13,21 +13,28 @@ Format, one statement per line, `#` starts a comment:
 
     create w wallet                 # fd bound to variable `w`
     create e echo mem=16 chan=2     # override image geometry
+    create s spinner
     invoke w 1 str:master seed      # payload: str:, hex:, rand:N or empty
     expect status done
+    expect payload str:ok
+    timer 10                        # arm a timer `delay` cost units out
+    invoke s 1 hex:0600000004000000 # six slices of four work units
+    expect status preempted
     expect payload len:0
-    resume e                        # re-enter after a preemption
-    destroy w
-    expect error BadHandle          # previous statement must have failed so
-
-    timer 40                        # arm a timer `delay` cost units out
+    resume s                        # re-enter after a preemption
     tick                            # poll timers outside guest execution
+    destroy w
+    destroy w
+    expect error BadFd              # previous statement must have failed so
+
     adversary read e private 0      # primary reads 16 bytes of donated page 0
     expect fault unmapped
     adversary write e private 3     # primary writes 16 bytes of 0xa5
     aux a1                          # bare schedulable vcpu, pcpu 0
     schedule a1
     interrupt primary               # unwinds everything above the base
+    expect outcome unwound
+    schedule a1
     yield                           # pop the running vcpu
 
 `expect` always refers to the immediately preceding action.  Adversary

@@ -18,9 +18,9 @@ its vCPU; exiting pops it; an interrupt aimed at a vCPU deeper in the stack
 pops everything above it in one context switch.
 
 Guest execution is cooperative.  An enclave vCPU's saved context is a Python
-generator that yields ``Work(units)`` to burn simulated time and
-``Call(hypercall)`` to trap into the hypervisor; hypercall results are sent
-back in, hypercall errors are thrown in.
+generator that yields ``Work(units)`` to burn simulated time and a
+``Hypercall`` to trap into the hypervisor; hypercall results are sent back
+in, hypercall errors are thrown in.
 """
 from __future__ import annotations
 
@@ -107,14 +107,7 @@ class Exit(Hypercall):
     pass
 
 
-@dataclass(frozen=True)
-class Call:
-    """Trap into the hypervisor from guest code."""
-
-    hc: Hypercall
-
-
-GuestOp = Union[Work, Call]
+GuestOp = Union[Work, Hypercall]
 GuestProgram = Generator[GuestOp, object, None]
 
 
@@ -131,7 +124,6 @@ class Vcpu:
     inbox: object = None            # value sent into the generator next
     inbox_exc: Optional[Exception] = None
     pending_irq: bool = False
-    halted: bool = False
     last_leave: Optional[Resumption] = None
 
     @property
@@ -206,7 +198,7 @@ ProgramLoader = Callable[[bytes], Optional[Callable[[EnclaveRecord], GuestProgra
 
 class Hypervisor:
     def __init__(self, machine: PhysicalMachine,
-                 program_loader: Optional[ProgramLoader] = None):
+                 program_loader: ProgramLoader):
         self.machine = machine
         self.program_loader = program_loader
         self.tick_hook: Optional[Callable[[], None]] = None
@@ -408,8 +400,6 @@ class Hypervisor:
                 raise InvalidDonation("ipa page %#x is another enclave's "
                                       "channel; cannot donate it" % p)
             staged.append((p, frame, perms))
-        if self.program_loader is None:
-            raise InvalidDonation("no program loader installed")
         factory = self.program_loader(
             self.machine.read_frame(staged[0][1], 0, PAGE_SIZE))
         if factory is None:
@@ -530,7 +520,6 @@ class Hypervisor:
                     item = gen.send(value)
             except StopIteration:
                 # program finished: an implicit exit, no hypercall charged
-                cur.halted = True
                 popped = self._pop_current(pcpu, Resumption.COMPLETED)
                 self._charge_switch(pcpu, popped, pcpu.current_vcpu, "finish")
                 continue
@@ -541,9 +530,9 @@ class Hypervisor:
                 for obs in self.machine.observers:
                     obs.on_work(cur, item.units)
                 self._tick()
-            elif isinstance(item, Call):
+            elif isinstance(item, Hypercall):
                 try:
-                    cur.inbox = self.dispatch(cur, item.hc)
+                    cur.inbox = self.dispatch(cur, item)
                 except HypercallError as err:
                     cur.inbox_exc = err
                 self._tick()
@@ -574,10 +563,10 @@ class Hypervisor:
             raise EnclaveActive("vcpu %s already scheduled" % vcpu.name)
         self._push(pcpu, vcpu, "schedule")
 
-    def yield_vcpu(self, pcpu_id: int,
-                   resumption: Resumption = Resumption.COMPLETED) -> Vcpu:
-        """Pop the running vCPU without touching its program state."""
+    def yield_vcpu(self, pcpu_id: int) -> Vcpu:
+        """Pop the running vCPU as completed, without touching its program
+        state."""
         pcpu = self.machine.pcpus[pcpu_id]
-        popped = self._pop_current(pcpu, resumption)
+        popped = self._pop_current(pcpu, Resumption.COMPLETED)
         self._charge_switch(pcpu, popped, pcpu.current_vcpu, "yield")
         return popped

@@ -32,6 +32,7 @@ MAGIC = b"BEIM"
 VERSION = 1
 HEADER = struct.Struct("<4sHIIII")
 HEADER_LEN = HEADER.size  # 22
+BLOB_MIN_LEN = PAGE_SIZE + 64  # so every built-in blob takes two code pages
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,6 @@ class EnclaveImage:
     @property
     def code_pages(self) -> int:
         return (len(self.code_blob) + PAGE_SIZE - 1) // PAGE_SIZE
-
-    @property
-    def total_pages(self) -> int:
-        return self.mem_size_pages + self.channel_size_pages
 
     def pack(self) -> bytes:
         table = struct.pack("<%dI" % len(self.cmd_ids), *self.cmd_ids)
@@ -93,14 +90,14 @@ class EnclaveImage:
         return cls(mem_pages, chan_pages, cmd_ids, blob)
 
 
-def make_blob(name: str, cmd_ids: Tuple[int, ...], min_len: int = PAGE_SIZE + 64) -> bytes:
+def make_blob(name: str, cmd_ids: Tuple[int, ...]) -> bytes:
     """Deterministic synthetic code blob: command table, a marker string,
-    then name-derived filler padding out to at least min_len bytes."""
+    then name-derived filler padding out to at least BLOB_MIN_LEN bytes."""
     table = struct.pack("<%dI" % len(cmd_ids), *cmd_ids)
     marker = b"TA!" + name.encode("ascii") + b"\n"
     body = table + marker
-    if len(body) < min_len:
-        pad = min_len - len(body)
+    if len(body) < BLOB_MIN_LEN:
+        pad = BLOB_MIN_LEN - len(body)
         seed = hashlib.sha256(b"blob:" + name.encode("ascii")).digest()
         filler = (seed * (pad // len(seed) + 1))[:pad]
         body += filler
@@ -108,9 +105,8 @@ def make_blob(name: str, cmd_ids: Tuple[int, ...], min_len: int = PAGE_SIZE + 64
 
 
 def build_image(name: str, mem_size_pages: int, cmd_ids: Tuple[int, ...],
-                channel_size_pages: int = 1,
-                blob_min_len: int = PAGE_SIZE + 64) -> EnclaveImage:
-    blob = make_blob(name, cmd_ids, blob_min_len)
+                channel_size_pages: int = 1) -> EnclaveImage:
+    blob = make_blob(name, cmd_ids)
     img = EnclaveImage(mem_size_pages, channel_size_pages, tuple(cmd_ids), blob)
     # round-trip through the wire format so a built image is always valid
     return EnclaveImage.parse(img.pack())

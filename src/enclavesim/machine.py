@@ -2,12 +2,12 @@
 
 All byte content lives here; every other module reads and writes frames
 through this one.  Cost accounting is a set of monotonic counters; simulated
-time is their weighted sum, so identical operation sequences always produce
-identical timelines.
+time is their sum, one unit per charged event, per work unit and per zeroed
+page, so identical operation sequences always produce identical timelines.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .errors import OutOfRange
@@ -76,18 +76,6 @@ class MachineConfig:
     pcpus: int = 1
     max_vms: int = 16
     os_reserved_pages: int = 64  # low pages kept by the OS, never donated
-    weights: "CostWeights" = field(default_factory=lambda: CostWeights())
-
-
-@dataclass(frozen=True)
-class CostWeights:
-    """Units charged per costed event.  Zero-fill is charged per page."""
-
-    pt_op: int = 1
-    ctx_switch: int = 1
-    hypercall: int = 1
-    work_unit: int = 1
-    zero_page: int = 1
 
 
 @dataclass
@@ -107,15 +95,11 @@ class CostLedger:
             "work_units": self.work_units,
         }
 
-    def units(self, weights: CostWeights) -> int:
-        """Total simulated time in abstract cost units."""
-        return (
-            self.pt_ops * weights.pt_op
-            + self.ctx_switches * weights.ctx_switch
-            + self.hypercalls * weights.hypercall
-            + self.work_units * weights.work_unit
-            + (self.zero_bytes * weights.zero_page) // PAGE_SIZE
-        )
+    def units(self) -> int:
+        """Total simulated time in abstract cost units: one per page-table
+        op, context switch, hypercall, work unit and zeroed page."""
+        return (self.pt_ops + self.ctx_switches + self.hypercalls
+                + self.work_units + self.zero_bytes // PAGE_SIZE)
 
     def reset(self) -> None:
         self.pt_ops = 0
@@ -181,4 +165,4 @@ class PhysicalMachine:
 
     def now(self) -> int:
         """Current simulated time, derived from the ledger."""
-        return self.ledger.units(self.config.weights)
+        return self.ledger.units()

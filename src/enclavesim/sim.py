@@ -5,10 +5,10 @@ a seeded RNG.  Everything observable funnels into the trace through a
 machine observer, so identical (config, seed, operations) always serialize
 to byte-identical JSON lines.
 
-Simulated time is the cost ledger's weighted unit sum.  The trace stamps
-every event with it, and timers fire against that clock from inside the
-hypervisor's run loop, which is what makes mid-command preemption
-deterministic.
+Simulated time is the cost ledger's unit sum: one unit per charged event,
+per work unit and per zeroed page.  The trace stamps every event with it,
+and timers fire against that clock from inside the hypervisor's run loop,
+which is what makes mid-command preemption deterministic.
 """
 from __future__ import annotations
 
@@ -40,10 +40,9 @@ class TraceObserver(Observer):
         self.sim = sim
 
     def _emit(self, kind: str, **detail) -> None:
-        sim = self.sim
-        pcpu = sim.active_pcpu
-        cur = sim.machine.pcpus[pcpu].current_vcpu
-        sim.trace.emit(kind, pcpu, _vcpu_name(cur), **detail)
+        # pCPU 0 even for a driver on another pCPU: ROADMAP item 3's open bug
+        cur = self.sim.machine.pcpus[0].current_vcpu
+        self.sim.trace.emit(kind, 0, _vcpu_name(cur), **detail)
 
     def on_map(self, vm: int, ipa_page: int, frame: int, perms: Perms) -> None:
         self._emit("s2_map", vm=vm, ipa_page=ipa_page, frame=frame,
@@ -109,7 +108,6 @@ class Simulation:
         self.trace = TraceRecorder(self.machine.now)
         self.seed = seed
         self.rng = random.Random(seed)
-        self.active_pcpu = 0
         # boot work (identity mapping) is setup, not measured activity
         self.machine.ledger.reset()
         self.machine.observers.append(TraceObserver(self))
@@ -162,6 +160,3 @@ class Simulation:
 
     def primary_vcpu(self, pcpu_id: int = 0) -> Vcpu:
         return self.hv.primary.vcpus[pcpu_id]
-
-    def write_trace(self, path: str) -> None:
-        self.trace.write_jsonl(path)

@@ -32,7 +32,6 @@ from .errors import (
     TaCommandError,
 )
 from .hypervisor import (
-    Call,
     CreateEnclave,
     EnclaveRecord,
     Exit,
@@ -48,10 +47,10 @@ from .stage2 import Access, AccessFault, guest_access
 ROUNDS = 4
 
 
-def digest_chain(label: bytes, data: bytes, rounds: int = ROUNDS) -> bytes:
+def digest_chain(label: bytes, data: bytes) -> bytes:
     """Iterated keyed digest: the toy primitive behind every wallet output."""
     h = hashlib.sha256(label + b":" + data).digest()
-    for _ in range(rounds - 1):
+    for _ in range(ROUNDS - 1):
         h = hashlib.sha256(label + b":" + h).digest()
     return h
 
@@ -100,21 +99,21 @@ def standard_loop(ctx: TaContext,
         try:
             cmd_id, args = ctx.channel.serve()
         except ChannelNoRequest:
-            yield Call(Exit())
+            yield Exit()
             continue
         handler = handlers.get(cmd_id)
         if handler is None:
             ctx.channel.complete_error()
-            yield Call(Exit())
+            yield Exit()
             continue
         try:
             ret = yield from handler(ctx, args)
         except TaCommandError:
             ctx.channel.complete_error()
-            yield Call(Exit())
+            yield Exit()
             continue
         ctx.channel.complete(ret if ret is not None else b"")
-        yield Call(Exit())
+        yield Exit()
 
 
 # -- registry -----------------------------------------------------------------
@@ -129,10 +128,9 @@ class TaSpec:
 REGISTRY: Dict[str, TaSpec] = {}
 
 
-def register_ta(name: str, mem_pages: int, cmd_ids: Tuple[int, ...],
-                channel_pages: int = 1):
+def register_ta(name: str, mem_pages: int, cmd_ids: Tuple[int, ...]):
     def deco(fn: Callable[[TaContext], GuestProgram]):
-        image = build_image(name, mem_pages, tuple(cmd_ids), channel_pages)
+        image = build_image(name, mem_pages, tuple(cmd_ids))
         REGISTRY[name] = TaSpec(name, image, fn)
         return fn
     return deco
@@ -355,12 +353,12 @@ def escalate_program(ctx: TaContext) -> GuestProgram:
     def attempt(ctx: TaContext, args: bytes) -> GuestProgram:
         outcomes = []
         try:
-            yield Call(CreateEnclave((0, 1), ImageMeta(1, 1)))
+            yield CreateEnclave((0, 1), ImageMeta(1, 1))
             outcomes.append(b"create:allowed")
         except PrivilegeViolation:
             outcomes.append(b"create:denied")
         try:
-            yield Call(InvokeEnclave(1))
+            yield InvokeEnclave(1)
             outcomes.append(b"invoke:allowed")
         except PrivilegeViolation:
             outcomes.append(b"invoke:denied")

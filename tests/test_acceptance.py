@@ -146,7 +146,7 @@ def test_criterion_7_identical_seed_gives_identical_trace(tmp_path):
         result = run_scenario_text(text, name="replay")
         assert result.ok, result.violations
         out = tmp_path / ("trace%d.jsonl" % run)
-        result.sim.write_trace(str(out))
+        result.sim.trace.write_jsonl(str(out))
         paths.append(out)
     a, b = (p.read_bytes() for p in paths)
     assert a == b

@@ -3,6 +3,8 @@ clean runs, and the scenario/CLI layers must hold their contracts."""
 import dataclasses
 import hashlib
 import json
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -25,13 +27,15 @@ from enclavesim.harness import (
     sabotage_teardown,
     verify_oracle_sensitivity,
 )
+from enclavesim.harness import scenario as scenario_module
 from enclavesim.harness.cli import main as cli_main
 from enclavesim.machine import MachineConfig
 from enclavesim.sim import Simulation
 from enclavesim.stage2 import PERM_RO, PERM_RW, PERM_RWX
 from enclavesim.ta_runtime import image_for_pages
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 def make_sim(frames=256, **kw):
@@ -440,6 +444,24 @@ def test_cli_run_failed_expectation_exits_1(tmp_path, capsys):
     script.write_text("create e echo\ninvoke e 0 str:x\nexpect status error\n")
     assert cli_main(["run", str(script)]) == 1
     capsys.readouterr()
+
+
+def _documented_scenario(source):
+    if source == "README.md":
+        text = (ROOT / "README.md").read_text()
+        return re.search(r"## Scenario scripts.*?```text\n(.*?)```", text,
+                         re.S).group(1)
+    block = re.search(r"comment:\n\n(.*?)\n\n`expect`",
+                      scenario_module.__doc__, re.S).group(1)
+    return textwrap.dedent(block)
+
+
+@pytest.mark.parametrize("source", ["README.md", "scenario.py docstring"])
+def test_documented_scenario_example_runs(source, tmp_path, capsys):
+    script = tmp_path / "example.txt"
+    script.write_text(_documented_scenario(source))
+    # exit 0: every expectation held and no oracle reported a violation
+    assert cli_main(["run", str(script)]) == 0, capsys.readouterr().out
 
 
 def test_cli_attack(capsys):

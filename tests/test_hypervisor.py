@@ -442,5 +442,5 @@ def test_program_falling_off_the_end_pops_without_exit_call():
     assert ledger.hypercalls - before["hypercalls"] == 1  # invoke, no exit
     assert ledger.ctx_switches - before["ctx_switches"] == 2
     assert ledger.work_units - before["work_units"] == 2
-    vcpu = sim.hv.enclaves[handle].vm.vcpus[0]
-    assert vcpu.halted
+    last = sim.trace.events[-1]
+    assert last.kind == "ctx_switch" and last.detail["reason"] == "finish"

@@ -5,7 +5,6 @@ from enclavesim.errors import OutOfRange
 from enclavesim.machine import (
     PAGE_SIZE,
     CostLedger,
-    CostWeights,
     MachineConfig,
     Observer,
     PhysicalMachine,
@@ -69,11 +68,7 @@ def test_write_observer_carries_data(machine):
 def test_ledger_units_weighted():
     ledger = CostLedger(pt_ops=3, zero_bytes=2 * PAGE_SIZE, ctx_switches=5,
                         hypercalls=7, work_units=11)
-    flat = CostWeights()
-    assert ledger.units(flat) == 3 + 2 + 5 + 7 + 11
-    heavy = CostWeights(pt_op=10, zero_page=100, ctx_switch=2, hypercall=3,
-                        work_unit=1)
-    assert ledger.units(heavy) == 30 + 200 + 10 + 21 + 11
+    assert ledger.units() == 3 + 2 + 5 + 7 + 11
 
 
 def test_ledger_snapshot_and_reset():
@@ -83,7 +78,7 @@ def test_ledger_snapshot_and_reset():
     assert snap == {"pt_ops": 1, "zero_bytes": 2, "ctx_switches": 3,
                     "hypercalls": 4, "work_units": 5}
     ledger.reset()
-    assert ledger.units(CostWeights()) == 0
+    assert ledger.units() == 0
     # the snapshot is a copy, not a view
     assert snap["pt_ops"] == 1
 
@@ -91,4 +86,4 @@ def test_ledger_snapshot_and_reset():
 def test_now_is_ledger_units(machine):
     before = machine.now()
     machine.zero_frame(0)
-    assert machine.now() == before + 1  # one page zeroed at weight one
+    assert machine.now() == before + 1  # one unit per zeroed page

@@ -1,20 +1,32 @@
-"""The benchmark's per-layer tracer wraps simulator attributes by name, so a
-renamed or deleted name must fail here, not only in a traced benchmark run."""
+"""The benchmark's per-layer tracer wraps simulator attributes by name, and
+its rounds call the simulator's public API, so a renamed name, a changed
+signature or a changed result must fail here, not only in a benchmark run."""
 import importlib.util
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _load_bench(monkeypatch):
+    """run.py, workloads.py and spans.py under the names run.py imports
+    them by.  Each is in sys.modules before it executes, because its
+    dataclasses look their module up there."""
+    modules = {}
+    for name in ("workloads", "spans", "run"):
+        spec = importlib.util.spec_from_file_location(
+            name, PERFBENCH / (name + ".py"))
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        modules[name] = module
+    return modules["run"], modules["workloads"], modules["spans"]
 
 
-def test_tracer_installs_and_restores_every_wrapped_name():
-    spans = _load_spans()
+def test_tracer_installs_and_restores_every_wrapped_name(monkeypatch):
+    _, _, spans = _load_bench(monkeypatch)
     targets = [(owner, attr) for owner, attr, *_ in spans._targets()]
     originals = [vars(owner).get(attr) for owner, attr in targets]
     tracer = spans.Tracer()
@@ -26,3 +38,28 @@ def test_tracer_installs_and_restores_every_wrapped_name():
     finally:
         tracer.uninstall()
     assert [vars(owner).get(attr) for owner, attr in targets] == originals
+
+
+@pytest.mark.parametrize("workload", ["churn", "invoke"])
+def test_benchmark_round_runs_clean_traced_and_untraced(workload,
+                                                         monkeypatch):
+    run, workloads, spans = _load_bench(monkeypatch)
+    wl = workloads.WORKLOADS[workload]
+    plan = wl.plan(7, 6)
+    plain = run.run_round(wl, plan, whole=True)
+    assert run.complete(plain, 6), plain.problems
+    assert not plain.failures
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced = run.run_round(wl, plan, tracer)
+    finally:
+        tracer.uninstall()
+    assert run.complete(traced, 6), traced.problems
+    assert not traced.failures
+    assert traced.trace_sha256 == plain.trace_sha256
+
+
+def test_benchmark_cost_model_claims_hold(monkeypatch):
+    run, _, _ = _load_bench(monkeypatch)
+    assert run.cost_model_problems() == []
