@@ -411,20 +411,20 @@ def check_trace_completeness(sim) -> List[str]:
     folded = dict.fromkeys(expected, 0)
     problems = []
     t = 0
-    for step, ev in enumerate(sim.trace.events):
-        if ev.kind in charges:
-            n = ev.detail["units"] if ev.kind == "work" else 1
-            folded[charges[ev.kind]] += n
+    for index, (step, kind, _, _, detail, ev_t) in enumerate(sim.trace.events):
+        if kind in charges:
+            n = detail["units"] if kind == "work" else 1
+            folded[charges[kind]] += n
             t += n
-        elif ev.kind == "fault":
+        elif kind == "fault":
             folded["faults"] += 1
         # report the first break only; every later event inherits it
-        if ev.step != step and not problems:
+        if step != index and not problems:
             problems.append("trace steps not dense from zero (step %d at "
-                            "index %d)" % (ev.step, step))
-        if ev.t != t and not problems:
+                            "index %d)" % (step, index))
+        if ev_t != t and not problems:
             problems.append("step %d has t=%d, its events fold to %d"
-                            % (ev.step, ev.t, t))
+                            % (step, ev_t, t))
     folded["zero_bytes"] *= PAGE_SIZE
     for counter, total in expected.items():
         if folded[counter] != total:

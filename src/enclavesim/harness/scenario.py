@@ -39,11 +39,11 @@ Format, one statement per line, `#` starts a comment:
 
 `expect` always refers to the immediately preceding action.  Adversary
 accesses and failed driver calls are recorded, never raised, so containment
-is scriptable; an error that was not expected fails the run.  A successful
-adversary read leaves its bytes as the `payload`.  An adversary statement
-names the pages the variable's enclave was created with, so after `destroy`
-it probes the former pages: a reclaimed page reads as zeros, and one that
-was donated again faults.
+is scriptable; an error that the next statement does not `expect error`
+fails the run.  A successful adversary read leaves its bytes as the
+`payload`.  An adversary statement names the pages the variable's enclave
+was created with, so after `destroy` it probes the former pages: a
+reclaimed page reads as zeros, and one that was donated again faults.
 """
 from __future__ import annotations
 
@@ -182,6 +182,8 @@ class _Runner:
         self.outputs: List[str] = []
         # outcome of the most recent action, consulted by `expect`
         self.last: Dict[str, object] = {}
+        # report of an error no `expect error` has consumed yet
+        self.unexpected: Optional[str] = None
 
     def _say(self, msg: str) -> None:
         self.outputs.append(msg)
@@ -198,8 +200,13 @@ class _Runner:
 
     def run(self) -> ScenarioResult:
         for step in self.scenario.steps:
+            if self.unexpected is not None and not (
+                    step.op == "expect" and step.args[:1] == ("error",)):
+                break
             handler = getattr(self, "_op_" + step.op)
             handler(step)
+        if self.unexpected is not None:
+            raise ExpectationFailed(self.unexpected)
         violations = standard_checks(self.sim, self.driver,
                                      self._shared_frames())
         violations += self.zerowatch.violations
@@ -230,6 +237,8 @@ class _Runner:
             self.last["error"] = type(err).__name__
             self._say("line %d: %s: %s"
                       % (step.lineno, type(err).__name__, err))
+            self.unexpected = ("line %d: unexpected %s: %s"
+                               % (step.lineno, type(err).__name__, err))
             return None
 
     def _op_create(self, step: Step) -> None:
@@ -424,6 +433,7 @@ class _Runner:
                 raise ExpectationFailed(
                     "line %d: expected error %s, got %r"
                     % (step.lineno, value, got))
+            self.unexpected = None
         elif what == "outcome":
             got = self.last.get("outcome")
             if got != value:

@@ -125,10 +125,10 @@ class Vcpu:
     inbox_exc: Optional[Exception] = None
     pending_irq: bool = False
     last_leave: Optional[Resumption] = None
+    name: str = field(init=False)   # "<vm name>.v<index>", fixed at birth
 
-    @property
-    def name(self) -> str:
-        return "%s.v%d" % (self.vm.name, self.index)
+    def __post_init__(self) -> None:
+        self.name = "%s.v%d" % (self.vm.name, self.index)
 
     def __repr__(self) -> str:
         return "<Vcpu %s>" % self.name

@@ -12,7 +12,6 @@ which is what makes mid-command preemption deterministic.
 """
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import random
 from typing import List, Optional, Tuple, Union
@@ -28,7 +27,10 @@ def _vcpu_name(v: Optional[Vcpu]) -> Optional[str]:
 
 
 def _call_detail(hc: Hypercall) -> dict:
-    d = dataclasses.asdict(hc)
+    """``dataclasses.asdict(hc)`` plus `call`, without its deep copy."""
+    d = dict(vars(hc))
+    if "meta" in d:
+        d["meta"] = dict(vars(d["meta"]))
     d["call"] = type(hc).__name__
     return d
 
@@ -105,7 +107,7 @@ class Simulation:
             program_loader = ta_runtime.load_program
         self.machine = PhysicalMachine(config)
         self.hv = Hypervisor(self.machine, program_loader)
-        self.trace = TraceRecorder(self.machine.now)
+        self.trace = TraceRecorder(self.machine.ledger.units)
         self.seed = seed
         self.rng = random.Random(seed)
         # boot work (identity mapping) is setup, not measured activity

@@ -64,6 +64,12 @@ class AccessFault:
         return {"vm": self.vm, "ipa": self.ipa, "kind": self.kind.value}
 
 
+def _fault(vm: int, ipa: int, entry: Optional[Tuple[int, Perms]]) -> AccessFault:
+    """The fault at `ipa` whose page `entry` (None if unmapped) denies it."""
+    return AccessFault(vm, ipa, FaultKind.UNMAPPED if entry is None
+                       else FaultKind.PERMISSION_DENIED)
+
+
 class Stage2Table:
     """Mapping state for one VM.  Owned and mutated only by the hypervisor."""
 
@@ -115,12 +121,9 @@ class Stage2Table:
 
     def translate(self, ipa: int, access: Access) -> Union[int, AccessFault]:
         entry = self.entries.get(ipa >> PAGE_SHIFT)
-        if entry is None:
-            return AccessFault(self.owner_vm, ipa, FaultKind.UNMAPPED)
-        frame, perms = entry
-        if not perms.allows(access):
-            return AccessFault(self.owner_vm, ipa, FaultKind.PERMISSION_DENIED)
-        return (frame << PAGE_SHIFT) | (ipa & OFFSET_MASK)
+        if entry is None or not entry[1].allows(access):
+            return _fault(self.owner_vm, ipa, entry)
+        return (entry[0] << PAGE_SHIFT) | (ipa & OFFSET_MASK)
 
     def snapshot(self) -> Dict[int, Tuple[int, Perms]]:
         """Immutable-enough copy for before/after equality checks."""
@@ -155,26 +158,33 @@ def guest_access(
     if length < 0:
         raise ValueError("negative length")
 
+    write = access is Access.WRITE
     touched: List[Tuple[int, int]] = []
     parts: List[bytes] = []
     pos = 0
     while pos < length:
         cur = ipa + pos
         offset = cur & OFFSET_MASK
-        chunk = min(length - pos, PAGE_SIZE - offset)
-        phys = table.translate(cur, access)
-        if isinstance(phys, AccessFault):
+        chunk = PAGE_SIZE - offset
+        if chunk > length - pos:
+            chunk = length - pos
+        page = cur >> PAGE_SHIFT
+        entry = table.entries.get(page)
+        if entry is None or not entry[1].allows(access):
+            fault = _fault(table.owner_vm, cur, entry)
             machine.fault_count += 1
             for obs in machine.observers:
-                obs.on_fault(phys)
-            return phys, touched
-        frame = phys >> PAGE_SHIFT
-        touched.append((cur >> PAGE_SHIFT, frame))
-        if access is Access.WRITE:
+                obs.on_fault(fault)
+            return fault, touched
+        frame = entry[0]
+        touched.append((page, frame))
+        if write:
             machine.write_frame(frame, offset, data[pos:pos + chunk])
         else:
             parts.append(machine.read_frame(frame, offset, chunk))
         pos += chunk
-    if access is Access.WRITE:
+    if write:
         return b"", touched
+    if len(parts) == 1:
+        return parts[0], touched
     return b"".join(parts), touched

@@ -6,7 +6,8 @@ monotonically increasing step number and the simulated time ``t`` right after
 the event's own cost was charged.  The trace is the one record of a run: the
 cost ledger is a fold over its events.  Two runs of the same scenario must
 serialize byte-for-byte identically, so details contain only ints, strings,
-bools, None and nested dicts/lists/tuples of those.
+bools, None and nested dicts/lists/tuples of those.  An event is an immutable
+named tuple of its six fields; a recorded event is never changed.
 
 One event is one line, its six keys in sorted order and no spaces:
 
@@ -22,14 +23,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 _LINE = '{"detail":%s,"event":%s,"pcpu":%d,"step":%d,"t":%d,"vcpu":%s}\n'
 _encode_detail = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     step: int
     kind: str
     pcpu: int
@@ -56,10 +56,9 @@ class TraceRecorder:
 
     def to_jsonl(self) -> str:
         return "".join([
-            _LINE % (_encode_detail(ev.detail), _quote(ev.kind), ev.pcpu,
-                     ev.step, ev.t,
-                     "null" if ev.vcpu is None else _quote(ev.vcpu))
-            for ev in self.events
+            _LINE % (_encode_detail(detail), _quote(kind), pcpu, step, t,
+                     "null" if vcpu is None else _quote(vcpu))
+            for step, kind, pcpu, vcpu, detail, t in self.events
         ])
 
     def write_jsonl(self, path: str) -> None:

@@ -1,6 +1,5 @@
 """The watchdog oracles must bite when fed corrupted state, stay quiet on
 clean runs, and the scenario/CLI layers must hold their contracts."""
-import dataclasses
 import hashlib
 import json
 import re
@@ -214,9 +213,9 @@ def test_trace_completeness_detects_tampering():
     assert any("hypercall" in p for p in check_trace_completeness(sim))
     sim.machine.ledger.hypercalls -= 1
     events = sim.trace.events
-    events[5] = dataclasses.replace(events[5], t=events[5].t + 1)
+    events[5] = events[5]._replace(t=events[5].t + 1)
     assert any("step 5 has t=" in p for p in check_trace_completeness(sim))
-    events[5] = dataclasses.replace(events[5], t=events[5].t - 1)
+    events[5] = events[5]._replace(t=events[5].t - 1)
     assert check_trace_completeness(sim) == []
     del events[3]
     assert any("dense" in p for p in check_trace_completeness(sim))
@@ -334,6 +333,16 @@ def test_scenario_expectation_failure_raises():
         """)
 
 
+@pytest.mark.parametrize("script", [
+    "create w echo\ndestroy w\ndestroy w",
+    "create w echo\ndestroy w\ndestroy w\ncreate v echo\nexpect error BadFd",
+    "create w echo\ndestroy w\ndestroy w\nexpect status done",
+], ids=["last-line", "next-is-an-action", "next-is-another-expect"])
+def test_scenario_unexpected_error_fails_naming_its_line(script):
+    with pytest.raises(ExpectationFailed, match="line 3: unexpected BadFd"):
+        run_scenario_text(script)
+
+
 @pytest.mark.parametrize("bad", [
     "warp 9",
     "create e echo\nmachine frames=64",
@@ -444,6 +453,16 @@ def test_cli_run_failed_expectation_exits_1(tmp_path, capsys):
     script.write_text("create e echo\ninvoke e 0 str:x\nexpect status error\n")
     assert cli_main(["run", str(script)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("expect, status", [("", 1),
+                                            ("expect error BadFd\n", 0)])
+def test_cli_run_unexpected_error_exits_1(expect, status, tmp_path, capsys):
+    script = tmp_path / "double_destroy.txt"
+    script.write_text("create w echo\ndestroy w\ndestroy w\n" + expect)
+    assert cli_main(["run", str(script)]) == status
+    out = capsys.readouterr().out
+    assert ("line 3: unexpected BadFd" in out) == bool(status)
 
 
 def _documented_scenario(source):

@@ -40,6 +40,18 @@ def test_tracer_installs_and_restores_every_wrapped_name(monkeypatch):
     assert [vars(owner).get(attr) for owner, attr in targets] == originals
 
 
+# trace sha256 and ledger of a 6-op seed-7 round; a change to the trace
+# bytes or the cost model of either workload fails here
+ROUND_PINS = {
+    "churn": ("3b9eb6704e9e6722c7ad7acbf0aefa476a73cd25c92f32967ed5338d8a3f58a3",
+              {"pt_ops": 124, "zero_bytes": 126976, "ctx_switches": 20,
+               "hypercalls": 32, "work_units": 45}),
+    "invoke": ("b1be6396753c8db9131af8b48eef3a541f5f60069408881ec4f13593e42f9c37",
+               {"pt_ops": 60, "zero_bytes": 0, "ctx_switches": 22,
+                "hypercalls": 27, "work_units": 118}),
+}
+
+
 @pytest.mark.parametrize("workload", ["churn", "invoke"])
 def test_benchmark_round_runs_clean_traced_and_untraced(workload,
                                                          monkeypatch):
@@ -58,6 +70,7 @@ def test_benchmark_round_runs_clean_traced_and_untraced(workload,
     assert run.complete(traced, 6), traced.problems
     assert not traced.failures
     assert traced.trace_sha256 == plain.trace_sha256
+    assert (plain.trace_sha256, plain.ledger) == ROUND_PINS[workload]
 
 
 def test_benchmark_cost_model_claims_hold(monkeypatch):

@@ -1,12 +1,22 @@
 """Trace serialization: every line equals compact, sorted-key json.dumps of
-the event's record."""
+the event's record.  Events are immutable, and what goes into them (hypercall
+details, vCPU names) is what the record says it is."""
+import dataclasses
 import json
 
 import pytest
 
 from enclavesim.guest_os import EnclaveDriver
+from enclavesim.hypervisor import (
+    CreateEnclave,
+    DestroyEnclave,
+    Exit,
+    Hypercall,
+    ImageMeta,
+    InvokeEnclave,
+)
 from enclavesim.machine import MachineConfig
-from enclavesim.sim import Simulation
+from enclavesim.sim import Simulation, _call_detail
 from enclavesim.ta_runtime import image_for
 from enclavesim.trace import TraceRecorder
 
@@ -56,3 +66,32 @@ def test_to_jsonl_equals_sorted_compact_json_dumps(build):
     assert got == want
     if not trace.events:
         assert got == ""
+
+
+def test_call_detail_equals_asdict_for_every_hypercall():
+    samples = {
+        CreateEnclave: CreateEnclave((9, 10, 11, 12), ImageMeta(3, 1)),
+        DestroyEnclave: DestroyEnclave(4),
+        InvokeEnclave: InvokeEnclave(5),
+        Exit: Exit(),
+    }
+    assert set(samples) == set(Hypercall.__subclasses__())
+    for hc in samples.values():
+        assert _call_detail(hc) == dict(dataclasses.asdict(hc),
+                                        call=type(hc).__name__)
+
+
+def test_trace_events_are_immutable():
+    ev = _recorder(("work", 0, "primary.v0", {"units": 2})).events[0]
+    with pytest.raises(AttributeError):
+        ev.t = ev.t + 1
+
+
+def test_vcpu_name_is_vm_name_and_index():
+    sim = Simulation(MachineConfig(frames=256, pcpus=2))
+    driver = EnclaveDriver(sim)
+    enclave = driver.record_of(driver.create(image_for("echo"))).vm.vcpus[0]
+    aux = sim.hv.make_aux_vcpu(1, "helper")
+    for vcpu in (sim.primary_vcpu(1), enclave, aux):
+        assert vcpu.name == "%s.v%d" % (vcpu.vm.name, vcpu.index)
+    assert [sim.primary_vcpu(1).name, aux.name] == ["primary.v1", "helper.v0"]
