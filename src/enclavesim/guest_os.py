@@ -68,13 +68,12 @@ class OsAllocator:
     def allocate_contiguous(self, n: int) -> Tuple[int, List[int]]:
         if n < 1:
             raise DriverError("allocation of %d pages" % n)
-        run_start = 0
-        for i in range(1, len(self._free) + 1):
-            if i == len(self._free) or self._free[i] != self._free[i - 1] + 1:
-                if i - run_start >= n:
-                    pages = self._free[run_start:run_start + n]
-                    return self._take(pages)
-                run_start = i
+        # sorted, no duplicates: free[i:i+n] is a run iff its ends are n-1
+        # apart, and the first such i starts the lowest run long enough
+        free, last = self._free, n - 1
+        for i in range(len(free) - last):
+            if free[i + last] - free[i] == last:
+                return self._take(free[i:i + n])
         raise NoMemory("no contiguous run of %d pages" % n)
 
     def free(self, aid: int) -> List[int]:
@@ -117,6 +116,7 @@ class EnclaveDriver:
     def __init__(self, sim: Simulation, pcpu_id: int = 0):
         self.sim = sim
         self.hv = sim.hv
+        self.hv.check_pcpu(pcpu_id)
         self.pcpu_id = pcpu_id
         cfg = sim.machine.config
         self.allocator = OsAllocator(cfg.os_reserved_pages, cfg.frames)

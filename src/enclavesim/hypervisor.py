@@ -284,14 +284,17 @@ class Hypervisor:
 
     # -- interrupts ---------------------------------------------------------
 
+    def check_pcpu(self, pcpu_id: int) -> None:
+        if not 0 <= pcpu_id < len(self.machine.pcpus):
+            raise SimulationError("no pcpu %d" % pcpu_id)
+
     def deliver_interrupt(self, pcpu_id: int, target: Vcpu) -> str:
         """Route an interrupt to `target`.  If the target sits below the
         running vCPU, everything above it is popped as PREEMPTED and a single
         context switch lands on the target.  An interrupt for the running
         vCPU itself (or for one not on the stack) is recorded as pending with
         no switch.  Returns the outcome label."""
-        if not 0 <= pcpu_id < len(self.machine.pcpus):
-            raise SimulationError("no pcpu %d" % pcpu_id)
+        self.check_pcpu(pcpu_id)
         if target.pcpu != pcpu_id:
             raise WrongPcpu("vcpu %s lives on pcpu %d, interrupt sent to %d"
                             % (target.name, target.pcpu, pcpu_id))

@@ -28,75 +28,77 @@ def _vcpu_name(v: Optional[Vcpu]) -> Optional[str]:
 
 def _call_detail(hc: Hypercall) -> dict:
     """``dataclasses.asdict(hc)`` plus `call`, without its deep copy."""
-    d = dict(vars(hc))
+    # one literal: a copy of vars(hc) grows its table when `call` is added
+    d = {"call": type(hc).__name__, **vars(hc)}
     if "meta" in d:
         d["meta"] = dict(vars(d["meta"]))
-    d["call"] = type(hc).__name__
     return d
 
 
 class TraceObserver(Observer):
-    """Bridges primitive-level hooks into trace events."""
+    """Bridges primitive-level hooks into trace events, one `emit` each."""
 
     def __init__(self, sim: "Simulation"):
-        self.sim = sim
-
-    def _emit(self, kind: str, **detail) -> None:
-        # pCPU 0 even for a driver on another pCPU: ROADMAP item 3's open bug
-        cur = self.sim.machine.pcpus[0].current_vcpu
-        self.sim.trace.emit(kind, 0, _vcpu_name(cur), **detail)
+        self.trace = sim.trace
+        # pCPU 0 even for a driver on another pCPU: ROADMAP item 2's open bug
+        self.pcpu0 = sim.machine.pcpus[0]
 
     def on_map(self, vm: int, ipa_page: int, frame: int, perms: Perms) -> None:
-        self._emit("s2_map", vm=vm, ipa_page=ipa_page, frame=frame,
-                   perms=perms.tag())
+        self.trace.emit("s2_map", 0, _vcpu_name(self.pcpu0.current_vcpu),
+                        {"vm": vm, "ipa_page": ipa_page, "frame": frame,
+                         "perms": perms.tag()})
 
     def on_unmap(self, vm: int, ipa_page: int, frame: int) -> None:
-        self._emit("s2_unmap", vm=vm, ipa_page=ipa_page, frame=frame)
+        self.trace.emit("s2_unmap", 0, _vcpu_name(self.pcpu0.current_vcpu),
+                        {"vm": vm, "ipa_page": ipa_page, "frame": frame})
 
     def on_protect(self, vm: int, ipa_page: int, frame: int,
                    old: Perms, new: Perms) -> None:
-        self._emit("s2_protect", vm=vm, ipa_page=ipa_page, frame=frame,
-                   old=old.tag(), new=new.tag())
+        self.trace.emit("s2_protect", 0, _vcpu_name(self.pcpu0.current_vcpu),
+                        {"vm": vm, "ipa_page": ipa_page, "frame": frame,
+                         "old": old.tag(), "new": new.tag()})
 
     def on_zero(self, frame: int) -> None:
-        self._emit("zero_frame", frame=frame)
+        self.trace.emit("zero_frame", 0, _vcpu_name(self.pcpu0.current_vcpu),
+                        {"frame": frame})
 
     def on_fault(self, fault: AccessFault) -> None:
-        self._emit("fault", vm=fault.vm, ipa=fault.ipa,
-                   fault=fault.kind.value)
+        self.trace.emit("fault", 0, _vcpu_name(self.pcpu0.current_vcpu),
+                        {"vm": fault.vm, "ipa": fault.ipa,
+                         "fault": fault.kind.value})
 
     def on_push(self, pcpu: int, vcpu: Vcpu) -> None:
-        self.sim.trace.emit("push", pcpu, vcpu.name)
+        self.trace.emit("push", pcpu, vcpu.name, {})
 
     def on_pop(self, pcpu: int, vcpu: Vcpu, resumption: Resumption) -> None:
-        self.sim.trace.emit("pop", pcpu, vcpu.name,
-                            resumption=resumption.value)
+        self.trace.emit("pop", pcpu, vcpu.name,
+                        {"resumption": resumption.value})
 
     def on_switch(self, pcpu: int, frm: Vcpu, to: Vcpu, reason: str) -> None:
-        self.sim.trace.emit("ctx_switch", pcpu, to.name,
-                            frm=frm.name, to=to.name, reason=reason)
+        self.trace.emit("ctx_switch", pcpu, to.name,
+                        {"frm": frm.name, "to": to.name, "reason": reason})
 
     def on_hypercall(self, vcpu: Vcpu, call: Hypercall) -> None:
-        self.sim.trace.emit("hypercall", vcpu.pcpu, vcpu.name,
-                            **_call_detail(call))
+        self.trace.emit("hypercall", vcpu.pcpu, vcpu.name, _call_detail(call))
 
     def on_hypercall_error(self, vcpu: Vcpu, call: Hypercall,
                            err: Exception) -> None:
-        self.sim.trace.emit("hypercall_error", vcpu.pcpu, vcpu.name,
-                            call=type(call).__name__,
-                            error=type(err).__name__, message=str(err))
+        self.trace.emit("hypercall_error", vcpu.pcpu, vcpu.name,
+                        {"call": type(call).__name__,
+                         "error": type(err).__name__, "message": str(err)})
 
     def on_work(self, vcpu: Vcpu, units: int) -> None:
-        self.sim.trace.emit("work", vcpu.pcpu, vcpu.name, units=units)
+        self.trace.emit("work", vcpu.pcpu, vcpu.name, {"units": units})
 
     def on_interrupt(self, pcpu: int, target: Vcpu, outcome: str) -> None:
-        self.sim.trace.emit("interrupt", pcpu, target.name,
-                            target=target.name, outcome=outcome)
+        self.trace.emit("interrupt", pcpu, target.name,
+                        {"target": target.name, "outcome": outcome})
 
     def on_channel(self, side: str, old: int, new: int,
                    header: bytes, payload: bytes) -> None:
-        self._emit("channel", side=side, old=old, new=new,
-                   header=header.hex(), payload=payload.hex())
+        self.trace.emit("channel", 0, _vcpu_name(self.pcpu0.current_vcpu),
+                        {"side": side, "old": old, "new": new,
+                         "header": header.hex(), "payload": payload.hex()})
 
 
 class Simulation:
@@ -115,9 +117,9 @@ class Simulation:
         self.machine.observers.append(TraceObserver(self))
         cfg = self.machine.config
         self.trace.emit("boot", 0, _vcpu_name(self.machine.pcpus[0].current_vcpu),
-                        frames=cfg.frames, pcpus=cfg.pcpus,
-                        max_vms=cfg.max_vms,
-                        os_reserved_pages=cfg.os_reserved_pages, seed=seed)
+                        {"frames": cfg.frames, "pcpus": cfg.pcpus,
+                         "max_vms": cfg.max_vms, "seed": seed,
+                         "os_reserved_pages": cfg.os_reserved_pages})
         self._timers: List[Tuple[int, int, int]] = []  # (deadline, seq, pcpu)
         self._timer_seq = 0
         self.hv.tick_hook = self.check_timers
@@ -130,12 +132,13 @@ class Simulation:
     def arm_timer(self, delay: int, pcpu_id: int = 0) -> int:
         """Schedule an interrupt for the primary vCPU of `pcpu_id` once the
         ledger clock reaches now()+delay.  Returns the deadline."""
+        self.hv.check_pcpu(pcpu_id)
         deadline = self.now() + delay
         heapq.heappush(self._timers, (deadline, self._timer_seq, pcpu_id))
         self._timer_seq += 1
         self.trace.emit("timer_armed", pcpu_id,
                         _vcpu_name(self.machine.pcpus[pcpu_id].current_vcpu),
-                        deadline=deadline)
+                        {"deadline": deadline})
         return deadline
 
     def check_timers(self) -> None:
@@ -145,7 +148,7 @@ class Simulation:
             deadline, _, pcpu_id = heapq.heappop(self._timers)
             self.trace.emit("timer_fired", pcpu_id,
                             _vcpu_name(self.machine.pcpus[pcpu_id].current_vcpu),
-                            deadline=deadline)
+                            {"deadline": deadline})
             self.hv.deliver_interrupt(pcpu_id, self.hv.primary.vcpus[pcpu_id])
 
     # -- guest memory access --------------------------------------------------

@@ -1,13 +1,15 @@
 """Append-only event trace with deterministic JSON-lines serialization.
 
 Every hypervisor-visible action (mapping changes, zeroing, context switches,
-hypercalls, faults, channel transitions) is recorded as one event carrying a
-monotonically increasing step number and the simulated time ``t`` right after
-the event's own cost was charged.  The trace is the one record of a run: the
-cost ledger is a fold over its events.  Two runs of the same scenario must
-serialize byte-for-byte identically, so details contain only ints, strings,
-bools, None and nested dicts/lists/tuples of those.  An event is an immutable
-named tuple of its six fields; a recorded event is never changed.
+hypercalls, faults, channel transitions) is recorded as one event carrying
+its step, which is its index in the trace, and the simulated time ``t``
+right after the event's own cost was charged.  The trace is the one record
+of a run: the cost ledger is a fold over its events.  Two runs of the same
+scenario must serialize byte-for-byte identically, so details contain only
+ints, strings, bools, None and nested dicts/lists/tuples of those.  An event
+is an immutable named tuple of its six fields; a recorded event is never
+changed.  ``TraceRecorder.emit`` keeps the detail dict it is given without a
+copy, so every caller passes a fresh dict built for that one event.
 
 One event is one line, its six keys in sorted order and no spaces:
 
@@ -38,18 +40,20 @@ class TraceEvent(NamedTuple):
     t: int
 
 
+_new = tuple.__new__    # skips the named tuple's generated Python __new__
+
+
 @dataclass
 class TraceRecorder:
     clock: Callable[[], int]    # simulated time, read once per event
     events: List[TraceEvent] = field(default_factory=list)
-    _step: int = 0
 
     def emit(self, kind: str, pcpu: int, vcpu: Optional[str],
-             **detail: Any) -> TraceEvent:
-        ev = TraceEvent(self._step, kind, pcpu, vcpu, detail, self.clock())
-        self._step += 1
-        self.events.append(ev)
-        return ev
+             detail: Dict[str, Any]) -> None:
+        """Record one event; `detail` is stored as given, not copied."""
+        events = self.events
+        events.append(_new(TraceEvent, (len(events), kind, pcpu, vcpu,
+                                        detail, self.clock())))
 
     def count(self, kind: str) -> int:
         return sum(1 for ev in self.events if ev.kind == kind)

@@ -107,6 +107,49 @@ def test_allocator_conservation_property(rolls):
     check_allocator_conservation(alloc)
 
 
+def _reference_allocate_contiguous(alloc, n):
+    """The allocator's earlier loop: scan the whole free list run by run and
+    take the first run of at least `n` pages."""
+    if n < 1:
+        raise DriverError("allocation of %d pages" % n)
+    run_start = 0
+    for i in range(1, len(alloc._free) + 1):
+        if i == len(alloc._free) or alloc._free[i] != alloc._free[i - 1] + 1:
+            if i - run_start >= n:
+                pages = alloc._free[run_start:run_start + n]
+                return alloc._take(pages)
+            run_start = i
+    raise NoMemory("no contiguous run of %d pages" % n)
+
+
+def _allocator_with_free(free_pages):
+    """An allocator over pages 0..23 whose free list is `free_pages`, every
+    other page held by its own one-page allocation."""
+    alloc = OsAllocator(0, 24)
+    for aid, (page,) in [alloc.allocate(1) for _ in range(24)]:
+        if page in free_pages:
+            alloc.free(aid)
+    return alloc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(min_value=0, max_value=23)),
+       st.lists(st.integers(min_value=1, max_value=6), min_size=1,
+                max_size=4))
+def test_allocate_contiguous_matches_reference_loop(free_pages, sizes):
+    alloc = _allocator_with_free(free_pages)
+    ref = _allocator_with_free(free_pages)
+    for n in sizes:
+        try:
+            want = _reference_allocate_contiguous(ref, n)
+        except NoMemory:
+            with pytest.raises(NoMemory):
+                alloc.allocate_contiguous(n)
+        else:
+            assert alloc.allocate_contiguous(n) == want
+        assert alloc.snapshot() == ref.snapshot()
+
+
 # -- driver lifecycle ------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Hypervisor: donation mechanics, privilege split, vCPU stacking, teardown."""
 import pytest
 
+from enclavesim.channel import ChannelStatus
 from enclavesim.errors import (
     BadHandle,
     EnclaveActive,
@@ -420,6 +421,29 @@ def test_interrupt_checks_pcpu():
         sim.hv.deliver_interrupt(0, other)
     with pytest.raises(WrongPcpu):
         sim.hv.schedule_vcpu(0, other)
+
+
+@pytest.mark.parametrize("pcpu", [-1, 1], ids=["minus-one", "pcpus"])
+def test_arm_timer_rejects_a_missing_pcpu(pcpu):
+    sim = boot()
+    driver = EnclaveDriver(sim)
+    fd = driver.create(image_for_pages("spinner", 4, 1))
+    events = len(sim.trace.events)
+    with pytest.raises(SimulationError, match="^no pcpu %d$" % pcpu):
+        sim.arm_timer(3, pcpu)
+    assert len(sim.trace.events) == events
+    # nothing was queued: the invoke runs to the end and the enclave goes
+    status, reply = driver.invoke(fd, 1, bytes.fromhex("0200000004000000"))
+    assert (status, reply) == (ChannelStatus.DONE, b"spun")
+    driver.destroy(fd)
+    assert not sim.hv.enclaves
+
+
+@pytest.mark.parametrize("pcpu", [-1, 1], ids=["minus-one", "pcpus"])
+def test_driver_rejects_a_missing_pcpu(pcpu):
+    sim = boot()
+    with pytest.raises(SimulationError, match="^no pcpu %d$" % pcpu):
+        EnclaveDriver(sim, pcpu_id=pcpu)
 
 
 # -- guest run loop ------------------------------------------------------------

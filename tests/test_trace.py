@@ -2,11 +2,13 @@
 the event's record.  Events are immutable, and what goes into them (hypercall
 details, vCPU names) is what the record says it is."""
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from enclavesim.guest_os import EnclaveDriver
+from enclavesim.harness.scenario import run_scenario_text
 from enclavesim.hypervisor import (
     CreateEnclave,
     DestroyEnclave,
@@ -26,7 +28,7 @@ def _recorder(*events):
     clock = iter(range(0, 10**6, 37))
     rec = TraceRecorder(lambda: next(clock))
     for kind, pcpu, vcpu, detail in events:
-        rec.emit(kind, pcpu, vcpu, **detail)
+        rec.emit(kind, pcpu, vcpu, detail)
     return rec
 
 
@@ -95,3 +97,39 @@ def test_vcpu_name_is_vm_name_and_index():
     for vcpu in (sim.primary_vcpu(1), enclave, aux):
         assert vcpu.name == "%s.v%d" % (vcpu.vm.name, vcpu.index)
     assert [sim.primary_vcpu(1).name, aux.name] == ["primary.v1", "helper.v0"]
+
+
+# One short run whose trace holds every event kind the simulator emits:
+# a preempted and resumed spinner (timers, interrupt), an adversary read
+# (fault) and a create past max_vms (hypercall_error).  The golden scenario
+# traces never contain a hypercall_error, so this pins that hook's bytes.
+ALL_KINDS_SCENARIO = """
+machine frames=128 max_vms=2
+seed 5
+
+create s spinner
+timer 8
+invoke s 1 hex:0600000004000000
+expect status preempted
+resume s
+expect status done
+adversary read s private 0
+expect fault unmapped
+create e echo
+expect error Exhausted
+destroy s
+"""
+ALL_KINDS_SHA256 = \
+    "c0fae54cf450127147c3735cc0cc3b3140394f09d8bdc9ba53a7cff6ffc1d443"
+
+
+def test_every_event_kind_has_pinned_bytes():
+    result = run_scenario_text(ALL_KINDS_SCENARIO, name="all-kinds")
+    assert result.ok, result.violations
+    kinds = {ev.kind for ev in result.sim.trace.events}
+    assert kinds == {
+        "boot", "s2_map", "s2_unmap", "s2_protect", "zero_frame", "fault",
+        "push", "pop", "ctx_switch", "hypercall", "hypercall_error", "work",
+        "interrupt", "channel", "timer_armed", "timer_fired"}
+    jsonl = result.sim.trace.to_jsonl().encode()
+    assert hashlib.sha256(jsonl).hexdigest() == ALL_KINDS_SHA256
