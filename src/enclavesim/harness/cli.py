@@ -91,12 +91,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         "lifecycle": fuzz_lifecycles,
         "create-fail": fuzz_failed_creates,
     }[args.profile]
-    kwargs = {"seed": args.seed}
-    if args.ops is not None:
-        # the first positional differs in name (ops vs cases) per profile
-        report = runner(args.ops, **kwargs)
-    else:
-        report = runner(**kwargs)
+    # the first positional differs in name (ops vs cases) per profile
+    ops = () if args.ops is None else (args.ops,)
+    report = runner(*ops, seed=args.seed)
     print(report.format())
     return 0 if report.ok else 1
 

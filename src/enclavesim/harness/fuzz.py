@@ -5,22 +5,31 @@ Four profiles:
 * stack      -- raw LIFO scheduling ops checked step-for-step against an
                 independent list-based model (contents, pending interrupt
                 flags, interrupt outcomes, context-switch charges).
-* lifecycle  -- create/use/destroy storms with the zeroization and write
-                confinement watchdogs armed and known-answer output checks.
+* lifecycle  -- create/use/destroy storms with known-answer output checks
+                and a probe of each reclaimed page.
 * mixed      -- interleaved lifecycles, timers, preemption, adversary object
                 reads and raw scheduling noise on one long-lived simulation.
 * create-fail -- injected-failure creates; every failure must leave stage-2
                 tables, allocator state and the fd table bit-identical.
 
+The lifecycle and mixed profiles are scenario scripts: each random choice
+becomes a statement, every answer the host can compute becomes an `expect`,
+and the scenario interpreter runs them one at a time.  After every case the
+zeroization and confinement watchdogs and the stack links are checked, and
+at the end the interpreter's battery runs.  `FuzzReport.script` holds the
+statements behind the `machine` and `seed` lines, so saved to a file it
+replays the run with `enclavesim run`.
+
 Every campaign is a pure function of its seed; a failure report names the
-seed and the case index, which is enough to replay it exactly.
+seed and the case index, which is enough to replay it exactly, and prints
+the failing case's statements.
 """
 from __future__ import annotations
 
 import random
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..channel import ChannelStatus
 from ..errors import (
@@ -33,9 +42,9 @@ from ..errors import (
 )
 from ..guest_os import EnclaveDriver
 from ..hypervisor import Hypervisor, ImageMeta
-from ..machine import PAGE_SHIFT, MachineConfig
+from ..machine import MachineConfig
 from ..sim import Simulation
-from ..stage2 import PERM_RO, AccessFault
+from ..stage2 import PERM_RO
 from ..ta_runtime import (
     image_for_pages,
     wallet_address,
@@ -44,12 +53,11 @@ from ..ta_runtime import (
 )
 from .oracles import (
     ReferenceStackModel,
-    WriteConfinementOracle,
     ZeroizeWatch,
     check_stack_integrity,
     check_trace_completeness,
-    standard_checks,
 )
+from .scenario import ExpectationFailed, Step, _Runner, parse_scenario
 
 
 @dataclass
@@ -58,18 +66,13 @@ class FuzzReport:
     cases: int
     seed: int
     failures: List[Tuple[int, str]] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
+    # a scripted profile's statements, and those of its failing case
+    script: List[str] = field(default_factory=list)
+    case_script: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def reproducer(self) -> Optional[str]:
-        if not self.failures:
-            return None
-        idx, _ = self.failures[0]
-        return "--profile %s --seed %d (first divergence at case %d)" % (
-            self.profile, self.seed, idx)
 
     def format(self) -> str:
         lines = ["%s fuzz: %d cases, seed %d: %s"
@@ -79,8 +82,10 @@ class FuzzReport:
         for idx, msg in self.failures[:10]:
             lines.append("  case %d: %s" % (idx, msg))
         if self.failures:
-            lines.append("  replay: %s" % self.reproducer())
-        lines.extend("  note: " + n for n in self.notes)
+            lines.append("  replay: --profile %s --seed %d (first divergence "
+                         "at case %d)" % (self.profile, self.seed,
+                                          self.failures[0][0]))
+            lines.extend("    " + line for line in self.case_script)
         return "\n".join(lines)
 
 
@@ -170,181 +175,184 @@ def fuzz_stack_ops(ops: int = 10000, seed: int = 0) -> FuzzReport:
     return report
 
 
-# -- lifecycle profile --------------------------------------------------------
+# -- scripted profiles ---------------------------------------------------------
 
-def _check_echo(driver, rng, fd: int, fail: Callable[[str], None]) -> None:
-    payload = rng.randbytes(rng.randrange(0, 200))
-    status, ret = driver.invoke(fd, 0, payload)
-    if status is not ChannelStatus.DONE or ret != payload:
-        fail("echo returned %s/%r for %r" % (status, ret, payload))
+_TAS = ("counter", "echo", "spinner", "wallet")
+_new = tuple.__new__    # skips the named tuple's generated Python __new__
 
 
-def _check_counter(driver, rng, fd: int, fail: Callable[[str], None]) -> None:
-    # state persists across visits to the same enclave, so diff against a
-    # baseline instead of assuming zero
-    _, before = driver.invoke(fd, 2)
-    if len(before) != 4:
-        fail("counter baseline read %r" % before)
-        return
-    bumps = rng.randrange(1, 4)
-    for _ in range(bumps):
-        driver.invoke(fd, 1)
-    status, ret = driver.invoke(fd, 2)
-    want = struct.pack("<I", struct.unpack("<I", before)[0] + bumps)
-    if status is not ChannelStatus.DONE or ret != want:
-        fail("counter read %r after %d bumps on %r" % (ret, bumps, before))
+class _Script:
+    """A campaign run as scenario statements, one at a time, through the
+    scenario interpreter.  The statements are kept in `report.script`
+    behind the `machine` and `seed` lines, so the script replays the run
+    with `enclavesim run`."""
 
+    def __init__(self, report: FuzzReport, frames: int):
+        self.report = report
+        report.script = self.lines = ["machine frames=%d" % frames,
+                                      "seed %d" % report.seed]
+        self.runner = _Runner(parse_scenario("\n".join(self.lines)))
+        self.counts: Dict[str, int] = {}  # each counter variable's count
+        self.index = self.start = 0  # open case, its first statement
 
-def _check_wallet(driver, rng, fd: int, fail: Callable[[str], None]) -> None:
-    seed_bytes = rng.randbytes(16)
-    driver.invoke(fd, 1, seed_bytes)
-    status, ret = driver.invoke(fd, 2)
-    if ret != struct.pack("<I", 0):
-        fail("first derive returned %r" % ret)
-        return
-    status, ret = driver.invoke(fd, 3, struct.pack("<I", 0))
-    want = wallet_address(wallet_derived_key(wallet_master_key(seed_bytes), 0))
-    if status is not ChannelStatus.DONE or ret != want:
-        fail("address %r, host computes %r" % (ret, want))
+    def __call__(self, line: str) -> None:
+        self.lines.append(line)
+        words = line.split()
+        self.runner.execute(
+            _new(Step, (len(self.lines), words[0], tuple(words[1:]))))
 
+    def pick(self, rng: random.Random, live: Dict[str, tuple]) -> str:
+        """A live variable, drawn in fd order; the case's statements start
+        at its `create` (the last item of its `live` entry)."""
+        var = rng.choice(sorted(live, key=self.runner.fds.get))
+        self.start = live[var][-1]
+        return var
 
-def _check_spinner(driver, rng, fd: int, fail: Callable[[str], None]) -> None:
-    status, ret = driver.invoke(fd, 1, struct.pack("<II", 2, 3))
-    if status is not ChannelStatus.DONE or ret != b"spun":
-        fail("spinner returned %s/%r" % (status, ret))
+    def invoke(self, var: str, cmd: int, payload: bytes,
+               answer: bytes) -> None:
+        """Invoke, resume while preempted, up to 8 times, and expect the
+        host-computed `answer`.  A command still preempted, or failed,
+        leaves an empty payload, so only an empty answer needs the status
+        checked as well."""
+        self("invoke %s %d hex:%s" % (var, cmd, payload.hex()))
+        for _ in range(8):
+            if self.runner.last.get("status") is not ChannelStatus.PREEMPTED:
+                break
+            self("resume " + var)
+        if not answer:
+            self("expect status done")
+        self("expect payload hex:" + answer.hex())
 
+    def use(self, var: str, ta: str, rng: random.Random) -> None:
+        """One known-answer exchange with the TA behind `var`."""
+        if ta == "echo":
+            payload = rng.randbytes(rng.randrange(0, 200))
+            self.invoke(var, 0, payload, payload)
+        elif ta == "counter":
+            count = self.counts.get(var, 0)
+            self.invoke(var, 2, b"", struct.pack("<I", count))
+            for _ in range(rng.randrange(1, 4)):
+                count += 1
+                self.invoke(var, 1, b"", struct.pack("<I", count))
+            self.counts[var] = count
+            self.invoke(var, 2, b"", struct.pack("<I", count))
+        elif ta == "wallet":
+            seed = rng.randbytes(16)
+            self.invoke(var, 1, seed, b"ok")
+            self.invoke(var, 2, b"", struct.pack("<I", 0))
+            key = wallet_derived_key(wallet_master_key(seed), 0)
+            self.invoke(var, 3, struct.pack("<I", 0), wallet_address(key))
+        else:
+            self.invoke(var, 1, struct.pack("<II", 2, 3), b"spun")
 
-_LIFECYCLE_TAS: Dict[str, Callable] = {
-    "echo": _check_echo,
-    "counter": _check_counter,
-    "wallet": _check_wallet,
-    "spinner": _check_spinner,
-}
+    def case(self, index: int) -> "_Script":
+        """Open case `index`; a `with` block runs its statements."""
+        self.index, self.start = index, len(self.lines)
+        return self
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, err, trace) -> bool:
+        """Close the case: check both watchdogs, the stack links and that no
+        error went unexpected.  A failure is recorded with the case's
+        statements."""
+        failed = isinstance(err, ExpectationFailed)
+        problems = [str(err)] if failed else []
+        runner = self.runner
+        problems += runner.zerowatch.violations
+        problems += runner.confinement.violations
+        problems += check_stack_integrity(runner.sim.hv)
+        if runner.unexpected is not None:
+            problems.append(runner.unexpected)
+        if problems:
+            self.report.failures.append((self.index, "; ".join(problems)))
+            self.report.case_script = [
+                "%d: %s" % (n, line) for n, line in
+                enumerate(self.lines[self.start:], self.start + 1)]
+        return failed
+
+    def finish(self, index: int) -> None:
+        """The end battery, after a campaign whose cases all passed."""
+        if self.report.ok:
+            self.report.failures += [
+                (index, m) for m in self.runner.finish().violations]
 
 
 def fuzz_lifecycles(cases: int = 1000, seed: int = 0) -> FuzzReport:
-    """Random create/use/destroy cycles on one simulation with the
-    zeroization and confinement watchdogs armed throughout."""
+    """Random create/use/destroy cycles on one simulation.  Each cycle
+    checks a known answer from its enclave, then that a reclaimed page
+    reads as zeros."""
     report = FuzzReport("lifecycle", cases, seed)
-    sim = Simulation(MachineConfig(frames=192), seed=seed)
-    driver = EnclaveDriver(sim)
-    zerowatch = ZeroizeWatch(sim.hv)
-    confinement = WriteConfinementOracle(sim.hv)
-    sim.machine.observers += [zerowatch, confinement]
+    run = _Script(report, frames=192)
     rng = random.Random(seed)
-    names = sorted(_LIFECYCLE_TAS)
     for i in range(cases):
-        problems: List[str] = []
-        name = rng.choice(names)
-        mem = rng.randrange(3, 9)
-        chan = 2 if rng.random() < 0.2 else 1
-        fd = driver.create(image_for_pages(name, mem, chan))
-        _LIFECYCLE_TAS[name](driver, rng, fd, problems.append)
-        rec = driver.record_of(fd)
-        reclaimed = rec.primary_private_pages()
-        driver.destroy(fd)
-        probe = sim.vm_read(sim.hv.primary,
-                            rng.choice(reclaimed) << PAGE_SHIFT, 64)
-        if probe != bytes(64):
-            problems.append("reclaimed page not wiped: %r" % probe[:8])
-        problems.extend(zerowatch.violations)
-        problems.extend(confinement.violations)
-        problems.extend(check_stack_integrity(sim.hv))
-        if problems:
-            report.failures.append((i, "; ".join(problems)))
+        with run.case(i):
+            var, ta, mem = "c%d" % i, rng.choice(_TAS), rng.randrange(3, 9)
+            run("create %s %s mem=%d chan=%d"
+                % (var, ta, mem, 2 if rng.random() < 0.2 else 1))
+            run.use(var, ta, rng)
+            run("destroy " + var)
+            run("adversary read %s private %d" % (var, rng.randrange(mem)))
+            run("expect payload hex:" + bytes(16).hex())
+        if not report.ok:
             break
-    report.failures.extend(
-        (cases, m) for m in standard_checks(sim, driver))
+    run.finish(cases)
     return report
-
-
-# -- mixed profile ------------------------------------------------------------
-
-class _PatientDriver:
-    """Invoke wrapper that rides out preemptions from stray timers."""
-
-    def __init__(self, driver: EnclaveDriver):
-        self._driver = driver
-
-    def invoke(self, fd: int, cmd_id: int, args: bytes = b""):
-        status, ret = self._driver.invoke(fd, cmd_id, args)
-        while status is ChannelStatus.PREEMPTED:
-            status, ret = self._driver.resume(fd)
-        return status, ret
 
 
 def fuzz_mixed(ops: int = 2000, seed: int = 0) -> FuzzReport:
     """Everything at once on one simulation: lifecycles, timers firing in
-    the middle of enclave execution, resume loops, adversary reads of
-    donated memory, and raw scheduling noise."""
+    the middle of enclave execution, resumes, adversary reads of donated
+    memory, and raw scheduling noise."""
     report = FuzzReport("mixed", ops, seed)
-    sim = Simulation(MachineConfig(frames=256), seed=seed)
-    driver = EnclaveDriver(sim)
-    patient = _PatientDriver(driver)
-    zerowatch = ZeroizeWatch(sim.hv)
-    confinement = WriteConfinementOracle(sim.hv)
-    sim.machine.observers += [zerowatch, confinement]
+    run = _Script(report, frames=256)
     rng = random.Random(seed)
-    live: Dict[int, str] = {}
-    aux = sim.hv.make_aux_vcpu(0)
-    names = sorted(_LIFECYCLE_TAS)
-
-    def finish_preempted(fd: int, problems: List[str]) -> None:
-        for _ in range(8):
-            status, _ = driver.resume(fd)
-            if status is not ChannelStatus.PREEMPTED:
-                return
-        problems.append("enclave starved through 8 resumes")
-
+    live: Dict[str, Tuple[str, int, int]] = {}  # var -> (ta, mem, create)
+    run("aux aux1")
     for i in range(ops):
-        problems: List[str] = []
-        roll = rng.random()
-        if (roll < 0.25 and len(live) < 5) or not live:
-            name = rng.choice(names)
-            fd = driver.create(image_for_pages(name, rng.randrange(3, 7),
-                                               1))
-            live[fd] = name
-        elif roll < 0.50:
-            fd = rng.choice(sorted(live))
-            _LIFECYCLE_TAS[live[fd]](patient, rng, fd, problems.append)
-        elif roll < 0.60:
-            fd = rng.choice(sorted(live))
-            rec = driver.record_of(fd)
-            page = rng.choice(rec.primary_private_pages())
-            got = sim.vm_read(sim.hv.primary, page << PAGE_SHIFT, 16)
-            if not isinstance(got, AccessFault):
-                problems.append("adversary read of %#x leaked" % page)
-        elif roll < 0.75:
-            spinner = driver.create(image_for_pages("spinner", 3, 1))
-            sim.arm_timer(rng.randrange(4, 12))
-            status, ret = driver.invoke(spinner, 1,
-                                        struct.pack("<II", 6, 4))
-            if status is ChannelStatus.PREEMPTED:
-                finish_preempted(spinner, problems)
-            driver.destroy(spinner)
-        elif roll < 0.85:
-            fd = rng.choice(sorted(live))
-            driver.destroy(fd)
-            del live[fd]
-        elif roll < 0.95:
-            # scheduling noise around the enclave traffic
-            sim.hv.schedule_vcpu(0, aux)
-            if rng.random() < 0.5:
-                sim.hv.yield_vcpu(0)
+        with run.case(i):
+            roll = rng.random()
+            if (roll < 0.25 and len(live) < 5) or not live:
+                var, ta, mem = "e%d" % i, rng.choice(_TAS), rng.randrange(3, 7)
+                live[var] = (ta, mem, len(run.lines))
+                run("create %s %s mem=%d chan=1" % (var, ta, mem))
+            elif roll < 0.50:
+                var = run.pick(rng, live)
+                run.use(var, live[var][0], rng)
+            elif roll < 0.60:
+                var = run.pick(rng, live)
+                run("adversary read %s private %d"
+                    % (var, rng.randrange(live[var][1])))
+                run("expect fault unmapped")
+            elif roll < 0.75:
+                var = "s%d" % i
+                run("create %s spinner mem=3 chan=1" % var)
+                run("timer %d" % rng.randrange(4, 12))
+                run.invoke(var, 1, struct.pack("<II", 6, 4), b"spun")
+                run("destroy " + var)
+            elif roll < 0.85:
+                var = run.pick(rng, live)
+                run("destroy " + var)
+                del live[var]
+            elif roll < 0.95:
+                # scheduling noise around the enclave traffic
+                run("schedule aux1")
+                if rng.random() < 0.5:
+                    run("yield")
+                else:
+                    run("interrupt primary")
+                    run("expect outcome unwound")
             else:
-                sim.hv.deliver_interrupt(0, sim.primary_vcpu(0))
-        else:
-            sim.arm_timer(rng.randrange(1, 6))
-            sim.check_timers()
-        problems.extend(zerowatch.violations)
-        problems.extend(confinement.violations)
-        problems.extend(check_stack_integrity(sim.hv))
-        if problems:
-            report.failures.append((i, "; ".join(problems)))
+                run("timer %d" % rng.randrange(1, 6))
+                run("tick")
+        if not report.ok:
             break
-    for fd in sorted(live):
-        driver.destroy(fd)
-    report.failures.extend((ops, m) for m in standard_checks(sim, driver))
+    if report.ok:
+        with run.case(ops):
+            for var in sorted(live, key=run.runner.fds.get):
+                run("destroy " + var)
+    run.finish(ops)
     return report
 
 

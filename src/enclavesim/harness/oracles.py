@@ -433,13 +433,25 @@ def check_trace_completeness(sim) -> List[str]:
     return problems
 
 
-def standard_checks(sim, driver=None,
-                    shared_expected: Optional[Set[int]] = None) -> List[str]:
-    """The battery run at scenario/fuzz checkpoints."""
+def _channel_frames(sim, driver) -> Set[int]:
+    """The sharing the OS expects: each live fd's channel pages, translated
+    through the primary's view."""
+    shared = set()
+    for fd in driver.open_fds():
+        for page in driver.fd_info(fd).chan_pages:
+            ent = sim.hv.primary.table.lookup(page)
+            if ent is not None:
+                shared.add(ent[0])
+    return shared
+
+
+def standard_checks(sim, driver) -> List[str]:
+    """The battery run at the end of a scenario, a fuzz campaign or a
+    benchmark round.  The driver's channel allocations are the second
+    source the frame sharing is checked against."""
     problems = []
     problems += check_stack_integrity(sim.hv)
-    problems += check_frame_exclusivity(sim.hv, shared_expected)
+    problems += check_frame_exclusivity(sim.hv, _channel_frames(sim, driver))
     problems += check_trace_completeness(sim)
-    if driver is not None:
-        problems += check_allocator_conservation(driver.allocator)
+    problems += check_allocator_conservation(driver.allocator)
     return problems

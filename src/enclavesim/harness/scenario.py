@@ -44,11 +44,15 @@ fails the run.  A successful adversary read leaves its bytes as the
 `payload`.  An adversary statement names the pages the variable's enclave
 was created with, so after `destroy` it probes the former pages: a
 reclaimed page reads as zeros, and one that was donated again faults.
+
+The interpreter is the one way the harness acts on a simulation: the
+lifecycle and mixed fuzz profiles feed it their statements one at a time,
+and the statements they ran replay with `enclavesim run`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..channel import ChannelStatus
 from ..errors import ScenarioParseError, SimulationError
@@ -64,8 +68,7 @@ class ExpectationFailed(SimulationError):
     """A scripted `expect` did not hold."""
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     lineno: int
     op: str
     args: Tuple[str, ...]
@@ -185,8 +188,8 @@ class _Runner:
         # report of an error no `expect error` has consumed yet
         self.unexpected: Optional[str] = None
 
-    def _say(self, msg: str) -> None:
-        self.outputs.append(msg)
+    def _say(self, step: Step, msg: str) -> None:
+        self.outputs.append("line %d: %s" % (step.lineno, msg))
 
     def _pcpu(self, step: Step, options: Tuple[str, ...]) -> int:
         """The `pcpu=` option, a pCPU of this machine; 0 if absent."""
@@ -200,43 +203,38 @@ class _Runner:
 
     def run(self) -> ScenarioResult:
         for step in self.scenario.steps:
-            if self.unexpected is not None and not (
-                    step.op == "expect" and step.args[:1] == ("error",)):
-                break
-            handler = getattr(self, "_op_" + step.op)
-            handler(step)
+            self.execute(step)
+        return self.finish()
+
+    def execute(self, step: Step) -> None:
+        """Run one statement.  An error that the statement before it left
+        for an `expect error` raises ExpectationFailed unless this statement
+        is that `expect`."""
+        if self.unexpected is not None and not (
+                step.op == "expect" and step.args[:1] == ("error",)):
+            raise ExpectationFailed(self.unexpected)
+        getattr(self, "_op_" + step.op)(step)
+
+    def finish(self) -> ScenarioResult:
+        """The end battery: the standard checks and both watchdogs."""
         if self.unexpected is not None:
             raise ExpectationFailed(self.unexpected)
-        violations = standard_checks(self.sim, self.driver,
-                                     self._shared_frames())
+        violations = standard_checks(self.sim, self.driver)
         violations += self.zerowatch.violations
         violations += self.confinement.violations
         return ScenarioResult(self.sim, self.driver, self.outputs, violations)
 
-    def _shared_frames(self) -> set:
-        # expected sharing from the OS side: each live fd's channel pages,
-        # translated through the primary's view
-        shared = set()
-        for fd in self.driver.open_fds():
-            info = self.driver.fd_info(fd)
-            for page in info.chan_pages:
-                ent = self.sim.hv.primary.table.lookup(page)
-                if ent is not None:
-                    shared.add(ent[0])
-        return shared
-
     # -- actions ----------------------------------------------------------
 
-    def _guard(self, step: Step, thunk):
-        """Run a driver/hypervisor action, turning errors into recorded
+    def _guard(self, step: Step, call, *args):
+        """Run a driver/hypervisor call, turning errors into recorded
         outcomes instead of crashes."""
-        self.last = {"lineno": step.lineno}
+        self.last = {}
         try:
-            return thunk()
+            return call(*args)
         except SimulationError as err:
             self.last["error"] = type(err).__name__
-            self._say("line %d: %s: %s"
-                      % (step.lineno, type(err).__name__, err))
+            self._say(step, "%s: %s" % (type(err).__name__, err))
             self.unexpected = ("line %d: unexpected %s: %s"
                                % (step.lineno, type(err).__name__, err))
             return None
@@ -263,11 +261,17 @@ class _Runner:
             self.fds[var] = fd
             self.pages[var] = (rec.primary_private_pages(),
                                rec.primary_channel_pages())
-            self.last["fd"] = fd
-            self._say("line %d: create %s -> fd %d (%d+%d pages)"
-                      % (step.lineno, var, fd, image.mem_size_pages,
-                         image.channel_size_pages))
+            self._say(step, "create %s -> fd %d (%d+%d pages)" % (
+                var, fd, image.mem_size_pages, image.channel_size_pages))
         self._guard(step, go)
+
+    def _exchange(self, step: Step, what: str, call, *args) -> None:
+        """An invoke or a resume: its status and payload are the outcome."""
+        out = self._guard(step, call, *args)
+        if out is not None:
+            self.last["status"], self.last["payload"] = out
+            self._say(step, "%s -> %s %s" % (what, out[0].name.lower(),
+                                             out[1].hex()))
 
     def _op_invoke(self, step: Step) -> None:
         if len(step.args) < 2:
@@ -278,29 +282,15 @@ class _Runner:
         if len(step.args) > 2:
             payload = _parse_payload(step, " ".join(step.args[2:]),
                                      self.sim.rng)
-
-        def go():
-            status, ret = self.driver.invoke(fd, cmd, payload)
-            self.last["status"] = status
-            self.last["payload"] = ret
-            self._say("line %d: invoke %s cmd %d -> %s %s"
-                      % (step.lineno, step.args[0], cmd, status.name.lower(),
-                         ret.hex()))
-        self._guard(step, go)
+        self._exchange(step, "invoke %s cmd %d" % (step.args[0], cmd),
+                       self.driver.invoke, fd, cmd, payload)
 
     def _op_resume(self, step: Step) -> None:
         if len(step.args) != 1:
             raise step.fail("resume needs: resume <var>")
         fd = self._fd(step, step.args[0])
-
-        def go():
-            status, ret = self.driver.resume(fd)
-            self.last["status"] = status
-            self.last["payload"] = ret
-            self._say("line %d: resume %s -> %s %s"
-                      % (step.lineno, step.args[0], status.name.lower(),
-                         ret.hex()))
-        self._guard(step, go)
+        self._exchange(step, "resume " + step.args[0],
+                       self.driver.resume, fd)
 
     def _op_destroy(self, step: Step) -> None:
         if len(step.args) != 1:
@@ -311,7 +301,7 @@ class _Runner:
             # the variable stays bound so a scripted second destroy can
             # observe the driver's BadFd instead of a parse error
             self.driver.destroy(fd)
-            self._say("line %d: destroy %s" % (step.lineno, step.args[0]))
+            self._say(step, "destroy " + step.args[0])
         self._guard(step, go)
 
     def _op_timer(self, step: Step) -> None:
@@ -319,11 +309,11 @@ class _Runner:
             raise step.fail("timer needs a delay")
         delay = step.number(step.args[0])
         deadline = self.sim.arm_timer(delay, self._pcpu(step, step.args[1:]))
-        self.last = {"lineno": step.lineno}
-        self._say("line %d: timer armed for t=%d" % (step.lineno, deadline))
+        self.last = {}
+        self._say(step, "timer armed for t=%d" % deadline)
 
     def _op_tick(self, step: Step) -> None:
-        self.last = {"lineno": step.lineno}
+        self.last = {}
         self.sim.check_timers()
 
     def _op_adversary(self, step: Step) -> None:
@@ -338,20 +328,20 @@ class _Runner:
         pages = private if region == "private" else channel
         idx = step.number(step.args[3], range(len(pages)), "page index")
         ipa = pages[idx] << PAGE_SHIFT
-        self.last = {"lineno": step.lineno}
+        self.last = {}
         if mode == "read":
             out = self.sim.vm_read(self.sim.hv.primary, ipa, 16)
         else:
             out = self.sim.vm_write(self.sim.hv.primary, ipa, b"\xa5" * 16)
         if isinstance(out, AccessFault):
             self.last["fault"] = out.kind.value
-            self._say("line %d: adversary %s %s[%d] -> fault %s"
-                      % (step.lineno, mode, region, idx, out.kind.value))
+            self._say(step, "adversary %s %s[%d] -> fault %s"
+                      % (mode, region, idx, out.kind.value))
         else:
             if mode == "read":
                 self.last["payload"] = out
-            self._say("line %d: adversary %s %s[%d] -> succeeded"
-                      % (step.lineno, mode, region, idx))
+            self._say(step, "adversary %s %s[%d] -> succeeded"
+                      % (mode, region, idx))
 
     # raw stacking, for demos of the scheduling machinery
     def _op_aux(self, step: Step) -> None:
@@ -360,7 +350,7 @@ class _Runner:
         name = step.args[0]
         self.auxes[name] = self.sim.hv.make_aux_vcpu(
             self._pcpu(step, step.args[1:]), name)
-        self.last = {"lineno": step.lineno}
+        self.last = {}
 
     def _resolve_vcpu(self, step: Step, name: str):
         if name == "primary":
@@ -373,11 +363,11 @@ class _Runner:
         if not step.args:
             raise step.fail("schedule needs a vcpu name")
         vcpu = self._resolve_vcpu(step, step.args[0])
-        self._guard(step, lambda: self.sim.hv.schedule_vcpu(vcpu.pcpu, vcpu))
+        self._guard(step, self.sim.hv.schedule_vcpu, vcpu.pcpu, vcpu)
 
     def _op_yield(self, step: Step) -> None:
         pcpu = self._pcpu(step, step.args)
-        self._guard(step, lambda: self.sim.hv.yield_vcpu(pcpu))
+        self._guard(step, self.sim.hv.yield_vcpu, pcpu)
 
     def _op_interrupt(self, step: Step) -> None:
         if not step.args:
@@ -387,8 +377,7 @@ class _Runner:
         def go():
             outcome = self.sim.hv.deliver_interrupt(vcpu.pcpu, vcpu)
             self.last["outcome"] = outcome
-            self._say("line %d: interrupt %s -> %s"
-                      % (step.lineno, step.args[0], outcome))
+            self._say(step, "interrupt %s -> %s" % (step.args[0], outcome))
         self._guard(step, go)
 
     # -- expectations -------------------------------------------------------
@@ -421,25 +410,13 @@ class _Runner:
                     raise ExpectationFailed(
                         "line %d: payload %r != expected %r"
                         % (step.lineno, got, want))
-        elif what == "fault":
-            got = self.last.get("fault")
+        elif what in ("fault", "error", "outcome"):
+            got = self.last.get(what)
             if got != value:
-                raise ExpectationFailed(
-                    "line %d: expected fault %r, got %r"
-                    % (step.lineno, value, got if got else "no fault"))
-        elif what == "error":
-            got = self.last.get("error")
-            if got != value:
-                raise ExpectationFailed(
-                    "line %d: expected error %s, got %r"
-                    % (step.lineno, value, got))
-            self.unexpected = None
-        elif what == "outcome":
-            got = self.last.get("outcome")
-            if got != value:
-                raise ExpectationFailed(
-                    "line %d: expected interrupt outcome %r, got %r"
-                    % (step.lineno, value, got))
+                raise ExpectationFailed("line %d: expected %s %r, got %r"
+                                        % (step.lineno, what, value, got))
+            if what == "error":
+                self.unexpected = None
         else:
             raise step.fail("unknown expectation %r" % what)
 

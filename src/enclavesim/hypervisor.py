@@ -547,6 +547,7 @@ class Hypervisor:
     def make_aux_vcpu(self, pcpu_id: int, name: Optional[str] = None) -> Vcpu:
         """A schedulable vCPU with no memory and no program, for exercising
         the stacking machinery directly."""
+        self.check_pcpu(pcpu_id)
         self._aux_count += 1
         label = name or ("aux%d" % self._aux_count)
         vm = Vm(self._next_vmid, VmKind.ENCLAVE, label,
@@ -559,6 +560,7 @@ class Hypervisor:
 
     def schedule_vcpu(self, pcpu_id: int, vcpu: Vcpu) -> None:
         """Push `vcpu` onto a pCPU's stack without privilege checks."""
+        self.check_pcpu(pcpu_id)
         if vcpu.pcpu != pcpu_id:
             raise WrongPcpu("vcpu %s pinned to pcpu %d" % (vcpu.name, vcpu.pcpu))
         pcpu = self.machine.pcpus[pcpu_id]
@@ -569,6 +571,7 @@ class Hypervisor:
     def yield_vcpu(self, pcpu_id: int) -> Vcpu:
         """Pop the running vCPU as completed, without touching its program
         state."""
+        self.check_pcpu(pcpu_id)
         pcpu = self.machine.pcpus[pcpu_id]
         popped = self._pop_current(pcpu, Resumption.COMPLETED)
         self._charge_switch(pcpu, popped, pcpu.current_vcpu, "yield")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from .channel import ChannelView
@@ -140,6 +141,7 @@ def image_for(name: str) -> EnclaveImage:
     return REGISTRY[name].image
 
 
+@lru_cache(maxsize=256)
 def image_for_pages(name: str, mem_pages: int,
                     channel_pages: int = 1) -> EnclaveImage:
     """The registered program with a custom memory footprint.  The blob (and

@@ -20,15 +20,19 @@ from enclavesim.harness import (
     check_frame_exclusivity,
     check_stack_integrity,
     check_trace_completeness,
+    fuzz_lifecycles,
+    fuzz_mixed,
     parse_scenario,
     run_scenario,
     run_scenario_text,
     sabotage_teardown,
+    standard_checks,
     verify_oracle_sensitivity,
 )
 from enclavesim.harness import scenario as scenario_module
 from enclavesim.harness.cli import main as cli_main
-from enclavesim.machine import MachineConfig
+from enclavesim.hypervisor import Hypervisor, ImageMeta
+from enclavesim.machine import PAGE_SHIFT, PAGE_SIZE, MachineConfig
 from enclavesim.sim import Simulation
 from enclavesim.stage2 import PERM_RO, PERM_RW, PERM_RWX
 from enclavesim.ta_runtime import image_for_pages
@@ -166,6 +170,18 @@ def test_exclusivity_blesses_channels_and_flags_extras():
     rec.vm.table.protect(0, PERM_RW)
     problems = check_frame_exclusivity(sim.hv, shared)
     assert any("not a known channel" in p for p in problems)
+
+
+def test_standard_checks_flag_a_channel_the_driver_never_made():
+    sim, driver = make_sim(128)
+    image = image_for_pages("echo", 4, 1)
+    # OS-reserved pages 40-44, donated past the driver
+    blob = image.code_blob + bytes(-len(image.code_blob) % PAGE_SIZE)
+    sim.vm_write(sim.hv.primary, 40 << PAGE_SHIFT, blob)
+    sim.hv.create_enclave(sim.primary_vcpu(0), tuple(range(40, 45)),
+                          ImageMeta(4, 1))
+    assert standard_checks(sim, driver) == [
+        "frame 44 shared but not a known channel"]
 
 
 def test_exclusivity_flags_executable_sharing():
@@ -499,6 +515,69 @@ def test_cli_fuzz_profiles(capsys):
     assert cli_main(["fuzz", "--profile", "create-fail", "--ops", "60"]) == 0
     assert cli_main(["fuzz", "--profile", "sensitivity"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("profile,ops", [("mixed", "300"),
+                                         ("lifecycle", "100")])
+def test_cli_fuzz_scripted_profiles(profile, ops, capsys):
+    assert cli_main(["fuzz", "--profile", profile, "--ops", ops]) == 0
+    assert "all passed" in capsys.readouterr().out
+
+
+# -- scripted fuzz profiles ------------------------------------------------------
+
+
+@pytest.mark.parametrize("fuzz,cases", [(fuzz_lifecycles, 60),
+                                        (fuzz_mixed, 300)],
+                         ids=["lifecycle", "mixed"])
+def test_fuzz_script_replays_to_the_same_trace(fuzz, cases, monkeypatch,
+                                               tmp_path, capsys):
+    sims = []
+
+    class Recorded(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(scenario_module, "Simulation", Recorded)
+    report = fuzz(cases, seed=4)
+    assert report.ok, report.format()
+    assert report.script[:2] == [
+        "machine frames=%d" % sims[0].machine.config.frames, "seed 4"]
+    text = "\n".join(report.script) + "\n"
+    result = run_scenario_text(text)
+    assert result.ok, result.violations
+    fuzzed, replayed = (hashlib.sha256(s.trace.to_jsonl().encode()).hexdigest()
+                        for s in sims)
+    assert replayed == fuzzed
+    path = tmp_path / "replay.txt"
+    path.write_text(text)
+    assert cli_main(["run", str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_fuzz_mixed_checks_its_final_teardown(monkeypatch):
+    # skip zeroization: one op creates an enclave, only the end destroys it
+    monkeypatch.setattr(Hypervisor, "_teardown", Hypervisor._teardown_remap)
+    report = fuzz_mixed(1, seed=0)
+    assert not report.ok
+    assert "remapped to primary without zeroize" in report.format()
+
+
+def test_failed_case_prints_its_statements_from_its_create(monkeypatch):
+    monkeypatch.setattr(Hypervisor, "_teardown", Hypervisor._teardown_remap)
+    report = fuzz_mixed(200, seed=0)
+    index, _ = report.failures[0]
+    assert index < 200 and report.case_script
+    lines = report.format().splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if line.startswith("  replay: "))
+    assert lines[at + 1:] == ["    " + line for line in report.case_script]
+    lineno, first = report.case_script[0].split(": ", 1)
+    assert first.startswith("create ")
+    assert report.script[int(lineno) - 1] == first
+    var = first.split()[1]
+    assert report.case_script[-1].split(": ", 1)[1] == "destroy " + var
 
 
 def test_cli_pack_image(tmp_path, capsys):

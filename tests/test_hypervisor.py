@@ -446,6 +446,23 @@ def test_driver_rejects_a_missing_pcpu(pcpu):
         EnclaveDriver(sim, pcpu_id=pcpu)
 
 
+@pytest.mark.parametrize("pcpu", [-1, 1], ids=["minus-one", "pcpus"])
+@pytest.mark.parametrize("entry", ["aux", "schedule", "yield"])
+def test_raw_scheduling_rejects_a_missing_pcpu(entry, pcpu):
+    sim = boot()
+    hv = sim.hv
+    aux = hv.make_aux_vcpu(0, "a")
+    calls = {"aux": lambda: hv.make_aux_vcpu(pcpu, "x"),
+             "schedule": lambda: hv.schedule_vcpu(pcpu, aux),
+             "yield": lambda: hv.yield_vcpu(pcpu)}
+    events, vms = len(sim.trace.events), set(hv.vms)
+    with pytest.raises(SimulationError, match="^no pcpu %d$" % pcpu):
+        calls[entry]()
+    assert len(sim.trace.events) == events
+    assert set(hv.vms) == vms
+    assert hv.stack_of(0) == [sim.primary_vcpu(0)]
+
+
 # -- guest run loop ------------------------------------------------------------
 
 
