@@ -100,7 +100,6 @@ class EnclaveFd:
     image: EnclaveImage
     priv_aid: int
     chan_aid: int
-    priv_pages: List[int] = field(default_factory=list)
     chan_pages: List[int] = field(default_factory=list)
     channel: Optional[ChannelView] = None
 
@@ -176,7 +175,7 @@ class EnclaveDriver:
             self.allocator.free(chan_aid)
             self.allocator.free(priv_aid)
             raise
-        rec = EnclaveFd(fd, handle, image, priv_aid, chan_aid, priv, chan)
+        rec = EnclaveFd(fd, handle, image, priv_aid, chan_aid, chan)
         rec.channel = ChannelView(self.sim.machine, self.hv.primary.table,
                                   rec.channel_ipa, image.channel_size_pages,
                                   "primary")

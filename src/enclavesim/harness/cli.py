@@ -42,7 +42,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for path in args.scenarios:
         text = Path(path).read_text(encoding="utf-8")
         try:
-            scenario = parse_scenario(text, name=Path(path).stem)
+            scenario = parse_scenario(text)
             result = run_scenario(scenario)
         except (ScenarioParseError, ExpectationFailed) as err:
             print("%s: %s" % (path, err))

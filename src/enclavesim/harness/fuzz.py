@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..channel import ChannelStatus
 from ..errors import (
@@ -368,102 +368,60 @@ def _full_state(sim, driver) -> tuple:
     )
 
 
-class _FailSetup:
-    """One simulation prepared so a specific class of create always fails."""
-
-    def __init__(self, config: MachineConfig, seed: int,
-                 prime: Callable[["_FailSetup"], None] = None):
-        self.sim = Simulation(config, seed=seed)
-        self.driver = EnclaveDriver(self.sim)
-        if prime is not None:
-            prime(self)
-
-
 def fuzz_failed_creates(cases: int = 500, seed: int = 0) -> FuzzReport:
     """Throw every rejectable donation at create and check the refusal is
     total: same tables, same allocator, same fd table, correct error."""
     report = FuzzReport("create-fail", cases, seed)
     rng = random.Random(seed)
 
-    def prime_main(s: _FailSetup) -> None:
-        s.victim = s.driver.create(image_for_pages("echo", 4, 1))
-        s.rec = s.driver.record_of(s.victim)
-        # one read-only page for the not-writable case
-        s.sim.hv.primary.table.protect(60, PERM_RO)
+    def machine(frames: int, max_vms: int, creates: int, mem: int):
+        """A simulation whose driver has made `creates` echo enclaves of
+        `mem` private pages, with OS page 60 made read-only.  Returns it,
+        the driver and the last enclave's record."""
+        sim = Simulation(MachineConfig(frames=frames, max_vms=max_vms),
+                         seed=seed)
+        driver = EnclaveDriver(sim)
+        for _ in range(creates):
+            fd = driver.create(image_for_pages("echo", mem, 1))
+        sim.hv.primary.table.protect(60, PERM_RO)
+        return sim, driver, driver.record_of(fd)
 
-    main = _FailSetup(MachineConfig(frames=160), seed, prime_main)
-
-    def prime_limit(s: _FailSetup) -> None:
-        s.driver.create(image_for_pages("echo", 4, 1))
-
-    limit = _FailSetup(MachineConfig(frames=96, max_vms=2), seed, prime_limit)
-
-    def prime_fds(s: _FailSetup) -> None:
-        for _ in range(16):
-            s.driver.create(image_for_pages("echo", 3, 1))
-
-    # max_vms above 17 so the fd table, not the VM limit, is what fills up
-    fds_full = _FailSetup(MachineConfig(frames=160, max_vms=20), seed,
-                          prime_fds)
-
-    def caller(s: _FailSetup):
-        return s.sim.primary_vcpu(0)
-
-    meta = ImageMeta(4, 1)
+    main = machine(160, 16, 1, 4)
+    # max_vms 2 leaves room for one enclave; 20 lets the fd table fill first
+    limit = machine(96, 2, 1, 4)
+    fds_full = machine(160, 20, 16, 3)
+    sim, driver, victim = main
     # OS-reserved pages: identity mapped and writable but never allocated,
     # so hand-rolled donations of them cannot collide with driver state
-    free = list(range(40, 50))
+    free = tuple(range(40, 44))
 
-    def case_duplicate(s):
-        s.sim.hv.create_enclave(caller(s), (free[0], free[0], free[1],
-                                            free[2], free[3]), meta)
+    def donate(pages):
+        sim.hv.create_enclave(sim.primary_vcpu(0), pages, ImageMeta(4, 1))
 
-    def case_unmapped(s):
-        gone = rng.choice(s.rec.primary_private_pages())
-        s.sim.hv.create_enclave(caller(s), (gone, free[0], free[1],
-                                            free[2], free[3]), meta)
-
-    def case_too_small(s):
-        s.sim.hv.create_enclave(caller(s), (free[0], free[1]), meta)
-
-    def case_unknown_image(s):
-        s.sim.hv.create_enclave(caller(s), tuple(free[:5]), meta)
-
-    def case_donate_channel(s):
-        shared = s.rec.primary_channel_pages()[0]
-        s.sim.hv.create_enclave(caller(s), (shared, free[0], free[1],
-                                            free[2], free[3]), meta)
-
-    def case_not_writable(s):
-        s.sim.hv.create_enclave(caller(s), (60, free[0], free[1],
-                                            free[2], free[3]), meta)
-
-    def case_no_memory(s):
-        s.driver.create(image_for_pages("echo", 200, 1))
-
-    def case_vm_limit(s):
-        s.driver.create(image_for_pages("echo", 4, 1))
-
-    def case_fd_full(s):
-        s.driver.create(image_for_pages("echo", 3, 1))
+    def create(setup, mem: int):
+        """Create an echo image of `mem` pages through the setup's driver."""
+        setup[1].create(image_for_pages("echo", mem, 1))
 
     table = [
-        ("duplicate", main, case_duplicate, InvalidDonation),
-        ("unmapped", main, case_unmapped, PageNotMapped),
-        ("too-small", main, case_too_small, TooSmall),
-        ("unknown-image", main, case_unknown_image, InvalidDonation),
-        ("donate-channel", main, case_donate_channel, InvalidDonation),
-        ("not-writable", main, case_not_writable, InvalidDonation),
-        ("no-memory", main, case_no_memory, NoMemory),
-        ("vm-limit", limit, case_vm_limit, Exhausted),
-        ("fd-full", fds_full, case_fd_full, Exhausted),
+        ("duplicate", main, lambda: donate((40,) + free), InvalidDonation),
+        ("unmapped", main, lambda: donate(
+            (rng.choice(victim.primary_private_pages()),) + free),
+         PageNotMapped),
+        ("too-small", main, lambda: donate(free[:2]), TooSmall),
+        ("unknown-image", main, lambda: donate(free + (44,)), InvalidDonation),
+        ("donate-channel", main, lambda: donate(
+            (victim.primary_channel_pages()[0],) + free), InvalidDonation),
+        ("not-writable", main, lambda: donate((60,) + free), InvalidDonation),
+        ("no-memory", main, lambda: create(main, 200), NoMemory),
+        ("vm-limit", limit, lambda: create(limit, 4), Exhausted),
+        ("fd-full", fds_full, lambda: create(fds_full, 3), Exhausted),
     ]
 
     for i in range(cases):
-        kind, setup, thunk, expected = rng.choice(table)
-        before = _full_state(setup.sim, setup.driver)
+        kind, (on_sim, on_driver, _), thunk, expected = rng.choice(table)
+        before = _full_state(on_sim, on_driver)
         try:
-            thunk(setup)
+            thunk()
             report.failures.append((i, "%s: create unexpectedly succeeded"
                                     % kind))
         except expected:
@@ -472,7 +430,7 @@ def fuzz_failed_creates(cases: int = 500, seed: int = 0) -> FuzzReport:
             report.failures.append((i, "%s: raised %s instead of %s"
                                     % (kind, type(err).__name__,
                                        expected.__name__)))
-        after = _full_state(setup.sim, setup.driver)
+        after = _full_state(on_sim, on_driver)
         if after != before:
             report.failures.append((i, "%s: state changed across a failed "
                                     "create" % kind))

@@ -57,7 +57,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from ..channel import ChannelStatus
 from ..errors import ScenarioParseError, SimulationError
 from ..guest_os import EnclaveDriver
-from ..machine import PAGE_SHIFT, MachineConfig
+from ..machine import PAGE_SHIFT, PAGE_SIZE, MachineConfig
 from ..sim import Simulation
 from ..stage2 import AccessFault
 from ..ta_runtime import REGISTRY, image_for, image_for_pages
@@ -106,7 +106,6 @@ class Scenario:
     config: MachineConfig
     seed: int
     steps: List[Step]
-    name: str = "scenario"
 
 
 @dataclass
@@ -122,11 +121,15 @@ class ScenarioResult:
 
 
 _U32 = 1 << 32   # command ids, payload lengths and image sizes are u32
+# what a `machine` line may ask for: boot builds one object per pCPU and
+# one 4 KiB frame per frame
+_MACHINE_BOUNDS = {"frames": range(1, 65536 + 1), "pcpus": range(1, 64 + 1),
+                   "max_vms": range(1, _U32)}
 _ACTIONS = {"create", "invoke", "resume", "destroy", "timer", "tick",
             "adversary", "expect", "aux", "schedule", "yield", "interrupt"}
 
 
-def parse_scenario(text: str, name: str = "scenario") -> Scenario:
+def parse_scenario(text: str) -> Scenario:
     config_kw: Dict[str, int] = {}
     seed = 0
     steps: List[Step] = []
@@ -143,7 +146,13 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             config_kw.update(step.options(
                 step.args,
                 {"frames": "frames", "pcpus": "pcpus", "max_vms": "max_vms",
-                 "reserved": "os_reserved_pages"}, {"pcpus": range(1, _U32)}))
+                 "reserved": "os_reserved_pages"}, _MACHINE_BOUNDS))
+            frames = config_kw.get("frames", MachineConfig.frames)
+            reserved = config_kw.get("os_reserved_pages",
+                                     MachineConfig.os_reserved_pages)
+            if reserved not in range(frames + 1):
+                raise step.fail("reserved %d not in %r"
+                                % (reserved, range(frames + 1)))
         elif step.op == "seed":
             if len(step.args) != 1:
                 raise step.fail("seed takes one integer")
@@ -153,20 +162,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             steps.append(step)
         else:
             raise step.fail("unknown statement %r" % step.op)
-    return Scenario(MachineConfig(**config_kw), seed, steps, name)
-
-
-def _parse_payload(step: Step, spec: str, rng) -> bytes:
-    if spec.startswith("str:"):
-        return spec[4:].encode()
-    if spec.startswith("hex:"):
-        try:
-            return bytes.fromhex(spec[4:])
-        except ValueError:
-            raise step.fail("bad hex payload %r" % spec) from None
-    if spec.startswith("rand:"):
-        return rng.randbytes(step.number(spec[5:], range(_U32), "length"))
-    raise step.fail("payload must be str:, hex: or rand:N, got %r" % spec)
+    return Scenario(MachineConfig(**config_kw), seed, steps)
 
 
 class _Runner:
@@ -195,6 +191,22 @@ class _Runner:
         """The `pcpu=` option, a pCPU of this machine; 0 if absent."""
         return step.options(options, {"pcpu": "pcpu"}, {
             "pcpu": range(self.scenario.config.pcpus)}).get("pcpu", 0)
+
+    def _payload(self, step: Step, spec: str) -> bytes:
+        """A payload spec; `rand:N` draws from the run's RNG, at most the
+        machine's memory in bytes."""
+        if spec.startswith("str:"):
+            return spec[4:].encode()
+        if spec.startswith("hex:"):
+            try:
+                return bytes.fromhex(spec[4:])
+            except ValueError:
+                raise step.fail("bad hex payload %r" % spec) from None
+        if spec.startswith("rand:"):
+            memory = self.scenario.config.frames * PAGE_SIZE
+            return self.sim.rng.randbytes(
+                step.number(spec[5:], range(memory + 1), "length"))
+        raise step.fail("payload must be str:, hex: or rand:N, got %r" % spec)
 
     def _fd(self, step: Step, var: str) -> int:
         if var not in self.fds:
@@ -280,8 +292,7 @@ class _Runner:
         cmd = step.number(step.args[1], range(_U32), "command")
         payload = b""
         if len(step.args) > 2:
-            payload = _parse_payload(step, " ".join(step.args[2:]),
-                                     self.sim.rng)
+            payload = self._payload(step, " ".join(step.args[2:]))
         self._exchange(step, "invoke %s cmd %d" % (step.args[0], cmd),
                        self.driver.invoke, fd, cmd, payload)
 
@@ -405,7 +416,7 @@ class _Runner:
                         "line %d: expected %d payload bytes, got %r"
                         % (step.lineno, want_len, got))
             else:
-                want = _parse_payload(step, value, self.sim.rng)
+                want = self._payload(step, value)
                 if got != want:
                     raise ExpectationFailed(
                         "line %d: payload %r != expected %r"
@@ -425,5 +436,5 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     return _Runner(scenario).run()
 
 
-def run_scenario_text(text: str, name: str = "scenario") -> ScenarioResult:
-    return run_scenario(parse_scenario(text, name))
+def run_scenario_text(text: str) -> ScenarioResult:
+    return run_scenario(parse_scenario(text))

@@ -11,11 +11,18 @@ A destroyed enclave is retired: its record and VM leave ``enclaves`` and
 ``vms``, which hold only live state.  Handles are never reused, so a later
 call with a retired handle raises ``EnclaveDestroyed``, not ``BadHandle``.
 
+Every hypercall goes through one table, ``Hypervisor._CALLS``, that maps
+its type to the VM kind allowed to issue it and to its handler; each
+handler is called as ``handler(caller, hc)``.  Management calls (create,
+destroy, invoke) belong to the primary, exit belongs to enclaves.
+
 Scheduling is a per-pCPU LIFO stack of vCPUs expressed through two links on
 each vCPU: ``head`` points at the vCPU stacked immediately above (more
 recently scheduled), ``tail`` at the one below.  Invoking an enclave pushes
-its vCPU; exiting pops it; an interrupt aimed at a vCPU deeper in the stack
-pops everything above it in one context switch.
+its vCPU.  Every pop goes through ``_unwind``, which pops down to a target
+and charges one context switch: exit, a finished program and a yield pop
+the running vCPU, and an interrupt aimed at a vCPU deeper in the stack pops
+everything above it.
 
 Guest execution is cooperative.  An enclave vCPU's saved context is a Python
 generator that yields ``Work(units)`` to burn simulated time and a
@@ -198,10 +205,10 @@ ProgramLoader = Callable[[bytes], Optional[Callable[[EnclaveRecord], GuestProgra
 
 class Hypervisor:
     def __init__(self, machine: PhysicalMachine,
-                 program_loader: ProgramLoader):
+                 program_loader: ProgramLoader, tick: Callable[[], None]):
         self.machine = machine
         self.program_loader = program_loader
-        self.tick_hook: Optional[Callable[[], None]] = None
+        self.tick = tick        # runs after each costed guest step
         self.vms: Dict[int, Vm] = {}
         self.enclaves: Dict[int, EnclaveRecord] = {}
         self._next_vmid = 0
@@ -212,18 +219,23 @@ class Hypervisor:
 
     # -- boot -----------------------------------------------------------------
 
-    def _boot_primary(self) -> Vm:
-        vm = Vm(self._next_vmid, VmKind.PRIMARY, "primary",
+    def _new_vm(self, kind: VmKind, name: str, pcpus: Sequence[int]) -> Vm:
+        """A live VM with an empty table and vCPU i pinned to pcpus[i]."""
+        vm = Vm(self._next_vmid, kind, name,
                 Stage2Table(self._next_vmid, self.machine))
         self._next_vmid += 1
-        for i, pcpu in enumerate(self.machine.pcpus):
-            vcpu = Vcpu(vm=vm, index=i, pcpu=i)
-            vm.vcpus.append(vcpu)
+        vm.vcpus = [Vcpu(vm=vm, index=i, pcpu=p) for i, p in enumerate(pcpus)]
+        self.vms[vm.vmid] = vm
+        return vm
+
+    def _boot_primary(self) -> Vm:
+        pcpus = self.machine.pcpus
+        vm = self._new_vm(VmKind.PRIMARY, "primary", range(len(pcpus)))
+        for pcpu, vcpu in zip(pcpus, vm.vcpus):
             pcpu.current_vcpu = vcpu
         # the primary starts owning every frame, identity mapped
         for frame in range(self.machine.n_frames):
             vm.table.map(frame, frame, PERM_RWX)
-        self.vms[vm.vmid] = vm
         return vm
 
     # -- stack primitives -------------------------------------------------
@@ -248,9 +260,8 @@ class Hypervisor:
             obs.on_push(pcpu.id, child)
         self._charge_switch(pcpu, parent, child, reason)
 
-    def _pop_current(self, pcpu: Pcpu, resumption: Resumption) -> Vcpu:
-        """Unlink the running vCPU and fall back to its parent.  Does not
-        charge a context switch; the caller decides how many pops share one."""
+    def _pop_current(self, pcpu: Pcpu, resumption: Resumption) -> None:
+        """Unlink the running vCPU and fall back to its parent."""
         cur = pcpu.current_vcpu
         parent = cur.tail
         if parent is None:
@@ -261,7 +272,22 @@ class Hypervisor:
         pcpu.current_vcpu = parent
         for obs in self.machine.observers:
             obs.on_pop(pcpu.id, cur, resumption)
-        return cur
+
+    def _unwind(self, pcpu: Pcpu, to: Optional[Vcpu], resumption: Resumption,
+                reason: str) -> Vcpu:
+        """Pop every vCPU above `to` as `resumption` and charge one context
+        switch onto it; return the vCPU that was running.  A `to` of None,
+        below the base, makes the first pop raise NoParent."""
+        frm = pcpu.current_vcpu
+        while pcpu.current_vcpu is not to:
+            self._pop_current(pcpu, resumption)
+        self._charge_switch(pcpu, frm, to, reason)
+        return frm
+
+    def _is_scheduled(self, vcpu: Vcpu) -> bool:
+        """On its pCPU's stack: running, or stacked under another vCPU."""
+        return (vcpu.tail is not None
+                or self.machine.pcpus[vcpu.pcpu].current_vcpu is vcpu)
 
     def stack_of(self, pcpu_id: int) -> List[Vcpu]:
         """The vCPU stack on a pCPU, base first, running vCPU last."""
@@ -299,13 +325,8 @@ class Hypervisor:
             raise WrongPcpu("vcpu %s lives on pcpu %d, interrupt sent to %d"
                             % (target.name, target.pcpu, pcpu_id))
         pcpu = self.machine.pcpus[pcpu_id]
-        cur = pcpu.current_vcpu
-        if cur is not None and cur is not target \
-                and self._is_ancestor(target, cur):
-            frm = cur
-            while pcpu.current_vcpu is not target:
-                self._pop_current(pcpu, Resumption.PREEMPTED)
-            self._charge_switch(pcpu, frm, target, "interrupt")
+        if self._is_ancestor(target, pcpu.current_vcpu):
+            self._unwind(pcpu, target, Resumption.PREEMPTED, "interrupt")
             outcome = "unwound"
         else:
             target.pending_irq = True
@@ -320,26 +341,18 @@ class Hypervisor:
         self.machine.ledger.hypercalls += 1
         for obs in self.machine.observers:
             obs.on_hypercall(caller, hc)
-        try:
-            # privilege split: management calls belong to the primary,
-            # exit belongs to enclaves
-            if isinstance(hc, (CreateEnclave, DestroyEnclave, InvokeEnclave)):
-                if caller.vm.kind is not VmKind.PRIMARY:
-                    raise PrivilegeViolation(
-                        "%s issued by enclave vcpu %s"
-                        % (type(hc).__name__, caller.name))
-            elif isinstance(hc, Exit):
-                if caller.vm.kind is not VmKind.ENCLAVE:
-                    raise PrivilegeViolation("exit issued by %s" % caller.name)
-            if isinstance(hc, CreateEnclave):
-                return self._do_create(caller, hc.pages, hc.meta)
-            if isinstance(hc, DestroyEnclave):
-                return self._do_destroy(hc.handle)
-            if isinstance(hc, InvokeEnclave):
-                return self._do_invoke(caller, hc.handle)
-            if isinstance(hc, Exit):
-                return self._do_exit(caller)
+        entry = self._CALLS.get(type(hc))
+        if entry is None:
             raise SimulationError("unknown hypercall %r" % (hc,))
+        issuer, handler = entry
+        try:
+            if caller.vm.kind is not issuer:
+                raise PrivilegeViolation(
+                    "%s issued by enclave vcpu %s"
+                    % (type(hc).__name__, caller.name)
+                    if issuer is VmKind.PRIMARY
+                    else "exit issued by %s" % caller.name)
+            return handler(self, caller, hc)
         except HypercallError as err:
             for obs in self.machine.observers:
                 obs.on_hypercall_error(caller, hc, err)
@@ -367,9 +380,8 @@ class Hypervisor:
 
     # -- create -----------------------------------------------------------
 
-    def _do_create(self, caller: Vcpu, pages: Tuple[int, ...],
-                   meta: ImageMeta) -> int:
-        """Donate `pages` of the caller's memory to a new enclave.
+    def _do_create(self, caller: Vcpu, hc: CreateEnclave) -> int:
+        """Donate `hc.pages` of the caller's memory to a new enclave.
 
         The trailing meta.channel_size_pages pages become the shared channel;
         everything else (including any surplus beyond meta.mem_size_pages)
@@ -377,6 +389,7 @@ class Hypervisor:
         first mutation, so any error leaves the primary's table, the enclave
         list and all frame contents exactly as they were.
         """
+        pages, meta = hc.pages, hc.meta
         channel_pages = meta.channel_size_pages
         if channel_pages < 1 or meta.mem_size_pages < 1:
             raise TooSmall("image needs at least one private and one channel "
@@ -409,13 +422,9 @@ class Hypervisor:
             raise InvalidDonation("unrecognized enclave image")
 
         # mutation starts here; nothing below can fail
-        vmid = self._next_vmid
-        self._next_vmid += 1
         handle = self._next_handle
         self._next_handle += 1
-        vm = Vm(vmid, VmKind.ENCLAVE, "enclave%d" % handle,
-                Stage2Table(vmid, self.machine))
-        vm.vcpus.append(Vcpu(vm=vm, index=0, pcpu=caller.pcpu))
+        vm = self._new_vm(VmKind.ENCLAVE, "enclave%d" % handle, (caller.pcpu,))
         n_priv = len(pages) - channel_pages
         donated: List[DonatedPage] = []
         for i, (p, frame, perms) in enumerate(staged):
@@ -429,30 +438,28 @@ class Hypervisor:
                 self._shared_frames.add(frame)
             donated.append(DonatedPage(p, frame, perms, i >= n_priv))
         rec = EnclaveRecord(handle, vm, donated, channel_pages)
-        self.vms[vmid] = vm
         self.enclaves[handle] = rec
         vm.vcpus[0].saved_context = factory(rec)
         return handle
 
     # -- destroy ------------------------------------------------------------
 
-    def _do_destroy(self, handle: int) -> None:
+    def _do_destroy(self, caller: Vcpu, hc: DestroyEnclave) -> None:
         """Tear down an enclave and retire it.  Every donated frame is zeroed
         before any mapping changes, so no frame ever re-enters the primary
         carrying enclave data."""
-        rec = self._lookup(handle)
+        rec = self._lookup(hc.handle)
         vm, vcpu = rec.vm, rec.vm.vcpus[0]
-        pcpu = self.machine.pcpus[vcpu.pcpu]
-        if vcpu.tail is not None or pcpu.current_vcpu is vcpu:
+        if self._is_scheduled(vcpu):
             raise EnclaveActive("enclave %d is scheduled on pcpu %d"
-                                % (handle, vcpu.pcpu))
+                                % (rec.handle, vcpu.pcpu))
         self._teardown(rec)
         # last chance to see a leftover mapping: nothing holds the VM after
         if len(vm.table) != 0:
             raise SimulationError("destroyed vm%d still maps %d pages"
                                   % (vm.vmid, len(vm.table)))
         vm.state = VmState.DESTROYED
-        del self.enclaves[handle]
+        del self.enclaves[rec.handle]
         del self.vms[vm.vmid]
         for dp in rec.pages:
             if dp.is_channel:
@@ -478,33 +485,36 @@ class Hypervisor:
 
     # -- invoke / exit ------------------------------------------------------
 
-    def _do_invoke(self, caller: Vcpu, handle: int) -> Resumption:
-        rec = self._lookup(handle)
+    def _do_invoke(self, caller: Vcpu, hc: InvokeEnclave) -> Resumption:
+        rec = self._lookup(hc.handle)
         target = rec.vm.vcpus[0]
         if target.pcpu != caller.pcpu:
             raise WrongPcpu("enclave %d pinned to pcpu %d, invoked from %d"
-                            % (handle, target.pcpu, caller.pcpu))
+                            % (rec.handle, target.pcpu, caller.pcpu))
         pcpu = self.machine.pcpus[caller.pcpu]
         if pcpu.current_vcpu is not caller:
             raise SimulationError("invoke from a vcpu that is not running")
-        if target.tail is not None or pcpu.current_vcpu is target:
-            raise EnclaveActive("enclave %d already scheduled" % handle)
+        if self._is_scheduled(target):
+            raise EnclaveActive("enclave %d already scheduled" % rec.handle)
         self._push(pcpu, target, "invoke")
         self._run_until(pcpu, caller)
         return target.last_leave
 
-    def _do_exit(self, caller: Vcpu) -> None:
+    def _do_exit(self, caller: Vcpu, hc: Exit) -> None:
         pcpu = self.machine.pcpus[caller.pcpu]
         if pcpu.current_vcpu is not caller:
             raise SimulationError("exit from a vcpu that is not running")
-        popped = self._pop_current(pcpu, Resumption.COMPLETED)
-        self._charge_switch(pcpu, popped, pcpu.current_vcpu, "exit")
+        self._unwind(pcpu, caller.tail, Resumption.COMPLETED, "exit")
+
+    # issuing VM kind and handler of each hypercall type
+    _CALLS = {
+        CreateEnclave: (VmKind.PRIMARY, _do_create),
+        DestroyEnclave: (VmKind.PRIMARY, _do_destroy),
+        InvokeEnclave: (VmKind.PRIMARY, _do_invoke),
+        Exit: (VmKind.ENCLAVE, _do_exit),
+    }
 
     # -- cooperative run loop -------------------------------------------------
-
-    def _tick(self) -> None:
-        if self.tick_hook is not None:
-            self.tick_hook()
 
     def _run_until(self, pcpu: Pcpu, stop: Vcpu) -> None:
         """Advance the running guest until `stop` is back on the pCPU."""
@@ -523,8 +533,7 @@ class Hypervisor:
                     item = gen.send(value)
             except StopIteration:
                 # program finished: an implicit exit, no hypercall charged
-                popped = self._pop_current(pcpu, Resumption.COMPLETED)
-                self._charge_switch(pcpu, popped, pcpu.current_vcpu, "finish")
+                self._unwind(pcpu, cur.tail, Resumption.COMPLETED, "finish")
                 continue
             if isinstance(item, Work):
                 if item.units < 0:
@@ -532,13 +541,13 @@ class Hypervisor:
                 self.machine.ledger.work_units += item.units
                 for obs in self.machine.observers:
                     obs.on_work(cur, item.units)
-                self._tick()
+                self.tick()
             elif isinstance(item, Hypercall):
                 try:
                     cur.inbox = self.dispatch(cur, item)
                 except HypercallError as err:
                     cur.inbox_exc = err
-                self._tick()
+                self.tick()
             else:
                 raise SimulationError("guest %s yielded %r" % (cur.name, item))
 
@@ -550,29 +559,21 @@ class Hypervisor:
         self.check_pcpu(pcpu_id)
         self._aux_count += 1
         label = name or ("aux%d" % self._aux_count)
-        vm = Vm(self._next_vmid, VmKind.ENCLAVE, label,
-                Stage2Table(self._next_vmid, self.machine))
-        self._next_vmid += 1
-        vcpu = Vcpu(vm=vm, index=0, pcpu=pcpu_id)
-        vm.vcpus.append(vcpu)
-        self.vms[vm.vmid] = vm
-        return vcpu
+        return self._new_vm(VmKind.ENCLAVE, label, (pcpu_id,)).vcpus[0]
 
     def schedule_vcpu(self, pcpu_id: int, vcpu: Vcpu) -> None:
         """Push `vcpu` onto a pCPU's stack without privilege checks."""
         self.check_pcpu(pcpu_id)
         if vcpu.pcpu != pcpu_id:
             raise WrongPcpu("vcpu %s pinned to pcpu %d" % (vcpu.name, vcpu.pcpu))
-        pcpu = self.machine.pcpus[pcpu_id]
-        if vcpu.tail is not None or pcpu.current_vcpu is vcpu:
+        if self._is_scheduled(vcpu):
             raise EnclaveActive("vcpu %s already scheduled" % vcpu.name)
-        self._push(pcpu, vcpu, "schedule")
+        self._push(self.machine.pcpus[pcpu_id], vcpu, "schedule")
 
     def yield_vcpu(self, pcpu_id: int) -> Vcpu:
         """Pop the running vCPU as completed, without touching its program
         state."""
         self.check_pcpu(pcpu_id)
         pcpu = self.machine.pcpus[pcpu_id]
-        popped = self._pop_current(pcpu, Resumption.COMPLETED)
-        self._charge_switch(pcpu, popped, pcpu.current_vcpu, "yield")
-        return popped
+        return self._unwind(pcpu, pcpu.current_vcpu.tail,
+                            Resumption.COMPLETED, "yield")

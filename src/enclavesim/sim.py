@@ -22,10 +22,6 @@ from .stage2 import Access, AccessFault, Perms, guest_access
 from .trace import TraceRecorder
 
 
-def _vcpu_name(v: Optional[Vcpu]) -> Optional[str]:
-    return None if v is None else v.name
-
-
 def _call_detail(hc: Hypercall) -> dict:
     """``dataclasses.asdict(hc)`` plus `call`, without its deep copy."""
     # one literal: a copy of vars(hc) grows its table when `call` is added
@@ -44,26 +40,26 @@ class TraceObserver(Observer):
         self.pcpu0 = sim.machine.pcpus[0]
 
     def on_map(self, vm: int, ipa_page: int, frame: int, perms: Perms) -> None:
-        self.trace.emit("s2_map", 0, _vcpu_name(self.pcpu0.current_vcpu),
+        self.trace.emit("s2_map", 0, self.pcpu0.current_vcpu.name,
                         {"vm": vm, "ipa_page": ipa_page, "frame": frame,
                          "perms": perms.tag()})
 
     def on_unmap(self, vm: int, ipa_page: int, frame: int) -> None:
-        self.trace.emit("s2_unmap", 0, _vcpu_name(self.pcpu0.current_vcpu),
+        self.trace.emit("s2_unmap", 0, self.pcpu0.current_vcpu.name,
                         {"vm": vm, "ipa_page": ipa_page, "frame": frame})
 
     def on_protect(self, vm: int, ipa_page: int, frame: int,
                    old: Perms, new: Perms) -> None:
-        self.trace.emit("s2_protect", 0, _vcpu_name(self.pcpu0.current_vcpu),
+        self.trace.emit("s2_protect", 0, self.pcpu0.current_vcpu.name,
                         {"vm": vm, "ipa_page": ipa_page, "frame": frame,
                          "old": old.tag(), "new": new.tag()})
 
     def on_zero(self, frame: int) -> None:
-        self.trace.emit("zero_frame", 0, _vcpu_name(self.pcpu0.current_vcpu),
+        self.trace.emit("zero_frame", 0, self.pcpu0.current_vcpu.name,
                         {"frame": frame})
 
     def on_fault(self, fault: AccessFault) -> None:
-        self.trace.emit("fault", 0, _vcpu_name(self.pcpu0.current_vcpu),
+        self.trace.emit("fault", 0, self.pcpu0.current_vcpu.name,
                         {"vm": fault.vm, "ipa": fault.ipa,
                          "fault": fault.kind.value})
 
@@ -96,7 +92,7 @@ class TraceObserver(Observer):
 
     def on_channel(self, side: str, old: int, new: int,
                    header: bytes, payload: bytes) -> None:
-        self.trace.emit("channel", 0, _vcpu_name(self.pcpu0.current_vcpu),
+        self.trace.emit("channel", 0, self.pcpu0.current_vcpu.name,
                         {"side": side, "old": old, "new": new,
                          "header": header.hex(), "payload": payload.hex()})
 
@@ -108,7 +104,7 @@ class Simulation:
             from . import ta_runtime
             program_loader = ta_runtime.load_program
         self.machine = PhysicalMachine(config)
-        self.hv = Hypervisor(self.machine, program_loader)
+        self.hv = Hypervisor(self.machine, program_loader, self.check_timers)
         self.trace = TraceRecorder(self.machine.ledger.units)
         self.seed = seed
         self.rng = random.Random(seed)
@@ -116,13 +112,12 @@ class Simulation:
         self.machine.ledger.reset()
         self.machine.observers.append(TraceObserver(self))
         cfg = self.machine.config
-        self.trace.emit("boot", 0, _vcpu_name(self.machine.pcpus[0].current_vcpu),
+        self.trace.emit("boot", 0, self.machine.pcpus[0].current_vcpu.name,
                         {"frames": cfg.frames, "pcpus": cfg.pcpus,
                          "max_vms": cfg.max_vms, "seed": seed,
                          "os_reserved_pages": cfg.os_reserved_pages})
         self._timers: List[Tuple[int, int, int]] = []  # (deadline, seq, pcpu)
         self._timer_seq = 0
-        self.hv.tick_hook = self.check_timers
 
     # -- time ---------------------------------------------------------------
 
@@ -137,7 +132,7 @@ class Simulation:
         heapq.heappush(self._timers, (deadline, self._timer_seq, pcpu_id))
         self._timer_seq += 1
         self.trace.emit("timer_armed", pcpu_id,
-                        _vcpu_name(self.machine.pcpus[pcpu_id].current_vcpu),
+                        self.machine.pcpus[pcpu_id].current_vcpu.name,
                         {"deadline": deadline})
         return deadline
 
@@ -147,7 +142,7 @@ class Simulation:
         while self._timers and self._timers[0][0] <= self.now():
             deadline, _, pcpu_id = heapq.heappop(self._timers)
             self.trace.emit("timer_fired", pcpu_id,
-                            _vcpu_name(self.machine.pcpus[pcpu_id].current_vcpu),
+                            self.machine.pcpus[pcpu_id].current_vcpu.name,
                             {"deadline": deadline})
             self.hv.deliver_interrupt(pcpu_id, self.hv.primary.vcpus[pcpu_id])
 

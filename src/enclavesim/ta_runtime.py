@@ -1,10 +1,14 @@
 """Enclave-side runtime: the serve loop and the built-in demo programs.
 
-A program is a generator over GuestOps.  It lives entirely behind the
-enclave's own stage-2 table: channel traffic goes through a ChannelView on
-that table and private state through TaContext.read/write at ``state_ipa``
-(the first page after the code blob).  Nothing here can touch memory the
-enclave does not map.
+A program is its handler table: ``register_ta(name, mem_pages,
+{cmd_id: handler})`` registers it, the image's command table is the
+handlers' keys, and ``standard_loop`` serves it.  A handler is a generator
+over GuestOps.  It lives entirely behind the enclave's own stage-2 table:
+channel traffic goes through a ChannelView on that table and private state
+through TaContext.read_state/write_state from ``state_ipa`` (the first page
+after the code blob).  State must fit in the private pages: an access that
+would reach the channel fails the command with status ERROR.  Nothing here
+can touch memory the enclave does not map.
 
 The wallet program implements a six-command key manager over a toy
 deterministic construction (iterated keyed digest).  It is not
@@ -64,6 +68,7 @@ class TaContext:
         self.rec = rec
         self.channel = channel
         self.state_ipa = state_ipa
+        self.state_end = rec.channel_ipa   # state stays in private pages
         self.machine = rec.vm.table.machine
 
     def read(self, ipa: int, length: int) -> Union[bytes, AccessFault]:
@@ -76,14 +81,23 @@ class TaContext:
                               Access.WRITE, data=data)
         return out
 
+    def _state_at(self, offset: int, length: int) -> int:
+        """The address of a state access, which must end before the
+        channel: a program too small for its state fails the command."""
+        ipa = self.state_ipa + offset
+        if ipa + length > self.state_end:
+            raise TaCommandError("state [%#x, %#x) reaches the channel at %#x"
+                                 % (ipa, ipa + length, self.state_end))
+        return ipa
+
     def read_state(self, offset: int, length: int) -> bytes:
-        out = self.read(self.state_ipa + offset, length)
+        out = self.read(self._state_at(offset, length), length)
         if isinstance(out, AccessFault):
             raise SimulationError("TA state read fault: %s" % (out.describe(),))
         return out
 
     def write_state(self, offset: int, data: bytes) -> None:
-        out = self.write(self.state_ipa + offset, data)
+        out = self.write(self._state_at(offset, len(data)), data)
         if isinstance(out, AccessFault):
             raise SimulationError("TA state write fault: %s" % (out.describe(),))
 
@@ -123,18 +137,18 @@ def standard_loop(ctx: TaContext,
 class TaSpec:
     name: str
     image: EnclaveImage
-    program: Callable[[TaContext], GuestProgram]
+    handlers: Dict[int, Handler]
 
 
 REGISTRY: Dict[str, TaSpec] = {}
 
 
-def register_ta(name: str, mem_pages: int, cmd_ids: Tuple[int, ...]):
-    def deco(fn: Callable[[TaContext], GuestProgram]):
-        image = build_image(name, mem_pages, tuple(cmd_ids))
-        REGISTRY[name] = TaSpec(name, image, fn)
-        return fn
-    return deco
+def register_ta(name: str, mem_pages: int,
+                handlers: Dict[int, Handler]) -> None:
+    """Register a program: its handler table, served by `standard_loop`.
+    The image's command table is the handlers' keys, in order."""
+    image = build_image(name, mem_pages, tuple(handlers))
+    REGISTRY[name] = TaSpec(name, image, handlers)
 
 
 def image_for(name: str) -> EnclaveImage:
@@ -176,53 +190,50 @@ def load_program(page0: bytes) -> Optional[Callable[[EnclaveRecord], GuestProgra
         channel = ChannelView(machine, rec.vm.table, rec.channel_ipa,
                               rec.channel_pages, "enclave")
         ctx = TaContext(rec, channel, spec.image.code_pages << PAGE_SHIFT)
-        return spec.program(ctx)
+        return standard_loop(ctx, spec.handlers)
 
     return factory
 
 
 # -- built-in programs ----------------------------------------------------
 
-@register_ta("echo", mem_pages=4, cmd_ids=(0,))
-def echo_program(ctx: TaContext) -> GuestProgram:
-    def do_echo(ctx: TaContext, args: bytes) -> GuestProgram:
-        yield Work(1 + len(args) // 256)
-        return args
-
-    return standard_loop(ctx, {0: do_echo})
+def _echo(ctx: TaContext, args: bytes) -> GuestProgram:
+    yield Work(1 + len(args) // 256)
+    return args
 
 
-@register_ta("counter", mem_pages=4, cmd_ids=(1, 2))
-def counter_program(ctx: TaContext) -> GuestProgram:
-    """Persistent u32 counter: cmd 1 increments, cmd 2 reads."""
-
-    def increment(ctx: TaContext, args: bytes) -> GuestProgram:
-        yield Work(1)
-        count = struct.unpack("<I", ctx.read_state(0, 4))[0] + 1
-        ctx.write_state(0, struct.pack("<I", count))
-        return struct.pack("<I", count)
-
-    def get(ctx: TaContext, args: bytes) -> GuestProgram:
-        yield Work(1)
-        return ctx.read_state(0, 4)
-
-    return standard_loop(ctx, {1: increment, 2: get})
+register_ta("echo", 4, {0: _echo})
 
 
-@register_ta("spinner", mem_pages=4, cmd_ids=(1,))
-def spinner_program(ctx: TaContext) -> GuestProgram:
+# counter: a persistent u32; cmd 1 increments, cmd 2 reads
+
+def _counter_increment(ctx: TaContext, args: bytes) -> GuestProgram:
+    yield Work(1)
+    count = struct.unpack("<I", ctx.read_state(0, 4))[0] + 1
+    ctx.write_state(0, struct.pack("<I", count))
+    return struct.pack("<I", count)
+
+
+def _counter_get(ctx: TaContext, args: bytes) -> GuestProgram:
+    yield Work(1)
+    return ctx.read_state(0, 4)
+
+
+register_ta("counter", 4, {1: _counter_increment, 2: _counter_get})
+
+
+def _spin(ctx: TaContext, args: bytes) -> GuestProgram:
     """Burns work in slices so a timer can land mid-command."""
+    if len(args) >= 8:
+        slices, per_slice = struct.unpack("<II", args[:8])
+    else:
+        slices, per_slice = 8, 4
+    for _ in range(slices):
+        yield Work(per_slice)
+    return b"spun"
 
-    def spin(ctx: TaContext, args: bytes) -> GuestProgram:
-        if len(args) >= 8:
-            slices, per_slice = struct.unpack("<II", args[:8])
-        else:
-            slices, per_slice = 8, 4
-        for _ in range(slices):
-            yield Work(per_slice)
-        return b"spun"
 
-    return standard_loop(ctx, {1: spin})
+register_ta("spinner", 4, {1: _spin})
 
 
 # wallet state layout, relative to state_ipa
@@ -264,124 +275,115 @@ def wallet_tag(key: bytes, msg: bytes) -> bytes:
             + digest_chain(b"wallet/sign/b", key + msg))
 
 
-@register_ta("wallet", mem_pages=8, cmd_ids=(1, 2, 3, 4, 5, 6))
-def wallet_program(ctx: TaContext) -> GuestProgram:
-    """Key manager.  All secrets live in private state pages; the channel
-    only ever carries declared outputs (ok, key id, address, pubkey, tag,
-    verdict byte).
+# The wallet is a key manager.  All secrets live in private state pages;
+# the channel only ever carries declared outputs (ok, key id, address,
+# pubkey, tag, verdict byte).  Request payloads: 1: seed bytes; 2: empty;
+# 3,4: <I key_id; 5: <I key_id + msg; 6: <I key_id + msg + 64-byte tag
+# (tag last).
 
-    Request payloads: 1: seed bytes; 2: empty; 3,4: <I key_id;
-    5: <I key_id + msg; 6: <I key_id + msg + 64-byte tag (tag last).
-    """
+def _require_master(ctx: TaContext) -> Tuple[bytes, int]:
+    magic, count = _WALLET_HDR.unpack(ctx.read_state(0, 8))
+    if magic != WALLET_MAGIC:
+        raise NoMasterKey("no master key yet")
+    return ctx.read_state(_MASTER_OFF, _KEY_LEN), count
 
-    def _require_master(ctx: TaContext) -> Tuple[bytes, int]:
-        magic, count = _WALLET_HDR.unpack(ctx.read_state(0, 8))
-        if magic != WALLET_MAGIC:
-            raise NoMasterKey("no master key yet")
-        return ctx.read_state(_MASTER_OFF, _KEY_LEN), count
 
-    def _key(ctx: TaContext, key_id: int, count: int) -> bytes:
-        if key_id >= count:
-            raise BadKeyId("key %d of %d" % (key_id, count))
-        return ctx.read_state(_SLOTS_OFF + key_id * _KEY_LEN, _KEY_LEN)
+def _arg_key(ctx: TaContext, args: bytes) -> bytes:
+    """The derived key named by the <I key id that leads `args`."""
+    if len(args) < 4:
+        raise TaCommandError("missing key id")
+    _, count = _require_master(ctx)
+    key_id = struct.unpack("<I", args[:4])[0]
+    if key_id >= count:
+        raise BadKeyId("key %d of %d" % (key_id, count))
+    return ctx.read_state(_SLOTS_OFF + key_id * _KEY_LEN, _KEY_LEN)
 
-    def create_master(ctx: TaContext, args: bytes) -> GuestProgram:
-        yield Work(16)
-        master = wallet_master_key(args)
-        ctx.write_state(0, _WALLET_HDR.pack(WALLET_MAGIC, 0))
-        ctx.write_state(_MASTER_OFF, master)
-        return b"ok"
 
-    def derive(ctx: TaContext, args: bytes) -> GuestProgram:
-        yield Work(8)
-        master, count = _require_master(ctx)
-        if count >= MAX_KEYS:
-            raise TaCommandError("key table full")
-        key = wallet_derived_key(master, count)
-        ctx.write_state(_SLOTS_OFF + count * _KEY_LEN, key)
-        ctx.write_state(0, _WALLET_HDR.pack(WALLET_MAGIC, count + 1))
-        return struct.pack("<I", count)
+def _create_master(ctx: TaContext, args: bytes) -> GuestProgram:
+    yield Work(16)
+    master = wallet_master_key(args)
+    ctx.write_state(0, _WALLET_HDR.pack(WALLET_MAGIC, 0))
+    ctx.write_state(_MASTER_OFF, master)
+    return b"ok"
 
-    def address(ctx: TaContext, args: bytes) -> GuestProgram:
-        yield Work(4)
-        if len(args) < 4:
-            raise TaCommandError("missing key id")
-        _, count = _require_master(ctx)
-        key = _key(ctx, struct.unpack("<I", args[:4])[0], count)
-        return wallet_address(key)
 
-    def pubkey(ctx: TaContext, args: bytes) -> GuestProgram:
-        yield Work(4)
-        if len(args) < 4:
-            raise TaCommandError("missing key id")
-        _, count = _require_master(ctx)
-        key = _key(ctx, struct.unpack("<I", args[:4])[0], count)
-        return wallet_pubkey(key)
+def _derive(ctx: TaContext, args: bytes) -> GuestProgram:
+    yield Work(8)
+    master, count = _require_master(ctx)
+    if count >= MAX_KEYS:
+        raise TaCommandError("key table full")
+    key = wallet_derived_key(master, count)
+    ctx.write_state(_SLOTS_OFF + count * _KEY_LEN, key)
+    ctx.write_state(0, _WALLET_HDR.pack(WALLET_MAGIC, count + 1))
+    return struct.pack("<I", count)
 
-    def sign(ctx: TaContext, args: bytes) -> GuestProgram:
-        yield Work(8)
-        if len(args) < 4:
-            raise TaCommandError("missing key id")
-        _, count = _require_master(ctx)
-        key = _key(ctx, struct.unpack("<I", args[:4])[0], count)
-        return wallet_tag(key, args[4:])
 
-    def verify(ctx: TaContext, args: bytes) -> GuestProgram:
-        yield Work(8)
-        if len(args) < 4 + TAG_LEN:
-            raise TaCommandError("args too short for a tag")
-        _, count = _require_master(ctx)
-        key = _key(ctx, struct.unpack("<I", args[:4])[0], count)
-        msg, tag = args[4:-TAG_LEN], args[-TAG_LEN:]
-        ok = wallet_tag(key, msg) == tag
-        return b"\x01" if ok else b"\x00"
+def _address(ctx: TaContext, args: bytes) -> GuestProgram:
+    yield Work(4)
+    return wallet_address(_arg_key(ctx, args))
 
-    return standard_loop(ctx, {
-        CMD_CREATE_MASTER: create_master,
-        CMD_DERIVE: derive,
-        CMD_ADDRESS: address,
-        CMD_PUBKEY: pubkey,
-        CMD_SIGN: sign,
-        CMD_VERIFY: verify,
-    })
+
+def _pubkey(ctx: TaContext, args: bytes) -> GuestProgram:
+    yield Work(4)
+    return wallet_pubkey(_arg_key(ctx, args))
+
+
+def _sign(ctx: TaContext, args: bytes) -> GuestProgram:
+    yield Work(8)
+    return wallet_tag(_arg_key(ctx, args), args[4:])
+
+
+def _verify(ctx: TaContext, args: bytes) -> GuestProgram:
+    yield Work(8)
+    if len(args) < 4 + TAG_LEN:
+        raise TaCommandError("args too short for a tag")
+    key = _arg_key(ctx, args)
+    msg, tag = args[4:-TAG_LEN], args[-TAG_LEN:]
+    return b"\x01" if wallet_tag(key, msg) == tag else b"\x00"
+
+
+register_ta("wallet", 8, {
+    CMD_CREATE_MASTER: _create_master,
+    CMD_DERIVE: _derive,
+    CMD_ADDRESS: _address,
+    CMD_PUBKEY: _pubkey,
+    CMD_SIGN: _sign,
+    CMD_VERIFY: _verify,
+})
 
 
 # -- adversarial programs (used by the attack suite) ------------------------
 
-@register_ta("escalate", mem_pages=4, cmd_ids=(1,))
-def escalate_program(ctx: TaContext) -> GuestProgram:
+def _escalate(ctx: TaContext, args: bytes) -> GuestProgram:
     """Tries the two management hypercalls an enclave must never get."""
-
-    def attempt(ctx: TaContext, args: bytes) -> GuestProgram:
-        outcomes = []
-        try:
-            yield CreateEnclave((0, 1), ImageMeta(1, 1))
-            outcomes.append(b"create:allowed")
-        except PrivilegeViolation:
-            outcomes.append(b"create:denied")
-        try:
-            yield InvokeEnclave(1)
-            outcomes.append(b"invoke:allowed")
-        except PrivilegeViolation:
-            outcomes.append(b"invoke:denied")
-        return b",".join(outcomes)
-
-    return standard_loop(ctx, {1: attempt})
+    outcomes = []
+    try:
+        yield CreateEnclave((0, 1), ImageMeta(1, 1))
+        outcomes.append(b"create:allowed")
+    except PrivilegeViolation:
+        outcomes.append(b"create:denied")
+    try:
+        yield InvokeEnclave(1)
+        outcomes.append(b"invoke:allowed")
+    except PrivilegeViolation:
+        outcomes.append(b"invoke:denied")
+    return b",".join(outcomes)
 
 
-@register_ta("probe", mem_pages=4, cmd_ids=(1,))
-def probe_program(ctx: TaContext) -> GuestProgram:
+register_ta("escalate", 4, {1: _escalate})
+
+
+def _probe(ctx: TaContext, args: bytes) -> GuestProgram:
     """Reads an arbitrary IPA through the enclave's own table and reports
     what came back: data, or which fault."""
+    yield Work(1)
+    if len(args) < 8:
+        raise TaCommandError("need a <Q address")
+    (ipa,) = struct.unpack("<Q", args[:8])
+    out = ctx.read(ipa, 4)
+    if isinstance(out, AccessFault):
+        return b"fault:" + out.kind.value.encode("ascii")
+    return b"data:" + out.hex().encode("ascii")
 
-    def probe(ctx: TaContext, args: bytes) -> GuestProgram:
-        yield Work(1)
-        if len(args) < 8:
-            raise TaCommandError("need a <Q address")
-        (ipa,) = struct.unpack("<Q", args[:8])
-        out = ctx.read(ipa, 4)
-        if isinstance(out, AccessFault):
-            return b"fault:" + out.kind.value.encode("ascii")
-        return b"data:" + out.hex().encode("ascii")
 
-    return standard_loop(ctx, {1: probe})
+register_ta("probe", 4, {1: _probe})

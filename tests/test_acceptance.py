@@ -143,7 +143,7 @@ def test_criterion_7_identical_seed_gives_identical_trace(tmp_path):
     """
     paths = []
     for run in range(2):
-        result = run_scenario_text(text, name="replay")
+        result = run_scenario_text(text)
         assert result.ok, result.violations
         out = tmp_path / ("trace%d.jsonl" % run)
         result.sim.trace.write_jsonl(str(out))

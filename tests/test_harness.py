@@ -8,7 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from enclavesim.errors import ScenarioParseError, SimulationError
+from enclavesim.errors import (
+    HypercallError,
+    ScenarioParseError,
+    SimulationError,
+)
 from enclavesim.guest_os import EnclaveDriver
 from enclavesim.harness import (
     ExpectationFailed,
@@ -20,6 +24,7 @@ from enclavesim.harness import (
     check_frame_exclusivity,
     check_stack_integrity,
     check_trace_completeness,
+    fuzz_failed_creates,
     fuzz_lifecycles,
     fuzz_mixed,
     parse_scenario,
@@ -396,11 +401,47 @@ def test_scenario_bad_values_name_their_line(bad, lineno, tmp_path, capsys):
     assert "line %d: " % lineno in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bad, lineno", [
+    ("machine frames=0", 1),
+    ("machine frames=65537", 1),
+    ("machine pcpus=65", 1),
+    ("machine reserved=-1", 1),
+    ("machine frames=128 reserved=129", 1),
+    ("machine reserved=100\nmachine frames=99", 2),
+    ("machine max_vms=0", 1),
+])
+def test_scenario_rejects_machines_past_their_bounds(bad, lineno):
+    # parsing builds no machine, so no value here allocates anything
+    with pytest.raises(ScenarioParseError, match="^line %d: " % lineno):
+        parse_scenario(bad)
+
+
+def test_scenario_accepts_machines_at_their_bounds():
+    config = parse_scenario(
+        "machine frames=65536 pcpus=64 reserved=65536 max_vms=1").config
+    assert (config.frames, config.pcpus, config.os_reserved_pages,
+            config.max_vms) == (65536, 64, 65536, 1)
+
+
+def test_scenario_rand_payload_is_capped_at_machine_memory():
+    head = "machine frames=80\ncreate e echo\n"
+    # at the cap the payload is drawn and reaches the channel, too big for it
+    at_cap = run_scenario_text(head + "invoke e 0 rand:327680\n"
+                               "expect error ChannelTooLarge\n")
+    assert at_cap.ok, at_cap.violations
+    for past, lineno in (("invoke e 0 rand:327681\n", 3),
+                         ("invoke e 0 str:x\nexpect payload rand:327681\n",
+                          4)):
+        with pytest.raises(ScenarioParseError,
+                           match="^line %d: length" % lineno):
+            run_scenario_text(head + past)
+
+
 def test_bundled_scenarios_run_clean():
     paths = sorted(SCENARIO_DIR.glob("*.txt"))
     assert len(paths) >= 4
     for path in paths:
-        scenario = parse_scenario(path.read_text(), name=path.stem)
+        scenario = parse_scenario(path.read_text())
         result = run_scenario(scenario)
         assert result.ok, (path.name, result.violations)
 
@@ -419,7 +460,7 @@ GOLDEN_TRACE_SHA256 = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_SHA256))
 def test_bundled_scenario_traces_match_golden_digests(name):
     path = SCENARIO_DIR / (name + ".txt")
-    result = run_scenario(parse_scenario(path.read_text(), name=name))
+    result = run_scenario(parse_scenario(path.read_text()))
     assert result.ok, result.violations
     digest = hashlib.sha256(result.sim.trace.to_jsonl().encode()).hexdigest()
     assert digest == GOLDEN_TRACE_SHA256[name]
@@ -578,6 +619,24 @@ def test_failed_case_prints_its_statements_from_its_create(monkeypatch):
     assert report.script[int(lineno) - 1] == first
     var = first.split()[1]
     assert report.case_script[-1].split(": ", 1)[1] == "destroy " + var
+
+
+def test_create_fail_profile_catches_a_leaked_channel(monkeypatch):
+    create = EnclaveDriver.create
+
+    def leaky_create(self, image):
+        try:
+            return create(self, image)
+        except HypercallError:
+            # the rollback freed the channel pages; taking them again and
+            # dropping the allocation id is a leak
+            self.allocator.allocate_contiguous(image.channel_size_pages)
+            raise
+
+    monkeypatch.setattr(EnclaveDriver, "create", leaky_create)
+    report = fuzz_failed_creates(60)
+    assert not report.ok
+    assert "state changed across a failed create" in report.format()
 
 
 def test_cli_pack_image(tmp_path, capsys):

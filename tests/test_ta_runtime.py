@@ -1,4 +1,5 @@
 """Built-in enclave programs, checked against independent recomputation."""
+import hashlib
 import struct
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from enclavesim.channel import ChannelStatus
 from enclavesim.guest_os import EnclaveDriver
+from enclavesim.harness.scenario import run_scenario_text
 from enclavesim.machine import MachineConfig, PAGE_SHIFT
 from enclavesim.sim import Simulation
 from enclavesim.ta_runtime import (
@@ -51,6 +53,27 @@ def test_load_program_rejects_junk():
     assert load_program(b"TA!nosuchprogram\n" + bytes(4000)) is None
     assert load_program(b"TA!echo" + bytes(4000)) is None  # marker unterminated
     assert load_program(b"TA!\xff\xfe\n" + bytes(4000)) is None
+
+
+# sha256 of each registered image's packed bytes, and of one custom size
+IMAGE_PINS = {
+    "counter": "52c5d44a4936b67988200271e293f2540941a978e9591622bca916149e6495b5",
+    "echo": "f556535458581e6f2adff0cd051d4b3a4c086f95abc20cbb8d964658659be605",
+    "escalate": "7972b2b947db601564de02dc0565f542b288dca8a643bad04c0ff8770458df11",
+    "probe": "9c1c803a54b9f337881cfdc44067164d80cb84060ab69fe12617a7f8ce860bb7",
+    "spinner": "31b49573ca83f135694b8d3f2e6fdd98f8f5bd536726f8de8e15fed10f3d99d6",
+    "wallet": "4f556be1300d2389a470e6fa360efaa3e12c132d133dea96492eae75778fed80",
+}
+WALLET_12X2_PIN = \
+    "c7f5dae4050f21a229a099e0c67cc2cb1e1416d7430be518f5dc5161d540a788"
+
+
+def test_registered_images_are_pinned():
+    got = {n: hashlib.sha256(spec.image.pack()).hexdigest()
+           for n, spec in REGISTRY.items()}
+    assert got == IMAGE_PINS
+    custom = image_for_pages("wallet", 12, 2).pack()
+    assert hashlib.sha256(custom).hexdigest() == WALLET_12X2_PIN
 
 
 def test_image_for_pages_keeps_blob():
@@ -205,6 +228,33 @@ def test_wallet_secrets_stay_in_private_pages():
     assert master in blob
     for f in rec.channel_frames():
         assert master not in sim.machine.read_frame(f, 0, 4096)
+
+
+# -- state bounds -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("script", [
+    "create c counter mem=2\ninvoke c 1\nexpect status error\ndestroy c\n",
+    "create w wallet mem=2\ninvoke w 1 str:seed\nexpect status error\n"
+    "destroy w\n",
+], ids=["counter", "wallet"])
+def test_state_past_the_private_pages_is_an_error_reply(script):
+    """With no page after its code, a stateful program's state would be the
+    channel: the command fails instead, and the enclave can be destroyed."""
+    result = run_scenario_text(script)
+    assert result.ok, result.violations
+
+
+def test_wallet_without_a_state_page_keeps_its_key_out_of_the_channel():
+    sim, driver = make_driver()
+    fd = driver.create(image_for_pages("wallet", 2, 1))
+    assert driver.invoke(fd, CMD_CREATE_MASTER, b"seed") == \
+        (ChannelStatus.ERROR, b"")
+    channel = sim.vm_read(sim.hv.primary, driver.fd_info(fd).channel_ipa,
+                          4096)
+    master = wallet_master_key(b"seed")
+    assert not any(master[i:i + 4] in channel for i in range(29))
+    driver.destroy(fd)
 
 
 # -- adversarial programs -------------------------------------------------------

@@ -124,7 +124,7 @@ ALL_KINDS_SHA256 = \
 
 
 def test_every_event_kind_has_pinned_bytes():
-    result = run_scenario_text(ALL_KINDS_SCENARIO, name="all-kinds")
+    result = run_scenario_text(ALL_KINDS_SCENARIO)
     assert result.ok, result.violations
     kinds = {ev.kind for ev in result.sim.trace.events}
     assert kinds == {
