@@ -30,15 +30,14 @@ class OsAllocator:
 
     Pages are handed out lowest-numbered first; allocations are tracked by
     id so conservation (free + allocated = constant) is checkable from the
-    outside.  Freeing the most recent allocation also rolls the id counter
-    back, which keeps error paths perfectly invisible in later ids.
+    outside.  An allocation's id is its first page, which no other held
+    allocation can have, so a freed allocation leaves no trace in later ids.
     """
 
     def __init__(self, first_page: int, end_page: int):
         self.region = (first_page, end_page)
         self._free: List[int] = list(range(first_page, end_page))
         self.allocations: Dict[int, List[int]] = {}
-        self._next_aid = 1
 
     @property
     def free_count(self) -> int:
@@ -47,16 +46,13 @@ class OsAllocator:
     def snapshot(self) -> tuple:
         return (tuple(self._free),
                 tuple(sorted((aid, tuple(pages))
-                             for aid, pages in self.allocations.items())),
-                self._next_aid)
+                             for aid, pages in self.allocations.items())))
 
     def _take(self, pages: List[int]) -> Tuple[int, List[int]]:
         for p in pages:
             self._free.remove(p)
-        aid = self._next_aid
-        self._next_aid += 1
-        self.allocations[aid] = list(pages)
-        return aid, list(pages)
+        self.allocations[pages[0]] = list(pages)
+        return pages[0], list(pages)
 
     def allocate(self, n: int) -> Tuple[int, List[int]]:
         if n < 1:
@@ -82,8 +78,6 @@ class OsAllocator:
             raise DriverError("free of unknown allocation %d" % aid)
         for p in pages:
             self._insort(p)
-        if aid == self._next_aid - 1:
-            self._next_aid = aid
         return pages
 
     def _insort(self, page: int) -> None:
@@ -95,9 +89,7 @@ class OsAllocator:
 
 @dataclass
 class EnclaveFd:
-    fd: int
     handle: int
-    image: EnclaveImage
     priv_aid: int
     chan_aid: int
     chan_pages: List[int] = field(default_factory=list)
@@ -171,11 +163,10 @@ class EnclaveDriver:
             handle = self.hv.create_enclave(
                 self.sim.primary_vcpu(self.pcpu_id), priv + chan, meta)
         except (HypercallError, DriverError):
-            # undo in reverse order so allocation ids roll back too
             self.allocator.free(chan_aid)
             self.allocator.free(priv_aid)
             raise
-        rec = EnclaveFd(fd, handle, image, priv_aid, chan_aid, chan)
+        rec = EnclaveFd(handle, priv_aid, chan_aid, chan)
         rec.channel = ChannelView(self.sim.machine, self.hv.primary.table,
                                   rec.channel_ipa, image.channel_size_pages,
                                   "primary")

@@ -3,9 +3,14 @@
 Everything in here stands outside the simulator and checks it: shadow-state
 oracles that recompute what the hypervisor claims, an attack playbook that
 tries to break isolation on purpose, randomized fuzzers with reference
-models, and a cost benchmark.  The harness talks to the simulator only
-through observer hooks, guest-level accesses and raw physical inspection,
-never through the hypervisor's private bookkeeping.
+models, and a cost benchmark.  The harness acts on the simulator through
+the enclave driver, the hypervisor's public calls and guest-level
+accesses, and watches it through observer hooks and raw physical
+inspection.  Its checks also read the hypervisor's own records:
+``check_frame_exclusivity``, the confinement oracle and the secret scanner
+read the stage-2 tables of ``hv.vms``, ``check_stack_integrity`` walks the
+vCPU ``head``/``tail`` links, the create-fail fuzzer snapshots ``hv.vms``
+and ``hv.enclaves``, and ``sabotage_teardown`` replaces ``hv._teardown``.
 """
 from .oracles import (
     MemoryOracle,

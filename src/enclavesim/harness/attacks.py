@@ -28,7 +28,6 @@ from .oracles import SecretScanner
 @dataclass
 class AttackResult:
     name: str
-    goal: str
     attempts: int = 0
     contained: int = 0
     notes: List[str] = field(default_factory=list)
@@ -58,8 +57,7 @@ def _fresh(frames: int, seed: int) -> tuple:
 def attack_steal_runtime_memory(seed: int = 0) -> AttackResult:
     """Primary touches every donated private page of a live enclave; every
     single access must take a translation fault."""
-    res = AttackResult("steal-private-memory",
-                       "read or write live enclave memory from the primary")
+    res = AttackResult("steal-private-memory")
     sim, driver = _fresh(512, seed)
     fd = driver.create(image_for_pages("echo", 256, 1))
     rec = driver.record_of(fd)
@@ -86,8 +84,7 @@ def attack_steal_runtime_memory(seed: int = 0) -> AttackResult:
 def attack_scavenge_after_destroy(seed: int = 0) -> AttackResult:
     """Load secrets into a wallet, destroy it, then scavenge the reclaimed
     pages and all of RAM for residue."""
-    res = AttackResult("scavenge-after-destroy",
-                       "recover enclave data from reclaimed memory")
+    res = AttackResult("scavenge-after-destroy")
     sim, driver = _fresh(128, seed)
     fd = driver.create(image_for("wallet"))
     seed_bytes = sim.rng.randbytes(32)
@@ -112,8 +109,7 @@ def attack_scan_for_live_secrets(seed: int = 0) -> AttackResult:
     """While the wallet is live, sweep everything the primary can map for
     the master and derived keys.  The keys must exist in RAM (otherwise the
     scan proves nothing) yet be invisible to the primary."""
-    res = AttackResult("scan-live-secrets",
-                       "find key material in primary-reachable memory")
+    res = AttackResult("scan-live-secrets")
     sim, driver = _fresh(128, seed)
     fd = driver.create(image_for("wallet"))
     seed_bytes = sim.rng.randbytes(32)
@@ -136,8 +132,7 @@ def attack_scan_for_live_secrets(seed: int = 0) -> AttackResult:
 def attack_privilege_escalation(seed: int = 0) -> AttackResult:
     """An enclave issues the management hypercalls (create, invoke) that
     only the primary may use."""
-    res = AttackResult("privilege-escalation",
-                       "run management hypercalls from enclave context")
+    res = AttackResult("privilege-escalation")
     sim, driver = _fresh(128, seed)
     fd = driver.create(image_for("escalate"))
     _, ret = driver.invoke(fd, 1)
@@ -153,8 +148,7 @@ def attack_privilege_escalation(seed: int = 0) -> AttackResult:
 def attack_address_space_probe(seed: int = 0) -> AttackResult:
     """An enclave reads beyond its donated region.  Its address space must
     end exactly at the donation; inside stays readable."""
-    res = AttackResult("address-space-probe",
-                       "read outside the donation from enclave context")
+    res = AttackResult("address-space-probe")
     sim, driver = _fresh(128, seed)
     fd = driver.create(image_for("probe"))
     rec = driver.record_of(fd)

@@ -101,8 +101,8 @@ def fuzz_stack_ops(ops: int = 10000, seed: int = 0) -> FuzzReport:
     sim = Simulation(MachineConfig(frames=96, pcpus=pcpus), seed=seed)
     hv = sim.hv
     rng = random.Random(seed)
-    auxes = {p: [hv.make_aux_vcpu(p) for _ in range(6)]
-             for p in range(pcpus)}
+    auxes = {p: [hv.make_aux_vcpu(p, "aux%d" % (6 * p + i))
+                 for i in range(1, 7)] for p in range(pcpus)}
     by_name = {v.name: v for vs in auxes.values() for v in vs}
     bases = []
     for p in range(pcpus):

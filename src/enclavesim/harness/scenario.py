@@ -37,13 +37,17 @@ Format, one statement per line, `#` starts a comment:
     schedule a1
     yield                           # pop the running vcpu
 
-`expect` always refers to the immediately preceding action.  Adversary
-accesses and failed driver calls are recorded, never raised, so containment
-is scriptable; an error that the next statement does not `expect error`
-fails the run.  A successful adversary read leaves its bytes as the
-`payload`.  An adversary statement names the pages the variable's enclave
-was created with, so after `destroy` it probes the former pages: a
-reclaimed page reads as zeros, and one that was donated again faults.
+`expect` always refers to the immediately preceding action.  Every
+action's outcome is recorded, never raised, so containment is scriptable:
+an adversary access's fault, an exchange's status and payload, and any
+simulator error the action raises; an error that the next statement does
+not `expect error` fails the run.  A successful adversary read leaves its
+bytes as the `payload`.  An adversary statement names the pages the
+variable's enclave was created with, so after `destroy` it probes the
+former pages: a reclaimed page reads as zeros, and one that was donated
+again faults.  An `aux` name must not be a live VM's (`primary`,
+`enclaveN`, an earlier aux), or the action's error is `NameInUse`.  A
+`timer` delay is 0 to 2**32 - 1 cost units.
 
 The interpreter is the one way the harness acts on a simulation: the
 lifecycle and mixed fuzz profiles feed it their statements one at a time,
@@ -221,11 +225,24 @@ class _Runner:
     def execute(self, step: Step) -> None:
         """Run one statement.  An error that the statement before it left
         for an `expect error` raises ExpectationFailed unless this statement
-        is that `expect`."""
+        is that `expect`.  Any other statement's outcome replaces `last`,
+        a simulator error it raises included."""
         if self.unexpected is not None and not (
                 step.op == "expect" and step.args[:1] == ("error",)):
             raise ExpectationFailed(self.unexpected)
-        getattr(self, "_op_" + step.op)(step)
+        if step.op == "expect":
+            return self._op_expect(step)
+        self.last = {}
+        try:
+            getattr(self, "_op_" + step.op)(step)
+        except ScenarioParseError:
+            raise
+        except SimulationError as err:
+            name = type(err).__name__
+            self.last["error"] = name
+            self._say(step, "%s: %s" % (name, err))
+            self.unexpected = ("line %d: unexpected %s: %s"
+                               % (step.lineno, name, err))
 
     def finish(self) -> ScenarioResult:
         """The end battery: the standard checks and both watchdogs."""
@@ -237,19 +254,6 @@ class _Runner:
         return ScenarioResult(self.sim, self.driver, self.outputs, violations)
 
     # -- actions ----------------------------------------------------------
-
-    def _guard(self, step: Step, call, *args):
-        """Run a driver/hypervisor call, turning errors into recorded
-        outcomes instead of crashes."""
-        self.last = {}
-        try:
-            return call(*args)
-        except SimulationError as err:
-            self.last["error"] = type(err).__name__
-            self._say(step, "%s: %s" % (type(err).__name__, err))
-            self.unexpected = ("line %d: unexpected %s: %s"
-                               % (step.lineno, type(err).__name__, err))
-            return None
 
     def _op_create(self, step: Step) -> None:
         if len(step.args) < 2:
@@ -266,24 +270,20 @@ class _Runner:
             image = image_for_pages(ta_name,
                                     geom.get("mem", image.mem_size_pages),
                                     geom.get("chan", 1))
+        fd = self.driver.create(image)
+        rec = self.driver.record_of(fd)
+        self.fds[var] = fd
+        self.pages[var] = (rec.primary_private_pages(),
+                           rec.primary_channel_pages())
+        self._say(step, "create %s -> fd %d (%d+%d pages)" % (
+            var, fd, image.mem_size_pages, image.channel_size_pages))
 
-        def go():
-            fd = self.driver.create(image)
-            rec = self.driver.record_of(fd)
-            self.fds[var] = fd
-            self.pages[var] = (rec.primary_private_pages(),
-                               rec.primary_channel_pages())
-            self._say(step, "create %s -> fd %d (%d+%d pages)" % (
-                var, fd, image.mem_size_pages, image.channel_size_pages))
-        self._guard(step, go)
-
-    def _exchange(self, step: Step, what: str, call, *args) -> None:
+    def _exchange(self, step: Step, what: str,
+                  out: Tuple[ChannelStatus, bytes]) -> None:
         """An invoke or a resume: its status and payload are the outcome."""
-        out = self._guard(step, call, *args)
-        if out is not None:
-            self.last["status"], self.last["payload"] = out
-            self._say(step, "%s -> %s %s" % (what, out[0].name.lower(),
-                                             out[1].hex()))
+        self.last["status"], self.last["payload"] = out
+        self._say(step, "%s -> %s %s" % (what, out[0].name.lower(),
+                                         out[1].hex()))
 
     def _op_invoke(self, step: Step) -> None:
         if len(step.args) < 2:
@@ -294,37 +294,32 @@ class _Runner:
         if len(step.args) > 2:
             payload = self._payload(step, " ".join(step.args[2:]))
         self._exchange(step, "invoke %s cmd %d" % (step.args[0], cmd),
-                       self.driver.invoke, fd, cmd, payload)
+                       self.driver.invoke(fd, cmd, payload))
 
     def _op_resume(self, step: Step) -> None:
         if len(step.args) != 1:
             raise step.fail("resume needs: resume <var>")
         fd = self._fd(step, step.args[0])
         self._exchange(step, "resume " + step.args[0],
-                       self.driver.resume, fd)
+                       self.driver.resume(fd))
 
     def _op_destroy(self, step: Step) -> None:
         if len(step.args) != 1:
             raise step.fail("destroy needs: destroy <var>")
         fd = self._fd(step, step.args[0])
-
-        def go():
-            # the variable stays bound so a scripted second destroy can
-            # observe the driver's BadFd instead of a parse error
-            self.driver.destroy(fd)
-            self._say(step, "destroy " + step.args[0])
-        self._guard(step, go)
+        # the variable stays bound so a scripted second destroy can observe
+        # the driver's BadFd instead of a parse error
+        self.driver.destroy(fd)
+        self._say(step, "destroy " + step.args[0])
 
     def _op_timer(self, step: Step) -> None:
         if not step.args:
             raise step.fail("timer needs a delay")
-        delay = step.number(step.args[0])
+        delay = step.number(step.args[0], range(_U32), "delay")
         deadline = self.sim.arm_timer(delay, self._pcpu(step, step.args[1:]))
-        self.last = {}
         self._say(step, "timer armed for t=%d" % deadline)
 
     def _op_tick(self, step: Step) -> None:
-        self.last = {}
         self.sim.check_timers()
 
     def _op_adversary(self, step: Step) -> None:
@@ -339,7 +334,6 @@ class _Runner:
         pages = private if region == "private" else channel
         idx = step.number(step.args[3], range(len(pages)), "page index")
         ipa = pages[idx] << PAGE_SHIFT
-        self.last = {}
         if mode == "read":
             out = self.sim.vm_read(self.sim.hv.primary, ipa, 16)
         else:
@@ -361,7 +355,6 @@ class _Runner:
         name = step.args[0]
         self.auxes[name] = self.sim.hv.make_aux_vcpu(
             self._pcpu(step, step.args[1:]), name)
-        self.last = {}
 
     def _resolve_vcpu(self, step: Step, name: str):
         if name == "primary":
@@ -374,22 +367,18 @@ class _Runner:
         if not step.args:
             raise step.fail("schedule needs a vcpu name")
         vcpu = self._resolve_vcpu(step, step.args[0])
-        self._guard(step, self.sim.hv.schedule_vcpu, vcpu.pcpu, vcpu)
+        self.sim.hv.schedule_vcpu(vcpu.pcpu, vcpu)
 
     def _op_yield(self, step: Step) -> None:
-        pcpu = self._pcpu(step, step.args)
-        self._guard(step, self.sim.hv.yield_vcpu, pcpu)
+        self.sim.hv.yield_vcpu(self._pcpu(step, step.args))
 
     def _op_interrupt(self, step: Step) -> None:
         if not step.args:
             raise step.fail("interrupt needs a vcpu name")
         vcpu = self._resolve_vcpu(step, step.args[0])
-
-        def go():
-            outcome = self.sim.hv.deliver_interrupt(vcpu.pcpu, vcpu)
-            self.last["outcome"] = outcome
-            self._say(step, "interrupt %s -> %s" % (step.args[0], outcome))
-        self._guard(step, go)
+        outcome = self.sim.hv.deliver_interrupt(vcpu.pcpu, vcpu)
+        self.last["outcome"] = outcome
+        self._say(step, "interrupt %s -> %s" % (step.args[0], outcome))
 
     # -- expectations -------------------------------------------------------
 

@@ -42,6 +42,7 @@ from .errors import (
     Exhausted,
     HypercallError,
     InvalidDonation,
+    NameInUse,
     NoParent,
     PageNotMapped,
     PrivilegeViolation,
@@ -213,7 +214,6 @@ class Hypervisor:
         self.enclaves: Dict[int, EnclaveRecord] = {}
         self._next_vmid = 0
         self._next_handle = 1
-        self._aux_count = 0
         self._shared_frames: set = set()   # channel frames of live enclaves
         self.primary = self._boot_primary()
 
@@ -233,9 +233,10 @@ class Hypervisor:
         vm = self._new_vm(VmKind.PRIMARY, "primary", range(len(pcpus)))
         for pcpu, vcpu in zip(pcpus, vm.vcpus):
             pcpu.current_vcpu = vcpu
-        # the primary starts owning every frame, identity mapped
-        for frame in range(self.machine.n_frames):
-            vm.table.map(frame, frame, PERM_RWX)
+        # the primary starts owning every frame, identity mapped; no observer
+        # exists yet, so the table is built whole and charges nothing
+        vm.table.entries = {f: (f, PERM_RWX)
+                            for f in range(self.machine.n_frames)}
         return vm
 
     # -- stack primitives -------------------------------------------------
@@ -553,13 +554,14 @@ class Hypervisor:
 
     # -- raw scheduling for tests and demos -----------------------------------
 
-    def make_aux_vcpu(self, pcpu_id: int, name: Optional[str] = None) -> Vcpu:
+    def make_aux_vcpu(self, pcpu_id: int, name: str) -> Vcpu:
         """A schedulable vCPU with no memory and no program, for exercising
-        the stacking machinery directly."""
+        the stacking machinery directly.  `name` names its VM, so no live
+        VM may have it already."""
         self.check_pcpu(pcpu_id)
-        self._aux_count += 1
-        label = name or ("aux%d" % self._aux_count)
-        return self._new_vm(VmKind.ENCLAVE, label, (pcpu_id,)).vcpus[0]
+        if any(vm.name == name for vm in self.vms.values()):
+            raise NameInUse("a live vm is named %r" % name)
+        return self._new_vm(VmKind.ENCLAVE, name, (pcpu_id,)).vcpus[0]
 
     def schedule_vcpu(self, pcpu_id: int, vcpu: Vcpu) -> None:
         """Push `vcpu` onto a pCPU's stack without privilege checks."""

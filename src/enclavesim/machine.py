@@ -101,13 +101,6 @@ class CostLedger:
         return (self.pt_ops + self.ctx_switches + self.hypercalls
                 + self.work_units + self.zero_bytes // PAGE_SIZE)
 
-    def reset(self) -> None:
-        self.pt_ops = 0
-        self.zero_bytes = 0
-        self.ctx_switches = 0
-        self.hypercalls = 0
-        self.work_units = 0
-
 
 @dataclass
 class Pcpu:

@@ -16,6 +16,7 @@ import heapq
 import random
 from typing import List, Optional, Tuple, Union
 
+from .errors import SimulationError
 from .hypervisor import Hypercall, Hypervisor, Resumption, Vcpu, Vm
 from .machine import MachineConfig, Observer, PhysicalMachine
 from .stage2 import Access, AccessFault, Perms, guest_access
@@ -106,10 +107,7 @@ class Simulation:
         self.machine = PhysicalMachine(config)
         self.hv = Hypervisor(self.machine, program_loader, self.check_timers)
         self.trace = TraceRecorder(self.machine.ledger.units)
-        self.seed = seed
         self.rng = random.Random(seed)
-        # boot work (identity mapping) is setup, not measured activity
-        self.machine.ledger.reset()
         self.machine.observers.append(TraceObserver(self))
         cfg = self.machine.config
         self.trace.emit("boot", 0, self.machine.pcpus[0].current_vcpu.name,
@@ -128,6 +126,8 @@ class Simulation:
         """Schedule an interrupt for the primary vCPU of `pcpu_id` once the
         ledger clock reaches now()+delay.  Returns the deadline."""
         self.hv.check_pcpu(pcpu_id)
+        if delay < 0:
+            raise SimulationError("negative timer delay %d" % delay)
         deadline = self.now() + delay
         heapq.heappush(self._timers, (deadline, self._timer_seq, pcpu_id))
         self._timer_seq += 1

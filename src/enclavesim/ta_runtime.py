@@ -135,7 +135,6 @@ def standard_loop(ctx: TaContext,
 
 @dataclass(frozen=True)
 class TaSpec:
-    name: str
     image: EnclaveImage
     handlers: Dict[int, Handler]
 
@@ -148,7 +147,7 @@ def register_ta(name: str, mem_pages: int,
     """Register a program: its handler table, served by `standard_loop`.
     The image's command table is the handlers' keys, in order."""
     image = build_image(name, mem_pages, tuple(handlers))
-    REGISTRY[name] = TaSpec(name, image, handlers)
+    REGISTRY[name] = TaSpec(image, handlers)
 
 
 def image_for(name: str) -> EnclaveImage:

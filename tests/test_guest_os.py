@@ -69,16 +69,16 @@ def test_aid_rollback_keeps_error_paths_invisible():
     aid, _ = alloc.allocate(3)
     alloc.free(aid)
     assert alloc.snapshot() == snap
-    # freeing the most recent allocation rolls the counter back...
-    a, _ = alloc.allocate(1)
-    b, _ = alloc.allocate(1)
-    alloc.free(b)
-    c, _ = alloc.allocate(1)
-    assert c == b
-    # ...but freeing an older one does not
+    # an allocation's id is its first page: page 10, freed and taken
+    # again, names its new allocation too
+    a, pages_a = alloc.allocate(1)
+    b, pages_b = alloc.allocate(2)
+    assert (a, b) == (pages_a[0], pages_b[0]) == (10, 11)
     alloc.free(a)
-    d, _ = alloc.allocate(1)
-    assert d == c + 1
+    c, pages_c = alloc.allocate_contiguous(3)
+    assert c == pages_c[0] == 13
+    d, pages_d = alloc.allocate(1)
+    assert d == pages_d[0] == 10
 
 
 @settings(max_examples=100, deadline=None)

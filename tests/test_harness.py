@@ -27,6 +27,7 @@ from enclavesim.harness import (
     fuzz_failed_creates,
     fuzz_lifecycles,
     fuzz_mixed,
+    fuzz_stack_ops,
     parse_scenario,
     run_scenario,
     run_scenario_text,
@@ -34,6 +35,7 @@ from enclavesim.harness import (
     standard_checks,
     verify_oracle_sensitivity,
 )
+from enclavesim.harness import fuzz as fuzz_module
 from enclavesim.harness import scenario as scenario_module
 from enclavesim.harness.cli import main as cli_main
 from enclavesim.hypervisor import Hypervisor, ImageMeta
@@ -364,6 +366,55 @@ def test_scenario_unexpected_error_fails_naming_its_line(script):
         run_scenario_text(script)
 
 
+@pytest.mark.parametrize("script, lineno", [
+    ("aux a\nschedule a\naux a\nschedule a", 3),
+    ("aux primary", 1),
+])
+def test_scenario_aux_name_in_use_is_an_outcome(script, lineno):
+    with pytest.raises(ExpectationFailed,
+                       match="^line %d: unexpected NameInUse: " % lineno):
+        run_scenario_text(script)
+    # expected, the refused aux leaves no vm and no event behind
+    lines = script.splitlines()
+    refused = run_scenario_text("\n".join(
+        lines[:lineno] + ["expect error NameInUse"]))
+    clean = run_scenario_text("\n".join(lines[:lineno - 1]))
+    assert refused.ok, refused.violations
+    assert refused.outputs[-1].startswith("line %d: NameInUse: " % lineno)
+    assert refused.sim.hv.vms.keys() == clean.sim.hv.vms.keys()
+    assert refused.sim.trace.to_jsonl() == clean.sim.trace.to_jsonl()
+
+
+# the call under each action, and a script whose line 2 runs that action
+_ACTION_CALLS = {
+    "timer": ("arm_timer", "create e echo\ntimer 5"),
+    "tick": ("check_timers", "create e echo\ntick"),
+    "adversary": ("vm_read", "create e echo\nadversary read e private 0"),
+}
+
+
+@pytest.mark.parametrize("action", sorted(_ACTION_CALLS))
+def test_every_actions_simulator_error_is_its_outcome(action, monkeypatch):
+    call, script = _ACTION_CALLS[action]
+
+    def boom(*args, **kwargs):
+        raise SimulationError("boom")
+
+    monkeypatch.setattr(Simulation, call, boom)
+    result = run_scenario_text(script + "\nexpect error SimulationError")
+    assert result.ok, result.violations
+    assert result.outputs[-1] == "line 2: SimulationError: boom"
+    with pytest.raises(ExpectationFailed,
+                       match="^line 2: unexpected SimulationError: boom$"):
+        run_scenario_text(script)
+
+
+def test_scenario_timer_delay_is_at_least_zero():
+    with pytest.raises(ScenarioParseError, match="^line 2: delay -50 not in "):
+        run_scenario_text("create e echo\ntimer -50")
+    assert run_scenario_text("timer 0\ntimer 4294967295").ok
+
+
 @pytest.mark.parametrize("bad", [
     "warp 9",
     "create e echo\nmachine frames=64",
@@ -464,6 +515,25 @@ def test_bundled_scenario_traces_match_golden_digests(name):
     assert result.ok, result.violations
     digest = hashlib.sha256(result.sim.trace.to_jsonl().encode()).hexdigest()
     assert digest == GOLDEN_TRACE_SHA256[name]
+
+
+# SHA-256 of what `enclavesim run NAME.txt` prints, run from scenarios/:
+# every statement's output line and the closing `ok` line.
+GOLDEN_STDOUT_SHA256 = {
+    "adversary_demo": "ee8fd2a24c9baa219f4b9c612f03ca8400a194e58d517586f07edc7f61dfd285",
+    "preempt_demo": "a7294c7d364c5b9a36588f3634c0d7ab97252c5354102c6b4515d075dfafe5b7",
+    "stack_demo": "58140615ba3f99301d83b5b90ba20fc207dd40e880e9c6ab3b029801d6ff0327",
+    "wallet_demo": "881e871b7f38a5c37574179327e3b5b61dc55aedd9e35493cd505c0bc32b2f60",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT_SHA256))
+def test_bundled_scenario_stdout_matches_golden_digests(name, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(SCENARIO_DIR)
+    assert cli_main(["run", name + ".txt"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_STDOUT_SHA256[name]
 
 
 def test_scenarios_are_deterministic():
@@ -595,6 +665,25 @@ def test_fuzz_script_replays_to_the_same_trace(fuzz, cases, monkeypatch,
     path.write_text(text)
     assert cli_main(["run", str(path)]) == 0
     capsys.readouterr()
+
+
+def test_stack_profile_trace_and_ledger_are_pinned(monkeypatch):
+    sims = []
+
+    class Recorded(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(fuzz_module, "Simulation", Recorded)
+    report = fuzz_stack_ops(2000, seed=2)
+    assert report.ok, report.format()
+    (sim,) = sims
+    assert hashlib.sha256(sim.trace.to_jsonl().encode()).hexdigest() == (
+        "27fe46b74d6298649fbaa516913c7d24603bed5912c5ccc8b7882ad5c719d085")
+    assert sim.machine.ledger.snapshot() == {
+        "pt_ops": 0, "zero_bytes": 0, "ctx_switches": 1217, "hypercalls": 0,
+        "work_units": 0}
 
 
 def test_fuzz_mixed_checks_its_final_teardown(monkeypatch):

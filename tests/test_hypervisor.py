@@ -8,6 +8,7 @@ from enclavesim.errors import (
     EnclaveDestroyed,
     Exhausted,
     InvalidDonation,
+    NameInUse,
     NoParent,
     PageNotMapped,
     PrivilegeViolation,
@@ -421,6 +422,32 @@ def test_interrupt_checks_pcpu():
         sim.hv.deliver_interrupt(0, other)
     with pytest.raises(WrongPcpu):
         sim.hv.schedule_vcpu(0, other)
+
+
+def test_arm_timer_rejects_a_negative_delay():
+    sim = boot()
+    events, now = len(sim.trace.events), sim.now()
+    with pytest.raises(SimulationError, match="^negative timer delay -50$"):
+        sim.arm_timer(-50)
+    assert len(sim.trace.events) == events
+    # nothing was queued: a timer can only fire at or after boot
+    sim.check_timers()
+    assert len(sim.trace.events) == events and sim.now() == now
+    assert sim.arm_timer(0) == now
+
+
+@pytest.mark.parametrize("taken", ["a", "primary", "enclave1"])
+def test_aux_names_must_be_unused(taken):
+    sim = boot()
+    hv = sim.hv
+    EnclaveDriver(sim).create(image_for_pages("echo", 3, 1))
+    hv.schedule_vcpu(0, hv.make_aux_vcpu(0, "a"))
+    events, vms = len(sim.trace.events), dict(hv.vms)
+    with pytest.raises(NameInUse, match="^a live vm is named %r$" % taken):
+        hv.make_aux_vcpu(0, taken)
+    assert len(sim.trace.events) == events
+    assert hv.vms == vms
+    assert [v.name for v in hv.stack_of(0)] == ["primary.v0", "a.v0"]
 
 
 @pytest.mark.parametrize("pcpu", [-1, 1], ids=["minus-one", "pcpus"])
