@@ -58,6 +58,9 @@ LEGAL_TRANSITIONS = {
 }
 
 _STATUS_WORD = struct.Struct("<I")
+# raw status word -> ChannelStatus; one dict lookup, where calling the enum
+# goes through its metaclass and a try/except
+_STATUS_OF = {int(st): st for st in ChannelStatus}
 
 
 class ChannelView:
@@ -110,10 +113,9 @@ class ChannelView:
         has just written the payload hands it over; otherwise it is read."""
         header = self._read(0, HEADER_LEN)
         _, old_raw, _, arg_len, ret_len = CHANNEL_HEADER.unpack(header)
-        try:
-            old = ChannelStatus(old_raw)
-        except ValueError:
-            raise ChannelError("corrupt channel status %d" % old_raw) from None
+        old = _STATUS_OF.get(old_raw)
+        if old is None:
+            raise ChannelError("corrupt channel status %d" % old_raw)
         if (old, new) not in LEGAL_TRANSITIONS:
             raise ChannelError("illegal channel transition %s -> %s"
                                % (old.name, new.name))
@@ -195,10 +197,9 @@ class ChannelView:
         magic, st_raw, _, _, ret_len = self.read_header()
         if magic != CHANNEL_MAGIC:
             raise ChannelError("bad channel magic %r" % magic)
-        try:
-            st = ChannelStatus(st_raw)
-        except ValueError:
-            raise ChannelError("corrupt channel status %d" % st_raw) from None
+        st = _STATUS_OF.get(st_raw)
+        if st is None:
+            raise ChannelError("corrupt channel status %d" % st_raw)
         if st not in (ChannelStatus.DONE, ChannelStatus.ERROR):
             return st, b""
         if ret_len > self.capacity:

@@ -67,7 +67,10 @@ class Observer:
 
     def on_channel(self, side: str, old: int, new: int,
                    header: bytes, payload: bytes) -> None:
-        pass
+        """A channel status transition by `side`.  `header` is the header as
+        it reads after the transition, `payload` the active payload: the
+        request's args for REQUEST, the reply for DONE and ERROR, empty for
+        PREEMPTED."""
 
 
 @dataclass

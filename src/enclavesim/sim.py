@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import zlib
 from typing import List, Optional, Tuple, Union
 
 from .errors import SimulationError
@@ -95,7 +96,8 @@ class TraceObserver(Observer):
                    header: bytes, payload: bytes) -> None:
         self.trace.emit("channel", 0, self.pcpu0.current_vcpu.name,
                         {"side": side, "old": old, "new": new,
-                         "header": header.hex(), "payload": payload.hex()})
+                         "header": header.hex(),
+                         "payload_crc32": zlib.crc32(payload)})
 
 
 class Simulation:

@@ -11,6 +11,15 @@ is an immutable named tuple of its six fields; a recorded event is never
 changed.  ``TraceRecorder.emit`` keeps the detail dict it is given without a
 copy, so every caller passes a fresh dict built for that one event.
 
+The trace records events, not copies of guest data.  A ``channel`` event's
+detail is ``side``, ``old`` and ``new`` (status words), ``header`` (the
+20-byte channel header as it reads after the transition, in hex) and
+``payload_crc32`` (``zlib.crc32`` of the active payload, an int); the
+payload's length is the header's ``arg_len`` or ``ret_len``.  The payload
+bytes themselves are not traced: a CRC is enough to show where two runs
+diverge, and rerunning the scenario script reproduces the bytes, which an
+``Observer.on_channel`` hook receives.
+
 One event is one line, its six keys in sorted order and no spaces:
 
     {"detail":{...},"event":"s2_map","pcpu":0,"step":7,"t":12,"vcpu":"primary.v0"}

@@ -154,6 +154,17 @@ def test_corrupt_status_detected():
         primary._set_status(ChannelStatus.REQUEST)
 
 
+@pytest.mark.parametrize("word", [5, 99, 2**32 - 1])
+def test_corrupt_status_message_names_the_word(word):
+    _, primary, enclave = make_channel()
+    primary._write(4, word.to_bytes(4, "little"))
+    for step in (primary.read_response,
+                 lambda: primary._set_status(ChannelStatus.REQUEST)):
+        with pytest.raises(ChannelError) as info:
+            step()
+        assert str(info.value) == "corrupt channel status %d" % word
+
+
 def test_bad_magic_detected():
     _, primary, enclave = make_channel()
     primary._write(0, b"XXXX")

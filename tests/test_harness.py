@@ -501,10 +501,10 @@ def test_bundled_scenarios_run_clean():
 # behaviour, cost or the trace format shows up here; re-bless these only on
 # purpose and say why.
 GOLDEN_TRACE_SHA256 = {
-    "adversary_demo": "d12098c07fb3d3876276f9b140ba39bd1dad099d71a6a815a825435a7a948d6a",
-    "preempt_demo": "b677f0fe5396d8743fe1c3864cb7bdb6a0d3b2d599ff956aa398f85abd83d40f",
+    "adversary_demo": "b2d079407faece6ce3d2559adbe766030e6001584f6af77daa89dfa94a7704df",
+    "preempt_demo": "892374085c7bad1fd2bd2261dec4113f11a43b31e3d9bf3691e89ded9c21af68",
     "stack_demo": "bfe06b698db14bae2e212f7569c2c806bdce633cb7870f01a376464a2ce3f08d",
-    "wallet_demo": "52525fb8913ca3bdcf875c51743e57bf47b62c39860d6f1a8890c523f728bf91",
+    "wallet_demo": "5a3767eb73dcee7fd938efad2db9e9cbeadfd1a7fde7b3f589df33677ebc89a2",
 }
 
 

@@ -43,10 +43,10 @@ def test_tracer_installs_and_restores_every_wrapped_name(monkeypatch):
 # trace sha256 and ledger of a 6-op seed-7 round; a change to the trace
 # bytes or the cost model of either workload fails here
 ROUND_PINS = {
-    "churn": ("3b9eb6704e9e6722c7ad7acbf0aefa476a73cd25c92f32967ed5338d8a3f58a3",
+    "churn": ("36194cc3a4a5b11434066d281e27a6f78f7a88db13b56f4d9ffc5e51eb3ce43f",
               {"pt_ops": 124, "zero_bytes": 126976, "ctx_switches": 20,
                "hypercalls": 32, "work_units": 45}),
-    "invoke": ("b1be6396753c8db9131af8b48eef3a541f5f60069408881ec4f13593e42f9c37",
+    "invoke": ("deefea0147e79e6658d1758ba8d0fcb40bd38d0e02ba44337fa9cb576cf22f05",
                {"pt_ops": 60, "zero_bytes": 0, "ctx_switches": 22,
                 "hypercalls": 27, "work_units": 118}),
 }

@@ -4,9 +4,11 @@ details, vCPU names) is what the record says it is."""
 import dataclasses
 import hashlib
 import json
+import zlib
 
 import pytest
 
+from enclavesim.channel import ChannelStatus
 from enclavesim.guest_os import EnclaveDriver
 from enclavesim.harness.scenario import run_scenario_text
 from enclavesim.hypervisor import (
@@ -17,7 +19,7 @@ from enclavesim.hypervisor import (
     ImageMeta,
     InvokeEnclave,
 )
-from enclavesim.machine import MachineConfig
+from enclavesim.machine import MachineConfig, Observer
 from enclavesim.sim import Simulation, _call_detail
 from enclavesim.ta_runtime import image_for
 from enclavesim.trace import TraceRecorder
@@ -120,7 +122,7 @@ expect error Exhausted
 destroy s
 """
 ALL_KINDS_SHA256 = \
-    "c0fae54cf450127147c3735cc0cc3b3140394f09d8bdc9ba53a7cff6ffc1d443"
+    "9775558bd0ae2881f21dabd003e44acad28b9e121a8481f947ed52c6d84b1a78"
 
 
 def test_every_event_kind_has_pinned_bytes():
@@ -133,3 +135,64 @@ def test_every_event_kind_has_pinned_bytes():
         "interrupt", "channel", "timer_armed", "timer_fired"}
     jsonl = result.sim.trace.to_jsonl().encode()
     assert hashlib.sha256(jsonl).hexdigest() == ALL_KINDS_SHA256
+
+
+# -- channel events carry a CRC-32 of the payload, not a copy of it --------
+
+
+class ChannelRecorder(Observer):
+    """Keeps what each channel transition handed the observers."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_channel(self, side, old, new, header, payload):
+        self.calls.append((side, old, new, header, payload))
+
+
+def _echo_run(*payloads, observer=None):
+    """One echo enclave invoked once per payload; returns the simulation."""
+    sim = Simulation(MachineConfig(frames=256))
+    if observer is not None:
+        sim.machine.observers.append(observer)
+    driver = EnclaveDriver(sim)
+    fd = driver.create(image_for("echo"))
+    for payload in payloads:
+        assert driver.invoke(fd, 0, payload) == (ChannelStatus.DONE, payload)
+    assert driver.invoke(fd, 99, b"?") == (ChannelStatus.ERROR, b"")
+    return sim
+
+
+def test_channel_event_crc_is_of_the_bytes_the_observers_were_handed():
+    rec = ChannelRecorder()
+    sim = _echo_run(b"", b"x", bytes(range(256)) * 3, observer=rec)
+    details = [ev.detail for ev in sim.trace.events if ev.kind == "channel"]
+    assert len(details) == len(rec.calls) == 8
+    for detail, (side, old, new, header, payload) in zip(details, rec.calls):
+        assert detail == {"side": side, "old": old, "new": new,
+                          "header": header.hex(),
+                          "payload_crc32": zlib.crc32(payload)}
+
+
+def test_one_payload_byte_changes_only_channel_events():
+    payload = bytes(range(1, 200))
+    flipped = payload[:77] + b"\xff" + payload[78:]
+    a = _echo_run(payload).trace.events
+    b = _echo_run(flipped).trace.events
+    assert len(a) == len(b)
+    differ = [x.kind for x, y in zip(a, b) if x != y]
+    # the request and the reply carry the changed byte
+    assert differ == ["channel", "channel"]
+
+
+def test_channel_line_length_does_not_grow_with_the_payload():
+    def longest_channel_line(n):
+        """Longest channel line of one echo of `n` bytes, its CRC counted
+        at the ten digits of the widest u32."""
+        payload = (b"enclave-payload:" * 256)[:n]
+        sim = _echo_run(payload)
+        return max(len(line) - len(str(json.loads(line)["detail"]
+                                       ["payload_crc32"])) + 10
+                   for line in sim.trace.to_jsonl().splitlines()
+                   if '"event":"channel"' in line)
+    assert longest_channel_line(16) == longest_channel_line(4000) < 200
