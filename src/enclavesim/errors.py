@@ -9,6 +9,10 @@ class SimulationError(Exception):
     """Base class for all simulator errors."""
 
 
+class ConfigError(SimulationError):
+    """A machine configuration outside the bounds the simulator accepts."""
+
+
 class OutOfRange(SimulationError):
     """Frame index or offset outside physical memory bounds."""
 

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..hypervisor import Hypervisor, Vcpu, VmKind
 from ..machine import PAGE_SIZE, Observer, PhysicalMachine
-from ..stage2 import Perms
+from ..stage2 import PERM_RWX, Perms, Stage2Table
 
 
 # -- physical memory shadow ---------------------------------------------------
@@ -20,9 +20,11 @@ from ..stage2 import Perms
 class MemoryOracle(Observer):
     """Mirror of frame contents built purely from write/zero callbacks.
 
-    If any code path mutates a frame without going through the machine's
-    write or zero primitives, the mirror and the real memory drift apart and
-    verify() reports the frame.
+    The mirror is sparse like the machine: a frame has a buffer from its
+    first write event until its next zero event and reads as zeros
+    otherwise.  If any code path mutates a frame without going through the
+    machine's write or zero primitives, the mirror and the real memory drift
+    apart and verify() reports the frame.
     """
 
     def __init__(self, machine: PhysicalMachine):
@@ -40,32 +42,50 @@ class MemoryOracle(Observer):
         self._frame(frame)[offset:offset + len(data)] = data
 
     def on_zero(self, frame: int) -> None:
-        self._shadow[frame] = bytearray(PAGE_SIZE)
+        self._shadow.pop(frame, None)
 
     def verify(self) -> List[str]:
-        """Compare the mirror to physical memory; untouched frames must
-        still hold their boot-time zeros."""
+        """Compare the mirror to physical memory over every frame that either
+        holds a buffer for; any other frame reads as zeros on both sides."""
         problems = []
-        for frame in range(self.machine.n_frames):
+        for frame in sorted(self._shadow.keys() | self.machine.frames.keys()):
             real = self.machine.read_frame(frame, 0, PAGE_SIZE)
             mirrored = self._shadow.get(frame)
             if mirrored is None:
                 if any(real):
                     problems.append("frame %d modified with no write event"
                                     % frame)
-            elif bytes(mirrored) != real:
+            elif mirrored != real:
                 problems.append("frame %d diverges from write history" % frame)
         return problems
 
 
 # -- mapping exclusivity ------------------------------------------------------
 
+def _unmapped_frames(table: Stage2Table) -> Set[int]:
+    """The frames an identity table over every frame maps no page to, read
+    from its exceptions alone: each excepted page's own frame, unless some
+    exception maps that frame back in."""
+    exceptions = table.snapshot()
+    return ({p for p in exceptions if 0 <= p < table.identity_pages}
+            - {entry[0] for entry in exceptions.values() if entry is not None})
+
+
 def _mappers(hv: Hypervisor) -> Dict[int, List[Tuple[int, VmKind, Perms]]]:
-    """frame -> [(vmid, kind, perms)] over every live VM's table."""
+    """frame -> [(vmid, kind, perms)] for every frame that some table maps
+    other than by the primary's identity default, that default included.
+    A frame left out is mapped by the primary's identity page alone, or by
+    nothing."""
     owners: Dict[int, List[Tuple[int, VmKind, Perms]]] = {}
     for vm in hv.vms.values():
-        for ipa_page, (frame, perms) in vm.table.snapshot().items():
-            owners.setdefault(frame, []).append((vm.vmid, vm.kind, perms))
+        for entry in vm.table.snapshot().values():
+            if entry is not None:
+                frame, perms = entry
+                owners.setdefault(frame, []).append((vm.vmid, vm.kind, perms))
+    primary, excepted = hv.primary, hv.primary.table.snapshot()
+    for frame, mappers in owners.items():
+        if frame < primary.table.identity_pages and frame not in excepted:
+            mappers.insert(0, (primary.vmid, primary.kind, PERM_RWX))
     return owners
 
 
@@ -81,7 +101,9 @@ def check_frame_exclusivity(hv: Hypervisor,
     """
     problems = []
     shared_seen: Set[int] = set()
-    for frame, owners in _mappers(hv).items():
+    mappers = _mappers(hv)
+    for frame in sorted(mappers):
+        owners = mappers[frame]
         if len(owners) <= 1:
             continue
         shared_seen.add(frame)
@@ -203,6 +225,17 @@ class ReferenceStackModel:
 
 # -- secret scanning ----------------------------------------------------------
 
+def _find_all(data: bytes, patterns: Sequence[bytes]) -> List[Tuple[int, int]]:
+    """(offset, pattern_index) of every occurrence in `data`."""
+    hits = []
+    for pi, pat in enumerate(patterns):
+        start = data.find(pat)
+        while start >= 0:
+            hits.append((start, pi))
+            start = data.find(pat, start + 1)
+    return hits
+
+
 class SecretScanner:
     """Looks for known secret byte patterns in physical memory."""
 
@@ -211,25 +244,33 @@ class SecretScanner:
 
     def scan_frames(self, patterns: Sequence[bytes],
                     frames: Optional[Sequence[int]] = None) -> List[Tuple[int, int, int]]:
-        """(frame, offset, pattern_index) for every occurrence."""
-        hits = []
+        """(frame, offset, pattern_index) for every occurrence, over
+        `frames` or else every frame.  A frame that reads as zeros has the
+        zero page's hits, found once; so the default sweep visits only the
+        frames holding a buffer, unless a pattern occurs in the zero page."""
+        machine = self.machine
+        zero_hits = _find_all(bytes(PAGE_SIZE), patterns)
         if frames is None:
-            frames = range(self.machine.n_frames)
+            frames = range(machine.n_frames) if zero_hits \
+                else sorted(machine.frames)
+        hits = []
         for frame in frames:
-            data = self.machine.read_frame(frame, 0, PAGE_SIZE)
-            for pi, pat in enumerate(patterns):
-                start = data.find(pat)
-                while start >= 0:
-                    hits.append((frame, start, pi))
-                    start = data.find(pat, start + 1)
+            if machine.frame_is_zero(frame):
+                found = zero_hits
+            else:
+                found = _find_all(machine.read_frame(frame, 0, PAGE_SIZE),
+                                  patterns)
+            hits += [(frame, offset, pi) for offset, pi in found]
         return hits
 
     def scan_vm_reachable(self, hv: Hypervisor, vmid: int,
                           patterns: Sequence[bytes]) -> List[Tuple[int, int, int]]:
         """Scan only frames the given VM can currently translate to."""
-        frames = sorted({frame for frame, _
-                         in hv.vms[vmid].table.snapshot().values()})
-        return self.scan_frames(patterns, frames)
+        table = hv.vms[vmid].table
+        pages = set(table.snapshot()).union(range(table.identity_pages))
+        frames = {entry[0] for entry in map(table.lookup, pages)
+                  if entry is not None}
+        return self.scan_frames(patterns, sorted(frames))
 
 
 # -- zeroization watchdog -----------------------------------------------------
@@ -248,8 +289,9 @@ class ZeroizeWatch(Observer):
     def __init__(self, hv: Hypervisor):
         self.machine = hv.machine
         self._primary_vmid = hv.primary.vmid
-        self._in_primary: Set[int] = {
-            frame for frame, _ in hv.primary.table.snapshot().values()}
+        # the primary's identity default maps every frame, so what is kept
+        # is the few frames it does not map
+        self._out_of_primary = _unmapped_frames(hv.primary.table)
         self._op = 0
         self._away_at: Dict[int, int] = {}
         self._shared_at: Dict[int, int] = {}
@@ -263,7 +305,7 @@ class ZeroizeWatch(Observer):
     def on_unmap(self, vm: int, ipa_page: int, frame: int) -> None:
         self._op += 1
         if vm == self._primary_vmid:
-            self._in_primary.discard(frame)
+            self._out_of_primary.add(frame)
             self._away_at[frame] = self._op
             return
         shared_since = self._shared_at.pop(frame, None)
@@ -278,11 +320,11 @@ class ZeroizeWatch(Observer):
     def on_map(self, vm: int, ipa_page: int, frame: int, perms) -> None:
         self._op += 1
         if vm != self._primary_vmid:
-            if frame in self._in_primary:
+            if frame not in self._out_of_primary:
                 self._shared_at[frame] = self._op
             return
         left_at = self._away_at.pop(frame, None)
-        self._in_primary.add(frame)
+        self._out_of_primary.discard(frame)
         if left_at is None:
             return
         if self._last_zero.get(frame, -1) < left_at:
@@ -302,21 +344,36 @@ class WriteConfinementOracle(Observer):
 
     Mapping state is mirrored from map/unmap/protect events into shadow
     tables plus per-frame counters, so the per-write check is O(pCPUs) and
-    never consults the hypervisor's own tables after installation.
+    never consults the hypervisor's own tables after installation.  The
+    primary's identity default (page p maps frame p, RWX) is mirrored the
+    way its table stores it: the shadow keeps the primary's identity pages
+    that no longer hold the default, and counts only the other entries.
+    Arming therefore reads the tables' exceptions, not every frame.
     """
 
     def __init__(self, hv: Hypervisor):
         self.machine = hv.machine
+        self._primary = hv.primary.vmid
         self._tables: Dict[int, Dict[int, Tuple[int, Perms]]] = {}
         self._map_count: Dict[int, int] = {}
         self._writable: Dict[int, Dict[int, int]] = {}
+        # identity pages of the primary that do not hold the default
+        self._excepted: Set[int] = set()
         self.violations: List[str] = []
+        identity_pages = hv.primary.table.identity_pages
         for vm in hv.vms.values():
-            for ipa_page, (frame, perms) in vm.table.snapshot().items():
-                self._enter(vm.vmid, ipa_page, frame, perms)
+            for ipa_page, entry in vm.table.snapshot().items():
+                if vm is hv.primary and 0 <= ipa_page < identity_pages:
+                    self._excepted.add(ipa_page)
+                if entry is not None:
+                    self._enter(vm.vmid, ipa_page, *entry)
 
     # shadow maintenance
     def _enter(self, vm: int, ipa_page: int, frame: int, perms: Perms) -> None:
+        if vm == self._primary and ipa_page in self._excepted \
+                and (frame, perms) == (ipa_page, PERM_RWX):
+            self._excepted.discard(ipa_page)    # back to the default
+            return
         self._tables.setdefault(vm, {})[ipa_page] = (frame, perms)
         self._map_count[frame] = self._map_count.get(frame, 0) + 1
         if perms.write:
@@ -324,8 +381,11 @@ class WriteConfinementOracle(Observer):
             per[frame] = per.get(frame, 0) + 1
 
     def _leave(self, vm: int, ipa_page: int) -> None:
+        table = self._tables.get(vm, {})
+        if vm == self._primary and ipa_page not in table:
+            self._excepted.add(ipa_page)        # leaves the default
+            return
         # a VM's entries go with its last mapping: retired VMs leave none
-        table = self._tables[vm]
         frame, perms = table.pop(ipa_page)
         if not table:
             del self._tables[vm]
@@ -349,18 +409,23 @@ class WriteConfinementOracle(Observer):
         self._enter(vm, ipa_page, frame, new)
 
     def on_write(self, frame: int, offset: int, data: bytes) -> None:
+        # frame n is page n's, so the primary's default maps it unless excepted
+        identity = frame not in self._excepted
         allowed = False
         for pcpu in self.machine.pcpus:
             cur = pcpu.current_vcpu
-            if cur is not None and \
-                    self._writable.get(cur.vm.vmid, {}).get(frame, 0) > 0:
+            if cur is None:
+                continue
+            vmid = cur.vm.vmid
+            if self._writable.get(vmid, {}).get(frame, 0) > 0 \
+                    or (identity and vmid == self._primary):
                 allowed = True
                 break
         if not allowed:
             self.violations.append(
                 "write to frame %d not writable by any running vcpu" % frame)
             return
-        if self._map_count.get(frame, 0) > 1 \
+        if self._map_count.get(frame, 0) + identity > 1 \
                 and self.machine.channel_op_depth == 0:
             self.violations.append(
                 "raw write into shared frame %d outside channel protocol"

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..channel import ChannelStatus
-from ..errors import ScenarioParseError, SimulationError
+from ..errors import ConfigError, ScenarioParseError, SimulationError
 from ..guest_os import EnclaveDriver
 from ..machine import PAGE_SHIFT, PAGE_SIZE, MachineConfig
 from ..sim import Simulation
@@ -125,10 +125,6 @@ class ScenarioResult:
 
 
 _U32 = 1 << 32   # command ids, payload lengths and image sizes are u32
-# what a `machine` line may ask for: boot builds one object per pCPU and
-# one 4 KiB frame per frame
-_MACHINE_BOUNDS = {"frames": range(1, 65536 + 1), "pcpus": range(1, 64 + 1),
-                   "max_vms": range(1, _U32)}
 _ACTIONS = {"create", "invoke", "resume", "destroy", "timer", "tick",
             "adversary", "expect", "aux", "schedule", "yield", "interrupt"}
 
@@ -150,13 +146,12 @@ def parse_scenario(text: str) -> Scenario:
             config_kw.update(step.options(
                 step.args,
                 {"frames": "frames", "pcpus": "pcpus", "max_vms": "max_vms",
-                 "reserved": "os_reserved_pages"}, _MACHINE_BOUNDS))
-            frames = config_kw.get("frames", MachineConfig.frames)
-            reserved = config_kw.get("os_reserved_pages",
-                                     MachineConfig.os_reserved_pages)
-            if reserved not in range(frames + 1):
-                raise step.fail("reserved %d not in %r"
-                                % (reserved, range(frames + 1)))
+                 "reserved": "os_reserved_pages"}))
+            # checked here, so parsing builds no machine past its bounds
+            try:
+                MachineConfig(**config_kw).check()
+            except ConfigError as err:
+                raise step.fail(str(err)) from None
         elif step.op == "seed":
             if len(step.args) != 1:
                 raise step.fail("seed takes one integer")

@@ -5,7 +5,9 @@ them.  Enclave VMs are carved out of memory the primary VM donates; the
 primary loses its mapping of donated private pages at create time and gets
 the (zeroed) pages back at destroy time, so at every instant each frame is
 reachable from at most one VM, except channel frames which are deliberately
-shared.
+shared.  The primary's table is identity-mapped RWX by default and stores
+only the pages donated away and its channel pages, so boot costs nothing
+per frame and the table stores nothing again once every enclave is gone.
 
 A destroyed enclave is retired: its record and VM leave ``enclaves`` and
 ``vms``, which hold only live state.  Handles are never reused, so a later
@@ -220,9 +222,11 @@ class Hypervisor:
     # -- boot -----------------------------------------------------------------
 
     def _new_vm(self, kind: VmKind, name: str, pcpus: Sequence[int]) -> Vm:
-        """A live VM with an empty table and vCPU i pinned to pcpus[i]."""
+        """A live VM with vCPU i pinned to pcpus[i].  The primary's table
+        is identity by default, an enclave's starts empty."""
         vm = Vm(self._next_vmid, kind, name,
-                Stage2Table(self._next_vmid, self.machine))
+                Stage2Table(self._next_vmid, self.machine,
+                            identity=kind is VmKind.PRIMARY))
         self._next_vmid += 1
         vm.vcpus = [Vcpu(vm=vm, index=i, pcpu=p) for i, p in enumerate(pcpus)]
         self.vms[vm.vmid] = vm
@@ -233,10 +237,8 @@ class Hypervisor:
         vm = self._new_vm(VmKind.PRIMARY, "primary", range(len(pcpus)))
         for pcpu, vcpu in zip(pcpus, vm.vcpus):
             pcpu.current_vcpu = vcpu
-        # the primary starts owning every frame, identity mapped; no observer
-        # exists yet, so the table is built whole and charges nothing
-        vm.table.entries = {f: (f, PERM_RWX)
-                            for f in range(self.machine.n_frames)}
+        # the primary starts owning every frame through its table's identity
+        # default, which stores, emits and charges nothing
         return vm
 
     # -- stack primitives -------------------------------------------------

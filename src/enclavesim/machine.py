@@ -1,16 +1,19 @@
 """Physical machine model: frames of memory, pCPUs, and the cost ledger.
 
 All byte content lives here; every other module reads and writes frames
-through this one.  Cost accounting is a set of monotonic counters; simulated
-time is their sum, one unit per charged event, per work unit and per zeroed
-page, so identical operation sequences always produce identical timelines.
+through this one.  Memory is sparse: a frame holds a buffer only from its
+first write until it is next zeroed, and a frame with no buffer reads as
+zeros, so a machine costs what a run touches, not what it could address.
+Cost accounting is a set of monotonic counters; simulated time is their
+sum, one unit per charged event, per work unit and per zeroed page, so
+identical operation sequences always produce identical timelines.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from .errors import OutOfRange
+from .errors import ConfigError, OutOfRange
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
@@ -73,12 +76,28 @@ class Observer:
         PREEMPTED."""
 
 
+# What a machine may be.  Boot builds one object per pCPU and the guest
+# OS's allocator one free-list entry per page, so the bounds keep one
+# config from exhausting host memory; os_reserved_pages is bounded by the
+# machine's own frame count.
+MACHINE_BOUNDS = {"frames": range(1, 65536 + 1), "pcpus": range(1, 64 + 1),
+                  "max_vms": range(1, 1 << 32)}
+
+
 @dataclass
 class MachineConfig:
     frames: int = 8192          # 32 MiB at the default page size
     pcpus: int = 1
     max_vms: int = 16
     os_reserved_pages: int = 64  # low pages kept by the OS, never donated
+
+    def check(self) -> None:
+        """Raise ConfigError naming the first field outside its bounds."""
+        bounds = dict(MACHINE_BOUNDS, os_reserved_pages=range(self.frames + 1))
+        for name, valid in bounds.items():
+            value = getattr(self, name)
+            if value not in valid:
+                raise ConfigError("%s %r not in %r" % (name, value, valid))
 
 
 @dataclass
@@ -112,12 +131,19 @@ class Pcpu:
 
 
 class PhysicalMachine:
-    """Fixed array of zero-initialised frames plus pCPUs and the ledger."""
+    """Sparse frames plus pCPUs and the ledger.
+
+    ``frames`` maps a frame number to its buffer and holds only the frames
+    written since their last zeroing; every other frame of [0, n_frames)
+    reads as zeros.  Zeroing drops the buffer, and still charges a page of
+    ``zero_bytes`` and fires ``on_zero``.
+    """
 
     def __init__(self, config: Optional[MachineConfig] = None):
         self.config = config or MachineConfig()
+        self.config.check()
         self.n_frames = self.config.frames
-        self.frames = [bytearray(PAGE_SIZE) for _ in range(self.n_frames)]
+        self.frames: Dict[int, bytearray] = {}
         self.pcpus = [Pcpu(i) for i in range(self.config.pcpus)]
         self.ledger = CostLedger()
         self.observers: List[Observer] = []
@@ -137,27 +163,33 @@ class PhysicalMachine:
         self._check_frame(frame)
         if offset < 0 or length < 0 or offset + length > PAGE_SIZE:
             raise OutOfRange(f"read [{offset}, {offset + length}) crosses frame end")
-        return bytes(self.frames[frame][offset:offset + length])
+        buf = self.frames.get(frame)
+        if buf is None:
+            return bytes(length)
+        return bytes(buf[offset:offset + length])
 
     def write_frame(self, frame: int, offset: int, data: bytes) -> None:
         self._check_frame(frame)
         if offset < 0 or offset + len(data) > PAGE_SIZE:
             raise OutOfRange(f"write [{offset}, {offset + len(data)}) crosses frame end")
-        self.frames[frame][offset:offset + len(data)] = data
+        buf = self.frames.get(frame)
+        if buf is None:
+            buf = self.frames[frame] = bytearray(PAGE_SIZE)
+        buf[offset:offset + len(data)] = data
         for obs in self.observers:
             obs.on_write(frame, offset, data)
 
     def zero_frame(self, frame: int) -> None:
         self._check_frame(frame)
-        self.frames[frame][:] = bytes(PAGE_SIZE)
+        self.frames.pop(frame, None)
         self.ledger.zero_bytes += PAGE_SIZE
         for obs in self.observers:
             obs.on_zero(frame)
 
     def frame_is_zero(self, frame: int) -> bool:
         self._check_frame(frame)
-        buf = self.frames[frame]
-        return buf.count(0) == PAGE_SIZE
+        buf = self.frames.get(frame)
+        return buf is None or buf.count(0) == PAGE_SIZE
 
     def now(self) -> int:
         """Current simulated time, derived from the ledger."""

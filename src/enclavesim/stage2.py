@@ -6,6 +6,14 @@ mediated here; a miss or a permission mismatch produces an ``AccessFault``
 value rather than an exception, mirroring how real faults are reported to
 the hypervisor instead of unwinding it.
 
+A table stores only its exceptions to a default.  An enclave's table
+starts empty and stores every entry.  An identity table (the primary's)
+maps each page below the machine's frame count to the frame of the same
+number, RWX, and stores only the pages that differ: ``None`` for a page
+it no longer maps, or the entry that replaces the default.  An exception
+equal to the default is dropped, so the stored state, ``snapshot()`` and
+equality between snapshots all follow what the table maps.
+
 Page-table maintenance (map / unmap / permission change) charges one
 ``pt_ops`` ledger unit per entry update.  Translation itself is free and
 pure.
@@ -70,34 +78,59 @@ def _fault(vm: int, ipa: int, entry: Optional[Tuple[int, Perms]]) -> AccessFault
                        else FaultKind.PERMISSION_DENIED)
 
 
+_MISS = object()   # no exception stored: the table's default applies
+
+
 class Stage2Table:
     """Mapping state for one VM.  Owned and mutated only by the hypervisor."""
 
-    def __init__(self, owner_vm: int, machine: PhysicalMachine):
+    def __init__(self, owner_vm: int, machine: PhysicalMachine,
+                 identity: bool = False):
         self.owner_vm = owner_vm
         self.machine = machine
-        self.entries: Dict[int, Tuple[int, Perms]] = {}
+        # pages [0, identity_pages) map to their own frame, RWX, by default
+        self.identity_pages = machine.n_frames if identity else 0
+        # exceptions to the default: an entry, or None for an unmapped page
+        self.entries: Dict[int, Optional[Tuple[int, Perms]]] = {}
 
     def __len__(self) -> int:
-        return len(self.entries)
+        """Mapped pages."""
+        excepted = sum(1 for p in self.entries if 0 <= p < self.identity_pages)
+        mapped = sum(1 for e in self.entries.values() if e is not None)
+        return self.identity_pages - excepted + mapped
+
+    def _default(self, ipa_page: int) -> Optional[Tuple[int, Perms]]:
+        """The entry of a page with no exception stored."""
+        if 0 <= ipa_page < self.identity_pages:
+            return ipa_page, PERM_RWX
+        return None
+
+    def _store(self, ipa_page: int, entry: Optional[Tuple[int, Perms]]) -> None:
+        """Give `ipa_page` `entry` (None: unmapped), kept as an exception
+        only where it differs from the default."""
+        if entry == self._default(ipa_page):
+            self.entries.pop(ipa_page, None)
+        else:
+            self.entries[ipa_page] = entry
 
     def map(self, ipa_page: int, frame: int, perms: Perms) -> None:
-        if ipa_page in self.entries:
+        if self.lookup(ipa_page) is not None:
             raise AlreadyMapped(f"vm{self.owner_vm} ipa page {ipa_page:#x}")
         if not 0 <= frame < self.machine.n_frames:
             raise BadFrame(f"frame {frame} outside [0, {self.machine.n_frames})")
         if not (perms.read or perms.write or perms.execute):
             raise InvalidPerms("mapping needs at least one permission bit")
-        self.entries[ipa_page] = (frame, perms)
+        self._store(ipa_page, (frame, perms))
         self.machine.ledger.pt_ops += 1
         for obs in self.machine.observers:
             obs.on_map(self.owner_vm, ipa_page, frame, perms)
 
     def unmap(self, ipa_page: int) -> int:
-        try:
-            frame, _ = self.entries.pop(ipa_page)
-        except KeyError:
-            raise NotMapped(f"vm{self.owner_vm} ipa page {ipa_page:#x}") from None
+        entry = self.lookup(ipa_page)
+        if entry is None:
+            raise NotMapped(f"vm{self.owner_vm} ipa page {ipa_page:#x}")
+        self._store(ipa_page, None)
+        frame = entry[0]
         self.machine.ledger.pt_ops += 1
         for obs in self.machine.observers:
             obs.on_unmap(self.owner_vm, ipa_page, frame)
@@ -105,28 +138,31 @@ class Stage2Table:
 
     def protect(self, ipa_page: int, perms: Perms) -> Perms:
         """Update the permissions of an installed entry; returns the old ones."""
-        if ipa_page not in self.entries:
+        entry = self.lookup(ipa_page)
+        if entry is None:
             raise NotMapped(f"vm{self.owner_vm} ipa page {ipa_page:#x}")
         if not (perms.read or perms.write or perms.execute):
             raise InvalidPerms("mapping needs at least one permission bit")
-        frame, old = self.entries[ipa_page]
-        self.entries[ipa_page] = (frame, perms)
+        frame, old = entry
+        self._store(ipa_page, (frame, perms))
         self.machine.ledger.pt_ops += 1
         for obs in self.machine.observers:
             obs.on_protect(self.owner_vm, ipa_page, frame, old, perms)
         return old
 
     def lookup(self, ipa_page: int) -> Optional[Tuple[int, Perms]]:
-        return self.entries.get(ipa_page)
+        entry = self.entries.get(ipa_page, _MISS)
+        return self._default(ipa_page) if entry is _MISS else entry
 
     def translate(self, ipa: int, access: Access) -> Union[int, AccessFault]:
-        entry = self.entries.get(ipa >> PAGE_SHIFT)
+        entry = self.lookup(ipa >> PAGE_SHIFT)
         if entry is None or not entry[1].allows(access):
             return _fault(self.owner_vm, ipa, entry)
         return (entry[0] << PAGE_SHIFT) | (ipa & OFFSET_MASK)
 
-    def snapshot(self) -> Dict[int, Tuple[int, Perms]]:
-        """Immutable-enough copy for before/after equality checks."""
+    def snapshot(self) -> Dict[int, Optional[Tuple[int, Perms]]]:
+        """Copy of the exceptions, for before/after equality checks; the
+        cost is that of the exceptions, not of the pages mapped."""
         return dict(self.entries)
 
 
@@ -170,6 +206,9 @@ def guest_access(
             chunk = length - pos
         page = cur >> PAGE_SHIFT
         entry = table.entries.get(page)
+        if entry is None:
+            # no entry stored (the default applies) or a hole
+            entry = table.lookup(page)
         if entry is None or not entry[1].allows(access):
             fault = _fault(table.owner_vm, cur, entry)
             machine.fault_count += 1

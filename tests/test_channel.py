@@ -34,7 +34,7 @@ from enclavesim.ta_runtime import image_for_pages
 
 def make_channel(pages=1):
     """Two views (driver and enclave side) of the same frames."""
-    machine = PhysicalMachine(MachineConfig(frames=4))
+    machine = PhysicalMachine(MachineConfig(frames=4, os_reserved_pages=0))
     t_primary = Stage2Table(0, machine)
     t_enclave = Stage2Table(1, machine)
     for i in range(pages):

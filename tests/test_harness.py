@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,12 @@ from enclavesim.harness import fuzz as fuzz_module
 from enclavesim.harness import scenario as scenario_module
 from enclavesim.harness.cli import main as cli_main
 from enclavesim.hypervisor import Hypervisor, ImageMeta
-from enclavesim.machine import PAGE_SHIFT, PAGE_SIZE, MachineConfig
+from enclavesim.machine import (
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    MachineConfig,
+    PhysicalMachine,
+)
 from enclavesim.sim import Simulation
 from enclavesim.stage2 import PERM_RO, PERM_RW, PERM_RWX
 from enclavesim.ta_runtime import image_for_pages
@@ -70,9 +76,23 @@ def test_memory_oracle_catches_silent_poke():
     sim, driver = make_sim()
     oracle = MemoryOracle(sim.machine)
     sim.machine.observers.append(oracle)
+    sim.machine.write_frame(97, 0, b"\x01")
+    assert oracle.verify() == []
     sim.machine.frames[97][0] = 0x5A  # behind the observers' backs
     problems = oracle.verify()
     assert problems and "97" in problems[0]
+
+
+def test_memory_oracle_catches_frame_planted_behind_its_back():
+    sim, driver = make_sim()
+    oracle = MemoryOracle(sim.machine)
+    sim.machine.observers.append(oracle)
+    fd = driver.create(image_for_pages("counter", 3, 1))
+    driver.invoke(fd, 1)
+    assert 97 not in sim.machine.frames
+    sim.machine.frames[97] = bytearray(PAGE_SIZE)
+    sim.machine.frames[97][5] = 0x5A
+    assert oracle.verify() == ["frame 97 modified with no write event"]
 
 
 # -- zeroize watchdog ----------------------------------------------------------
@@ -179,6 +199,21 @@ def test_exclusivity_blesses_channels_and_flags_extras():
     assert any("not a known channel" in p for p in problems)
 
 
+def test_exclusivity_flags_a_donated_page_left_in_the_primary(monkeypatch):
+    sim, driver = make_sim()
+    # a create whose unmap from the primary does nothing
+    monkeypatch.setattr(sim.hv.primary.table, "unmap", lambda page: page)
+    fd = driver.create(image_for_pages("echo", 3, 1))
+    rec = driver.record_of(fd)
+    leaked = rec.private_frames()
+    assert all(sim.hv.primary.table.lookup(f) == (f, PERM_RWX)
+               for f in leaked)
+    problems = standard_checks(sim, driver)
+    for frame in leaked:
+        assert "shared frame %d has perms rwx in vm0" % frame in problems
+        assert "frame %d shared but not a known channel" % frame in problems
+
+
 def test_standard_checks_flag_a_channel_the_driver_never_made():
     sim, driver = make_sim(128)
     image = image_for_pages("echo", 4, 1)
@@ -253,6 +288,47 @@ def test_secret_scanner_finds_planted_bytes():
     reachable = SecretScanner(sim.machine).scan_vm_reachable(
         sim.hv, sim.hv.primary.vmid, [needle])
     assert reachable == hits  # primary maps everything at boot
+
+
+def _scan_every_frame(machine, patterns):
+    """The sweep as a plain loop over every frame's bytes."""
+    hits = []
+    for frame in range(machine.n_frames):
+        data = machine.read_frame(frame, 0, PAGE_SIZE)
+        for pi, pat in enumerate(patterns):
+            hits += [(frame, off, pi) for off in range(PAGE_SIZE)
+                     if data.startswith(pat, off)]
+    return hits
+
+
+def test_secret_scanner_finds_zero_patterns_in_untouched_frames():
+    machine = PhysicalMachine(MachineConfig(frames=64))
+    scanner = SecretScanner(machine)
+    zeros = [bytes(8)]
+    hits = scanner.scan_frames(zeros)
+    assert len(hits) == 64 * (PAGE_SIZE - 7) == 261_696
+    assert hits == _scan_every_frame(machine, zeros)
+    machine.write_frame(9, 100, b"\x01")
+    patterns = [b"\x00\x01", bytes(8), b"\x01"]
+    assert scanner.scan_frames(patterns) \
+        == _scan_every_frame(machine, patterns)
+
+
+def test_arming_at_65536_frames_allocates_little():
+    tracemalloc.start()
+    try:
+        sim, driver = make_sim(65536)
+        watch, confine = ZeroizeWatch(sim.hv), WriteConfinementOracle(sim.hv)
+        memory = MemoryOracle(sim.machine)
+        sim.machine.observers += [watch, confine, memory]
+        problems = memory.verify()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, "%.1f MiB" % (peak / (1 << 20))
+    assert problems == []
+    assert watch.violations == confine.violations == []
+    assert standard_checks(sim, driver) == []
 
 
 # -- reference stack model --------------------------------------------------------

@@ -1,7 +1,7 @@
 """Physical machine: frames, cost ledger, observer fan-out."""
 import pytest
 
-from enclavesim.errors import OutOfRange
+from enclavesim.errors import ConfigError, OutOfRange
 from enclavesim.machine import (
     PAGE_SIZE,
     CostLedger,
@@ -9,11 +9,12 @@ from enclavesim.machine import (
     Observer,
     PhysicalMachine,
 )
+from enclavesim.sim import Simulation
 
 
 @pytest.fixture
 def machine():
-    return PhysicalMachine(MachineConfig(frames=8, pcpus=2))
+    return PhysicalMachine(MachineConfig(frames=8, pcpus=2, os_reserved_pages=0))
 
 
 def test_boot_state(machine):
@@ -87,3 +88,28 @@ def test_now_is_ledger_units(machine):
     before = machine.now()
     machine.zero_frame(0)
     assert machine.now() == before + 1  # one unit per zeroed page
+
+
+@pytest.mark.parametrize("config", [
+    MachineConfig(pcpus=0),
+    MachineConfig(frames=128, os_reserved_pages=-3),
+    MachineConfig(frames=0),
+    MachineConfig(frames=-5),
+    MachineConfig(max_vms=0),
+    MachineConfig(frames=256, os_reserved_pages=300),
+], ids=repr)
+def test_bad_config_is_a_config_error(config):
+    for build in (PhysicalMachine, Simulation):
+        with pytest.raises(ConfigError):
+            build(config)
+
+
+def test_frames_hold_buffers_only_between_write_and_zero(machine):
+    assert machine.frames == {}
+    assert machine.read_frame(5, 10, 3) == bytes(3)
+    machine.write_frame(5, 10, b"abc")
+    assert set(machine.frames) == {5}
+    machine.zero_frame(5)
+    machine.zero_frame(6)
+    assert machine.frames == {}
+    assert machine.ledger.zero_bytes == 2 * PAGE_SIZE

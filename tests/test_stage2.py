@@ -27,7 +27,7 @@ from enclavesim.stage2 import (
 
 @pytest.fixture
 def machine():
-    return PhysicalMachine(MachineConfig(frames=16))
+    return PhysicalMachine(MachineConfig(frames=16, os_reserved_pages=0))
 
 
 @pytest.fixture
@@ -124,6 +124,31 @@ def test_snapshot_is_a_copy(machine, table):
     assert table.snapshot() == {}
 
 
+def test_identity_table_stores_only_its_exceptions(machine):
+    table = Stage2Table(0, machine, identity=True)
+    assert table.snapshot() == {} and len(table) == 16
+    assert table.lookup(15) == (15, PERM_RWX)
+    assert table.lookup(16) is None
+    assert table.translate((3 << PAGE_SHIFT) + 9, Access.WRITE) \
+        == (3 << PAGE_SHIFT) + 9
+    with pytest.raises(AlreadyMapped):
+        table.map(3, 3, PERM_RWX)
+    assert table.unmap(3) == 3
+    assert table.protect(5, PERM_RW) == PERM_RWX
+    table.map(20, 7, PERM_RO)
+    assert table.snapshot() == {3: None, 5: (5, PERM_RW), 20: (7, PERM_RO)}
+    assert len(table) == 16
+    assert table.lookup(3) is None
+    with pytest.raises(NotMapped):
+        table.unmap(3)
+    # an entry equal to the default is no exception
+    table.map(3, 3, PERM_RWX)
+    table.protect(5, PERM_RWX)
+    table.unmap(20)
+    assert table.snapshot() == {} and len(table) == 16
+    assert machine.ledger.pt_ops == 6
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     start=st.integers(min_value=0, max_value=4 * PAGE_SIZE - 1),
@@ -132,7 +157,7 @@ def test_snapshot_is_a_copy(machine, table):
 def test_split_write_matches_flat_buffer(start, payload):
     """Writes through the page-granular path land exactly where a flat
     contiguous buffer says they should, however they straddle pages."""
-    machine = PhysicalMachine(MachineConfig(frames=8))
+    machine = PhysicalMachine(MachineConfig(frames=8, os_reserved_pages=0))
     table = Stage2Table(0, machine)
     # a shuffled but contiguous IPA window of 8 pages
     for ipa_page, frame in enumerate([3, 0, 6, 2, 7, 1, 4, 5]):
@@ -232,9 +257,9 @@ _FILL = [bytes((i * 31 + frame * 17) & 0xFF for i in range(PAGE_SIZE))
 
 
 def _run_access(impl, perms, frames, access, ipa, length, data):
-    machine = PhysicalMachine(MachineConfig(frames=8))
+    machine = PhysicalMachine(MachineConfig(frames=8, os_reserved_pages=0))
     for frame, fill in enumerate(_FILL):
-        machine.frames[frame][:] = fill
+        machine.write_frame(frame, 0, fill)   # before any observer
     table = Stage2Table(3, machine)
     for ipa_page, p in enumerate(perms):
         if p is not None:
@@ -244,7 +269,7 @@ def _run_access(impl, perms, frames, access, ipa, length, data):
     out, touched = impl(machine, table, ipa, access, data=data,
                         length=0 if access is Access.WRITE else length)
     return out, touched, machine.fault_count, log.calls, \
-        [bytes(f) for f in machine.frames]
+        [machine.read_frame(f, 0, PAGE_SIZE) for f in range(8)]
 
 
 @settings(max_examples=300, deadline=None)
