@@ -85,10 +85,6 @@ class NoParent(SimulationError):
     """Exit from a vCPU with no parent: corrupt stack, deliberately fatal."""
 
 
-class NameInUse(SimulationError):
-    """A new vCPU's VM would share its name with a live VM."""
-
-
 # -- shared-memory channel ------------------------------------------------
 
 class ChannelError(SimulationError):

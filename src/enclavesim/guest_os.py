@@ -6,16 +6,20 @@ donates the pages via hypercall, and afterwards speaks the shared-memory
 channel protocol.  It deliberately runs entirely at guest level: everything
 it does goes through the same translation path an application would use, so
 a driver bug cannot touch memory the primary does not own.
+
+One driver is the simulation's guest OS: one allocator and one fd table
+serve every pCPU.  `create` picks the pCPU the enclave is pinned to, and
+later calls on its fd issue from the primary vCPU that created it.
 """
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .channel import ChannelStatus, ChannelView
 from .errors import BadFd, DriverError, Exhausted, HypercallError, NoMemory
-from .hypervisor import EnclaveRecord, ImageMeta, Resumption
+from .hypervisor import EnclaveRecord, ImageMeta, Resumption, Vcpu
 from .image import EnclaveImage
 from .machine import PAGE_SHIFT, PAGE_SIZE
 from .sim import Simulation
@@ -90,9 +94,9 @@ class OsAllocator:
 @dataclass
 class EnclaveFd:
     handle: int
+    caller: Vcpu            # the primary vCPU that created the enclave
     priv_aid: int
-    chan_aid: int
-    chan_pages: List[int] = field(default_factory=list)
+    chan_pages: List[int]   # contiguous; the first is the allocation's id
     channel: Optional[ChannelView] = None
 
     @property
@@ -102,13 +106,11 @@ class EnclaveFd:
 
 
 class EnclaveDriver:
-    """Create / invoke / resume / destroy, with rollback on failure."""
+    """Create / invoke / resume / destroy on every pCPU, with rollback."""
 
-    def __init__(self, sim: Simulation, pcpu_id: int = 0):
+    def __init__(self, sim: Simulation):
         self.sim = sim
         self.hv = sim.hv
-        self.hv.check_pcpu(pcpu_id)
-        self.pcpu_id = pcpu_id
         cfg = sim.machine.config
         self.allocator = OsAllocator(cfg.os_reserved_pages, cfg.frames)
         self._fds: Dict[int, EnclaveFd] = {}
@@ -148,7 +150,9 @@ class EnclaveDriver:
             if isinstance(out, AccessFault):
                 raise DriverError("faulted writing own page %#x" % page)
 
-    def create(self, image: EnclaveImage) -> int:
+    def create(self, image: EnclaveImage, pcpu: int = 0) -> int:
+        """Load and donate `image` as an enclave pinned to `pcpu`."""
+        caller = self.sim.primary_vcpu(pcpu)
         fd = self._alloc_fd()
         priv_aid, priv = self.allocator.allocate(image.mem_size_pages)
         try:
@@ -160,13 +164,12 @@ class EnclaveDriver:
         try:
             self._load_blob(image, priv)
             meta = ImageMeta(image.mem_size_pages, image.channel_size_pages)
-            handle = self.hv.create_enclave(
-                self.sim.primary_vcpu(self.pcpu_id), priv + chan, meta)
+            handle = self.hv.create_enclave(caller, priv + chan, meta)
         except (HypercallError, DriverError):
             self.allocator.free(chan_aid)
             self.allocator.free(priv_aid)
             raise
-        rec = EnclaveFd(handle, priv_aid, chan_aid, chan)
+        rec = EnclaveFd(handle, caller, priv_aid, chan)
         rec.channel = ChannelView(self.sim.machine, self.hv.primary.table,
                                   rec.channel_ipa, image.channel_size_pages,
                                   "primary")
@@ -178,8 +181,7 @@ class EnclaveDriver:
                args: bytes = b"") -> Tuple[ChannelStatus, bytes]:
         rec = self._get(fd)
         rec.channel.write_request(cmd_id, args)
-        outcome = self.hv.invoke_enclave(self.sim.primary_vcpu(self.pcpu_id),
-                                         rec.handle)
+        outcome = self.hv.invoke_enclave(rec.caller, rec.handle)
         return self._collect(rec, outcome)
 
     def resume(self, fd: int) -> Tuple[ChannelStatus, bytes]:
@@ -189,8 +191,7 @@ class EnclaveDriver:
         if status != ChannelStatus.PREEMPTED:
             raise DriverError("resume with channel status %d" % status)
         rec.channel.rearm_request()
-        outcome = self.hv.invoke_enclave(self.sim.primary_vcpu(self.pcpu_id),
-                                         rec.handle)
+        outcome = self.hv.invoke_enclave(rec.caller, rec.handle)
         return self._collect(rec, outcome)
 
     def _collect(self, rec: EnclaveFd,
@@ -204,8 +205,8 @@ class EnclaveDriver:
 
     def destroy(self, fd: int) -> None:
         rec = self._get(fd)
-        self.hv.destroy_enclave(self.sim.primary_vcpu(self.pcpu_id), rec.handle)
-        self.allocator.free(rec.chan_aid)
+        self.hv.destroy_enclave(rec.caller, rec.handle)
+        self.allocator.free(rec.chan_pages[0])
         self.allocator.free(rec.priv_aid)
         del self._fds[fd]
 

@@ -101,15 +101,10 @@ def fuzz_stack_ops(ops: int = 10000, seed: int = 0) -> FuzzReport:
     sim = Simulation(MachineConfig(frames=96, pcpus=pcpus), seed=seed)
     hv = sim.hv
     rng = random.Random(seed)
-    auxes = {p: [hv.make_aux_vcpu(p, "aux%d" % (6 * p + i))
-                 for i in range(1, 7)] for p in range(pcpus)}
-    by_name = {v.name: v for vs in auxes.values() for v in vs}
-    bases = []
-    for p in range(pcpus):
-        base = hv.primary.vcpus[p]
-        bases.append(base.name)
-        by_name[base.name] = base
-    model = ReferenceStackModel(pcpus, bases)
+    auxes = {p: [hv.make_aux_vcpu(p) for _ in range(6)] for p in range(pcpus)}
+    bases = hv.primary.vcpus
+    everyone = bases + [v for vs in auxes.values() for v in vs]
+    model = ReferenceStackModel(pcpus, [v.name for v in bases])
 
     def bad(i: int, msg: str) -> None:
         report.failures.append((i, msg))
@@ -136,12 +131,12 @@ def fuzz_stack_ops(ops: int = 10000, seed: int = 0) -> FuzzReport:
             if popped.name != want:
                 bad(i, "popped %s, model expected %s" % (popped.name, want))
         elif kind == "irq":
-            name = rng.choice([bases[p]] + [v.name for v in auxes[p]])
-            outcome = hv.deliver_interrupt(p, by_name[name])
-            want = model.interrupt(p, name)
+            target = rng.choice([bases[p]] + auxes[p])
+            outcome = hv.deliver_interrupt(p, target)
+            want = model.interrupt(p, target.name)
             if outcome != want:
                 bad(i, "interrupt %s -> %s, model says %s"
-                    % (name, outcome, want))
+                    % (target.name, outcome, want))
         else:
             other = (p + 1) % pcpus
             vcpu = rng.choice(auxes[other])
@@ -156,7 +151,7 @@ def fuzz_stack_ops(ops: int = 10000, seed: int = 0) -> FuzzReport:
             if real != model.stack(q):
                 bad(i, "pcpu %d stack %r, model %r"
                     % (q, real, model.stack(q)))
-        real_pending = {v.name for v in by_name.values() if v.pending_irq}
+        real_pending = {v.name for v in everyone if v.pending_irq}
         if real_pending != model.pending:
             bad(i, "pending %r, model %r"
                 % (sorted(real_pending), sorted(model.pending)))

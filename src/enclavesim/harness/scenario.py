@@ -1,10 +1,11 @@
 """Line-oriented scenario scripts.
 
 A scenario drives one simulation end to end: it sizes the machine, creates
-enclaves through the driver, invokes commands, injects timer interrupts,
-plays adversary (guest-level reads and writes from the primary into memory
-it should not reach) and asserts on outcomes.  The same script always
-produces the same trace.
+enclaves through its one driver, invokes commands, injects timer
+interrupts, plays adversary (guest-level reads and writes from the primary
+into memory it should not reach) and asserts on outcomes.  The same script
+always produces the same trace.  Scripts create every enclave on pCPU 0:
+the driver's `create` takes a pCPU, the script grammar does not yet.
 
 Format, one statement per line, `#` starts a comment:
 
@@ -30,7 +31,7 @@ Format, one statement per line, `#` starts a comment:
     adversary read e private 0      # primary reads 16 bytes of donated page 0
     expect fault unmapped
     adversary write e private 3     # primary writes 16 bytes of 0xa5
-    aux a1                          # bare schedulable vcpu, pcpu 0
+    aux a1                          # new bare vcpu on pcpu 0 in VM aux<vmid>
     schedule a1
     interrupt primary               # unwinds everything above the base
     expect outcome unwound
@@ -45,9 +46,10 @@ not `expect error` fails the run.  A successful adversary read leaves its
 bytes as the `payload`.  An adversary statement names the pages the
 variable's enclave was created with, so after `destroy` it probes the
 former pages: a reclaimed page reads as zeros, and one that was donated
-again faults.  An `aux` name must not be a live VM's (`primary`,
-`enclaveN`, an earlier aux), or the action's error is `NameInUse`.  A
-`timer` delay is 0 to 2**32 - 1 cost units.
+again faults.  `aux <var>` binds a variable, as `create` does, to a new
+vCPU whose VM the hypervisor names `aux<vmid>`; binding it again makes
+another vCPU.  `primary` names the primary's vCPU, so it is no aux
+variable.  A `timer` delay is 0 to 2**32 - 1 cost units.
 
 The interpreter is the one way the harness acts on a simulation: the
 lifecycle and mixed fuzz profiles feed it their statements one at a time,
@@ -176,7 +178,8 @@ class _Runner:
         # primary-view (private, channel) pages of each variable's enclave,
         # kept after destroy for the adversary
         self.pages: Dict[str, Tuple[List[int], List[int]]] = {}
-        self.auxes: Dict[str, object] = {}
+        # vCPU variables: `primary`, and one per `aux`
+        self.vcpus: Dict[str, object] = {"primary": self.sim.primary_vcpu(0)}
         self.outputs: List[str] = []
         # outcome of the most recent action, consulted by `expect`
         self.last: Dict[str, object] = {}
@@ -346,17 +349,17 @@ class _Runner:
     # raw stacking, for demos of the scheduling machinery
     def _op_aux(self, step: Step) -> None:
         if not step.args:
-            raise step.fail("aux needs a name")
-        name = step.args[0]
-        self.auxes[name] = self.sim.hv.make_aux_vcpu(
-            self._pcpu(step, step.args[1:]), name)
+            raise step.fail("aux needs a variable")
+        var = step.args[0]
+        if var == "primary":
+            raise step.fail("aux variable 'primary' names the primary vcpu")
+        self.vcpus[var] = self.sim.hv.make_aux_vcpu(
+            self._pcpu(step, step.args[1:]))
 
     def _resolve_vcpu(self, step: Step, name: str):
-        if name == "primary":
-            return self.sim.primary_vcpu(0)
-        if name in self.auxes:
-            return self.auxes[name]
-        raise step.fail("unknown vcpu %r" % name)
+        if name not in self.vcpus:
+            raise step.fail("unknown vcpu %r" % name)
+        return self.vcpus[name]
 
     def _op_schedule(self, step: Step) -> None:
         if not step.args:

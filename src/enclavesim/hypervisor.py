@@ -44,7 +44,6 @@ from .errors import (
     Exhausted,
     HypercallError,
     InvalidDonation,
-    NameInUse,
     NoParent,
     PageNotMapped,
     PrivilegeViolation,
@@ -556,14 +555,13 @@ class Hypervisor:
 
     # -- raw scheduling for tests and demos -----------------------------------
 
-    def make_aux_vcpu(self, pcpu_id: int, name: str) -> Vcpu:
+    def make_aux_vcpu(self, pcpu_id: int) -> Vcpu:
         """A schedulable vCPU with no memory and no program, for exercising
-        the stacking machinery directly.  `name` names its VM, so no live
-        VM may have it already."""
+        the stacking machinery directly.  Its VM is named `aux<vmid>`:
+        vmids are never reused, and no other VM's name starts with `aux`."""
         self.check_pcpu(pcpu_id)
-        if any(vm.name == name for vm in self.vms.values()):
-            raise NameInUse("a live vm is named %r" % name)
-        return self._new_vm(VmKind.ENCLAVE, name, (pcpu_id,)).vcpus[0]
+        return self._new_vm(VmKind.ENCLAVE, "aux%d" % self._next_vmid,
+                            (pcpu_id,)).vcpus[0]
 
     def schedule_vcpu(self, pcpu_id: int, vcpu: Vcpu) -> None:
         """Push `vcpu` onto a pCPU's stack without privilege checks."""

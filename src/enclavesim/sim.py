@@ -38,7 +38,7 @@ class TraceObserver(Observer):
 
     def __init__(self, sim: "Simulation"):
         self.trace = sim.trace
-        # pCPU 0 even for a driver on another pCPU: ROADMAP item 2's open bug
+        # pCPU 0 even for an enclave on another pCPU: ROADMAP item 2's open bug
         self.pcpu0 = sim.machine.pcpus[0]
 
     def on_map(self, vm: int, ipa_page: int, frame: int, perms: Perms) -> None:
@@ -161,4 +161,5 @@ class Simulation:
         return out
 
     def primary_vcpu(self, pcpu_id: int = 0) -> Vcpu:
+        self.hv.check_pcpu(pcpu_id)
         return self.hv.primary.vcpus[pcpu_id]

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 from enclavesim.channel import ChannelStatus
 from enclavesim.errors import BadFd, DriverError, Exhausted, NoMemory
 from enclavesim.guest_os import FD_BASE, FD_CAPACITY, EnclaveDriver, OsAllocator
-from enclavesim.harness import check_allocator_conservation
+from enclavesim.harness import (
+    WriteConfinementOracle,
+    ZeroizeWatch,
+    check_allocator_conservation,
+    standard_checks,
+)
 from enclavesim.machine import MachineConfig
 from enclavesim.sim import Simulation
 from enclavesim.ta_runtime import image_for_pages
@@ -249,3 +254,40 @@ def test_channel_pages_are_contiguous():
     first = rec.chan_pages[0]
     assert rec.chan_pages == [first, first + 1]
     assert rec.channel_ipa == first * 4096
+
+
+# -- one driver for every pCPU -------------------------------------------------
+
+
+def test_one_driver_serves_both_pcpus():
+    sim = Simulation(MachineConfig(frames=256, pcpus=2))
+    driver = EnclaveDriver(sim)
+    zerowatch = ZeroizeWatch(sim.hv)
+    confinement = WriteConfinementOracle(sim.hv)
+    sim.machine.observers += [zerowatch, confinement]
+    # every enclave lives at once, so both pCPUs draw on one allocator
+    fds = {p: (driver.create(image_for_pages("echo", 3, 1), pcpu=p),
+               driver.create(image_for_pages("spinner", 4, 1), pcpu=p))
+           for p in (0, 1)}
+    pinned = {v.name: v.pcpu for vm in sim.hv.vms.values() for v in vm.vcpus}
+    assert [pinned[driver.record_of(fd).vm.vcpus[0].name]
+            for p in (0, 1) for fd in fds[p]] == [0, 0, 1, 1]
+    for p, (echo, spinner) in fds.items():
+        assert driver.invoke(echo, 0, b"hi") == (ChannelStatus.DONE, b"hi")
+        sim.arm_timer(10, p)
+        assert driver.invoke(spinner, 1, bytes.fromhex("0600000004000000")) \
+            == (ChannelStatus.PREEMPTED, b"")
+        assert driver.resume(spinner) == (ChannelStatus.DONE, b"spun")
+    for echo, spinner in fds.values():
+        driver.destroy(echo)
+        driver.destroy(spinner)
+    assert not sim.hv.enclaves and driver.open_fds() == []
+    assert standard_checks(sim, driver) == []
+    assert zerowatch.violations == [] and confinement.violations == []
+    # each event a vCPU causes names the pCPU that vCPU is pinned to; the
+    # memory-level events (channel, s2_*) do not yet
+    caused = [ev for ev in sim.trace.events
+              if ev.kind in ("hypercall", "push", "ctx_switch")]
+    assert [ev.pcpu for ev in caused] == [pinned[ev.vcpu] for ev in caused]
+    assert {ev.vcpu for ev in caused if ev.pcpu == 1} == {
+        "primary.v1", "enclave3.v0", "enclave4.v0"}

@@ -251,7 +251,7 @@ def test_retirement_refuses_vm_with_leftover_mappings():
 def test_stack_integrity_sees_broken_links():
     sim, _ = make_sim()
     hv = sim.hv
-    a = hv.make_aux_vcpu(0, "a")
+    a = hv.make_aux_vcpu(0)
     hv.schedule_vcpu(0, a)
     assert check_stack_integrity(hv) == []
     a.tail.head = None  # sever the downlink's back-pointer
@@ -442,23 +442,36 @@ def test_scenario_unexpected_error_fails_naming_its_line(script):
         run_scenario_text(script)
 
 
-@pytest.mark.parametrize("script, lineno", [
-    ("aux a\nschedule a\naux a\nschedule a", 3),
-    ("aux primary", 1),
-])
-def test_scenario_aux_name_in_use_is_an_outcome(script, lineno):
-    with pytest.raises(ExpectationFailed,
-                       match="^line %d: unexpected NameInUse: " % lineno):
-        run_scenario_text(script)
-    # expected, the refused aux leaves no vm and no event behind
-    lines = script.splitlines()
-    refused = run_scenario_text("\n".join(
-        lines[:lineno] + ["expect error NameInUse"]))
-    clean = run_scenario_text("\n".join(lines[:lineno - 1]))
-    assert refused.ok, refused.violations
-    assert refused.outputs[-1].startswith("line %d: NameInUse: " % lineno)
-    assert refused.sim.hv.vms.keys() == clean.sim.hv.vms.keys()
-    assert refused.sim.trace.to_jsonl() == clean.sim.trace.to_jsonl()
+# an aux made first, whose variable is a later enclave's VM name
+_AUX_COLLISION_SCRIPT = """
+aux enclave1
+create e echo
+invoke e 0 str:x
+schedule enclave1
+yield
+"""
+
+
+def test_scenario_aux_and_enclave_vms_never_share_a_name():
+    result = run_scenario_text(_AUX_COLLISION_SCRIPT)
+    assert result.ok, result.violations
+    names = [vm.name for vm in result.sim.hv.vms.values()]
+    assert sorted(names) == ["aux1", "enclave1", "primary"]
+    pushed = [ev.vcpu for ev in result.sim.trace.events
+              if ev.kind in ("push", "pop")]
+    assert sorted(set(pushed)) == ["aux1.v0", "enclave1.v0"]
+
+
+def test_scenario_aux_variable_rebinds_to_a_new_vcpu():
+    result = run_scenario_text("aux a\nschedule a\naux a\nschedule a")
+    assert result.ok, result.violations
+    assert [v.name for v in result.sim.hv.stack_of(0)] == [
+        "primary.v0", "aux1.v0", "aux2.v0"]
+
+
+def test_scenario_aux_variable_cannot_be_primary():
+    with pytest.raises(ScenarioParseError, match="^line 1: aux variable "):
+        run_scenario_text("aux primary")
 
 
 # the call under each action, and a script whose line 2 runs that action
@@ -579,7 +592,7 @@ def test_bundled_scenarios_run_clean():
 GOLDEN_TRACE_SHA256 = {
     "adversary_demo": "b2d079407faece6ce3d2559adbe766030e6001584f6af77daa89dfa94a7704df",
     "preempt_demo": "892374085c7bad1fd2bd2261dec4113f11a43b31e3d9bf3691e89ded9c21af68",
-    "stack_demo": "bfe06b698db14bae2e212f7569c2c806bdce633cb7870f01a376464a2ce3f08d",
+    "stack_demo": "1db1ab0ef6dd3b0665a3373afe414f4c02a2c660ef5a07df4d09224f091d042f",
     "wallet_demo": "5a3767eb73dcee7fd938efad2db9e9cbeadfd1a7fde7b3f589df33677ebc89a2",
 }
 
@@ -760,6 +773,25 @@ def test_stack_profile_trace_and_ledger_are_pinned(monkeypatch):
     assert sim.machine.ledger.snapshot() == {
         "pt_ops": 0, "zero_bytes": 0, "ctx_switches": 1217, "hypercalls": 0,
         "work_units": 0}
+
+
+def test_mixed_profile_trace_and_ledger_are_pinned(monkeypatch):
+    sims = []
+
+    class Recorded(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(scenario_module, "Simulation", Recorded)
+    report = fuzz_mixed(300, seed=1)
+    assert report.ok, report.format()
+    (sim,) = sims
+    assert hashlib.sha256(sim.trace.to_jsonl().encode()).hexdigest() == (
+        "c8017579b3cbf185191643d47682bfe070c7d3617de7f662016829f99dd4c6f8")
+    assert sim.machine.ledger.snapshot() == {
+        "pt_ops": 1528, "zero_bytes": 1564672, "ctx_switches": 730,
+        "hypercalls": 788, "work_units": 2182}
 
 
 def test_fuzz_mixed_checks_its_final_teardown(monkeypatch):

@@ -8,7 +8,6 @@ from enclavesim.errors import (
     EnclaveDestroyed,
     Exhausted,
     InvalidDonation,
-    NameInUse,
     NoParent,
     PageNotMapped,
     PrivilegeViolation,
@@ -357,12 +356,12 @@ def test_invoke_while_enclave_holds_the_pcpu_refused():
 def test_stack_order_and_links():
     sim = boot()
     hv = sim.hv
-    a = hv.make_aux_vcpu(0, "a")
-    b = hv.make_aux_vcpu(0, "b")
+    a = hv.make_aux_vcpu(0)
+    b = hv.make_aux_vcpu(0)
     hv.schedule_vcpu(0, a)
     hv.schedule_vcpu(0, b)
     stack = hv.stack_of(0)
-    assert [v.name for v in stack] == ["primary.v0", "a.v0", "b.v0"]
+    assert [v.name for v in stack] == ["primary.v0", "aux1.v0", "aux2.v0"]
     assert a.head is b and b.tail is a
     popped = hv.yield_vcpu(0)
     assert popped is b and b.head is None and b.tail is None
@@ -378,7 +377,7 @@ def test_yield_base_has_no_parent():
 def test_interrupt_unwinds_to_ancestor_in_one_switch():
     sim = boot()
     hv = sim.hv
-    vcpus = [hv.make_aux_vcpu(0, n) for n in "abc"]
+    vcpus = [hv.make_aux_vcpu(0) for _ in range(3)]
     for v in vcpus:
         hv.schedule_vcpu(0, v)
     primary = sim.primary_vcpu(0)
@@ -395,7 +394,7 @@ def test_interrupt_unwinds_to_ancestor_in_one_switch():
 def test_interrupt_for_running_vcpu_goes_pending():
     sim = boot()
     hv = sim.hv
-    a = hv.make_aux_vcpu(0, "a")
+    a = hv.make_aux_vcpu(0)
     hv.schedule_vcpu(0, a)
     before = sim.machine.ledger.ctx_switches
     assert hv.deliver_interrupt(0, a) == "pending"
@@ -406,18 +405,18 @@ def test_interrupt_for_running_vcpu_goes_pending():
 def test_interrupt_for_idle_vcpu_goes_pending_then_fires_on_entry():
     sim = boot()
     hv = sim.hv
-    a = hv.make_aux_vcpu(0, "a")
+    a = hv.make_aux_vcpu(0)
     assert hv.deliver_interrupt(0, a) == "pending"
     spy = EventSpy()
     sim.machine.observers.append(spy)
     hv.schedule_vcpu(0, a)
-    assert ("interrupt", "a.v0", "taken_on_entry") in spy.events
+    assert ("interrupt", "aux1.v0", "taken_on_entry") in spy.events
     assert not a.pending_irq
 
 
 def test_interrupt_checks_pcpu():
     sim = boot(pcpus=2)
-    other = sim.hv.make_aux_vcpu(1, "other")
+    other = sim.hv.make_aux_vcpu(1)
     with pytest.raises(WrongPcpu):
         sim.hv.deliver_interrupt(0, other)
     with pytest.raises(WrongPcpu):
@@ -436,18 +435,22 @@ def test_arm_timer_rejects_a_negative_delay():
     assert sim.arm_timer(0) == now
 
 
-@pytest.mark.parametrize("taken", ["a", "primary", "enclave1"])
-def test_aux_names_must_be_unused(taken):
+def test_aux_vms_are_named_by_vmid():
     sim = boot()
     hv = sim.hv
     EnclaveDriver(sim).create(image_for_pages("echo", 3, 1))
-    hv.schedule_vcpu(0, hv.make_aux_vcpu(0, "a"))
-    events, vms = len(sim.trace.events), dict(hv.vms)
-    with pytest.raises(NameInUse, match="^a live vm is named %r$" % taken):
-        hv.make_aux_vcpu(0, taken)
-    assert len(sim.trace.events) == events
-    assert hv.vms == vms
-    assert [v.name for v in hv.stack_of(0)] == ["primary.v0", "a.v0"]
+    a = hv.make_aux_vcpu(0)
+    assert (a.vm.vmid, a.name) == (2, "aux2.v0")
+    assert sorted(vm.name for vm in hv.vms.values()) == [
+        "aux2", "enclave1", "primary"]
+
+
+@pytest.mark.parametrize("pcpu", [-1, 1], ids=["minus-one", "pcpus"])
+def test_a_refused_aux_uses_up_no_vmid(pcpu):
+    sim = boot()
+    with pytest.raises(SimulationError, match="^no pcpu %d$" % pcpu):
+        sim.hv.make_aux_vcpu(pcpu)
+    assert sim.hv.make_aux_vcpu(0).name == "aux1.v0"
 
 
 @pytest.mark.parametrize("pcpu", [-1, 1], ids=["minus-one", "pcpus"])
@@ -466,11 +469,16 @@ def test_arm_timer_rejects_a_missing_pcpu(pcpu):
     assert not sim.hv.enclaves
 
 
-@pytest.mark.parametrize("pcpu", [-1, 1], ids=["minus-one", "pcpus"])
+@pytest.mark.parametrize("pcpu", [-1, 2], ids=["minus-one", "pcpus"])
 def test_driver_rejects_a_missing_pcpu(pcpu):
-    sim = boot()
+    sim = boot(pcpus=2)
+    driver = EnclaveDriver(sim)
+    free, events = driver.allocator.snapshot(), len(sim.trace.events)
     with pytest.raises(SimulationError, match="^no pcpu %d$" % pcpu):
-        EnclaveDriver(sim, pcpu_id=pcpu)
+        driver.create(image_for_pages("echo", 3, 1), pcpu=pcpu)
+    assert driver.allocator.snapshot() == free
+    assert driver.open_fds() == []
+    assert len(sim.trace.events) == events
 
 
 @pytest.mark.parametrize("pcpu", [-1, 1], ids=["minus-one", "pcpus"])
@@ -478,8 +486,8 @@ def test_driver_rejects_a_missing_pcpu(pcpu):
 def test_raw_scheduling_rejects_a_missing_pcpu(entry, pcpu):
     sim = boot()
     hv = sim.hv
-    aux = hv.make_aux_vcpu(0, "a")
-    calls = {"aux": lambda: hv.make_aux_vcpu(pcpu, "x"),
+    aux = hv.make_aux_vcpu(0)
+    calls = {"aux": lambda: hv.make_aux_vcpu(pcpu),
              "schedule": lambda: hv.schedule_vcpu(pcpu, aux),
              "yield": lambda: hv.yield_vcpu(pcpu)}
     events, vms = len(sim.trace.events), set(hv.vms)

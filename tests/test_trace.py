@@ -95,10 +95,10 @@ def test_vcpu_name_is_vm_name_and_index():
     sim = Simulation(MachineConfig(frames=256, pcpus=2))
     driver = EnclaveDriver(sim)
     enclave = driver.record_of(driver.create(image_for("echo"))).vm.vcpus[0]
-    aux = sim.hv.make_aux_vcpu(1, "helper")
+    aux = sim.hv.make_aux_vcpu(1)
     for vcpu in (sim.primary_vcpu(1), enclave, aux):
         assert vcpu.name == "%s.v%d" % (vcpu.vm.name, vcpu.index)
-    assert [sim.primary_vcpu(1).name, aux.name] == ["primary.v1", "helper.v0"]
+    assert [sim.primary_vcpu(1).name, aux.name] == ["primary.v1", "aux2.v0"]
 
 
 # One short run whose trace holds every event kind the simulator emits:
