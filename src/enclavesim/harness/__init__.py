@@ -2,11 +2,11 @@
 
 Everything in here stands outside the simulator and checks it: shadow-state
 oracles that recompute what the hypervisor claims, an attack playbook that
-tries to break isolation on purpose, randomized fuzzers with reference
-models, and a cost benchmark.  The harness acts on the simulator through
-the enclave driver, the hypervisor's public calls and guest-level
-accesses, and watches it through observer hooks and raw physical
-inspection.  Its checks also read the hypervisor's own records:
+tries to break isolation on purpose (five scenario scripts in ``playbook/``),
+randomized fuzzers with reference models, and a cost benchmark.  The harness
+acts on the simulator through the enclave driver, the hypervisor's public
+calls and guest-level accesses, and watches it through observer hooks and
+raw physical inspection.  Its checks also read the hypervisor's own records:
 ``check_frame_exclusivity``, the confinement oracle and the secret scanner
 read the stage-2 tables of ``hv.vms``, ``check_stack_integrity`` walks the
 vCPU ``head``/``tail`` links, the create-fail fuzzer snapshots ``hv.vms``
@@ -25,14 +25,15 @@ from .oracles import (
     standard_checks,
 )
 from .scenario import (
+    AttackResult,
     ExpectationFailed,
     Scenario,
     ScenarioResult,
     parse_scenario,
+    run_attacks,
     run_scenario,
     run_scenario_text,
 )
-from .attacks import AttackResult, run_attacks
 from .bench import BenchReport, run_bench
 from .fuzz import (
     FuzzReport,

@@ -3,9 +3,8 @@
 A scenario drives one simulation end to end: it sizes the machine, creates
 enclaves through its one driver, invokes commands, injects timer
 interrupts, plays adversary (guest-level reads and writes from the primary
-into memory it should not reach) and asserts on outcomes.  The same script
-always produces the same trace.  Scripts create every enclave on pCPU 0:
-the driver's `create` takes a pCPU, the script grammar does not yet.
+into memory it should not reach), scans memory for secrets and asserts on
+outcomes.  The same script always produces the same trace.
 
 Format, one statement per line, `#` starts a comment:
 
@@ -14,10 +13,13 @@ Format, one statement per line, `#` starts a comment:
 
     create w wallet                 # fd bound to variable `w`
     create e echo mem=16 chan=2     # override image geometry
-    create s spinner
-    invoke w 1 str:master seed      # payload: str:, hex:, rand:N or empty
+    create s spinner pcpu=0         # pin to a pCPU (default 0)
+    invoke w 1 str:master seed      # payload: str:, hex:, rand:N, zero:N
     expect status done
     expect payload str:ok
+    secret k wallet str:master seed # the wallet's master and key 0, host-side
+    scan primary k                  # or `all`: count hits in physical memory
+    expect hits 0
     timer 10                        # arm a timer `delay` cost units out
     invoke s 1 hex:0600000004000000 # six slices of four work units
     expect status preempted
@@ -31,6 +33,8 @@ Format, one statement per line, `#` starts a comment:
     adversary read e private 0      # primary reads 16 bytes of donated page 0
     expect fault unmapped
     adversary write e private 3     # primary writes 16 bytes of 0xa5
+    adversary read e private all    # every page in order, one outcome
+    expect fault unmapped           # held: one attempt per page judged
     aux a1                          # new bare vcpu on pcpu 0 in VM aux<vmid>
     schedule a1
     interrupt primary               # unwinds everything above the base
@@ -46,18 +50,25 @@ not `expect error` fails the run.  A successful adversary read leaves its
 bytes as the `payload`.  An adversary statement names the pages the
 variable's enclave was created with, so after `destroy` it probes the
 former pages: a reclaimed page reads as zeros, and one that was donated
-again faults.  `aux <var>` binds a variable, as `create` does, to a new
-vCPU whose VM the hypervisor names `aux<vmid>`; binding it again makes
-another vCPU.  `primary` names the primary's vCPU, so it is no aux
-variable.  A `timer` delay is 0 to 2**32 - 1 cost units.
+again faults.  With `all` it touches every page in order: if each faulted
+with the same kind, that is the `fault`; otherwise a read's `payload` is
+the 16-byte reads of the pages that did not fault, concatenated.  `secret`
+computes patterns on the host; `scan` counts their occurrences in every
+frame (`all`) or in the frames the primary can map (`primary`).  `aux
+<var>` binds a variable, as `create` does, to a new vCPU whose VM the
+hypervisor names `aux<vmid>`; binding it again makes another vCPU.
+`primary` names the primary's vCPU, so it is no aux variable.  A `timer`
+delay is 0 to 2**32 - 1 cost units.
 
 The interpreter is the one way the harness acts on a simulation: the
 lifecycle and mixed fuzz profiles feed it their statements one at a time,
-and the statements they ran replay with `enclavesim run`.
+and the statements they ran replay with `enclavesim run`.  The attack
+playbook is five scripts in `playbook/`, run by `run_attacks`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import resources
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..channel import ChannelStatus
@@ -66,8 +77,10 @@ from ..guest_os import EnclaveDriver
 from ..machine import PAGE_SHIFT, PAGE_SIZE, MachineConfig
 from ..sim import Simulation
 from ..stage2 import AccessFault
-from ..ta_runtime import REGISTRY, image_for, image_for_pages
-from .oracles import WriteConfinementOracle, ZeroizeWatch, standard_checks
+from ..ta_runtime import (REGISTRY, image_for, image_for_pages,
+                          wallet_derived_key, wallet_master_key)
+from .oracles import (SecretScanner, WriteConfinementOracle, ZeroizeWatch,
+                      standard_checks)
 
 
 class ExpectationFailed(SimulationError):
@@ -128,7 +141,8 @@ class ScenarioResult:
 
 _U32 = 1 << 32   # command ids, payload lengths and image sizes are u32
 _ACTIONS = {"create", "invoke", "resume", "destroy", "timer", "tick",
-            "adversary", "expect", "aux", "schedule", "yield", "interrupt"}
+            "adversary", "expect", "aux", "schedule", "yield", "interrupt",
+            "secret", "scan"}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -180,6 +194,9 @@ class _Runner:
         self.pages: Dict[str, Tuple[List[int], List[int]]] = {}
         # vCPU variables: `primary`, and one per `aux`
         self.vcpus: Dict[str, object] = {"primary": self.sim.primary_vcpu(0)}
+        # patterns bound by `secret`, for `scan`
+        self.secrets: Dict[str, List[bytes]] = {}
+        self.pcpus = range(scenario.config.pcpus)
         self.outputs: List[str] = []
         # outcome of the most recent action, consulted by `expect`
         self.last: Dict[str, object] = {}
@@ -191,12 +208,12 @@ class _Runner:
 
     def _pcpu(self, step: Step, options: Tuple[str, ...]) -> int:
         """The `pcpu=` option, a pCPU of this machine; 0 if absent."""
-        return step.options(options, {"pcpu": "pcpu"}, {
-            "pcpu": range(self.scenario.config.pcpus)}).get("pcpu", 0)
+        return step.options(options, {"pcpu": "pcpu"},
+                            {"pcpu": self.pcpus}).get("pcpu", 0)
 
     def _payload(self, step: Step, spec: str) -> bytes:
-        """A payload spec; `rand:N` draws from the run's RNG, at most the
-        machine's memory in bytes."""
+        """A payload spec; `rand:N` draws from the run's RNG and `zero:N`
+        is N zero bytes, each at most the machine's memory in bytes."""
         if spec.startswith("str:"):
             return spec[4:].encode()
         if spec.startswith("hex:"):
@@ -204,11 +221,12 @@ class _Runner:
                 return bytes.fromhex(spec[4:])
             except ValueError:
                 raise step.fail("bad hex payload %r" % spec) from None
-        if spec.startswith("rand:"):
+        if spec.startswith(("rand:", "zero:")):
             memory = self.scenario.config.frames * PAGE_SIZE
-            return self.sim.rng.randbytes(
-                step.number(spec[5:], range(memory + 1), "length"))
-        raise step.fail("payload must be str:, hex: or rand:N, got %r" % spec)
+            n = step.number(spec[5:], range(memory + 1), "length")
+            return bytes(n) if spec[0] == "z" else self.sim.rng.randbytes(n)
+        raise step.fail("payload must be str:, hex:, rand:N or zero:N, got %r"
+                        % spec)
 
     def _fd(self, step: Step, var: str) -> int:
         if var not in self.fds:
@@ -261,14 +279,16 @@ class _Runner:
             raise step.fail("no registered program %r" % ta_name)
         image = image_for(ta_name)
         # a custom mem must still hold the program's code
-        geom = step.options(step.args[2:], {"mem": "mem", "chan": "chan"},
+        geom = step.options(step.args[2:],
+                            {"mem": "mem", "chan": "chan", "pcpu": "pcpu"},
                             {"mem": range(image.code_pages, _U32),
-                             "chan": range(1, _U32)})
+                             "chan": range(1, _U32), "pcpu": self.pcpus})
+        pcpu = geom.pop("pcpu", 0)
         if geom:
             image = image_for_pages(ta_name,
                                     geom.get("mem", image.mem_size_pages),
                                     geom.get("chan", 1))
-        fd = self.driver.create(image)
+        fd = self.driver.create(image, pcpu=pcpu)
         rec = self.driver.record_of(fd)
         self.fds[var] = fd
         self.pages[var] = (rec.primary_private_pages(),
@@ -323,28 +343,53 @@ class _Runner:
     def _op_adversary(self, step: Step) -> None:
         if len(step.args) != 4 or step.args[0] not in ("read", "write") \
                 or step.args[2] not in ("private", "channel"):
-            raise step.fail(
-                "adversary needs: adversary read|write <var> private|channel <idx>")
-        mode, var, region = step.args[:3]
+            raise step.fail("adversary needs: adversary read|write <var> "
+                            "private|channel <idx>|all")
+        mode, var, region, which = step.args
         if var not in self.pages:
             raise step.fail("unknown enclave variable %r" % var)
-        private, channel = self.pages[var]
-        pages = private if region == "private" else channel
-        idx = step.number(step.args[3], range(len(pages)), "page index")
-        ipa = pages[idx] << PAGE_SHIFT
-        if mode == "read":
-            out = self.sim.vm_read(self.sim.hv.primary, ipa, 16)
-        else:
-            out = self.sim.vm_write(self.sim.hv.primary, ipa, b"\xa5" * 16)
-        if isinstance(out, AccessFault):
-            self.last["fault"] = out.kind.value
-            self._say(step, "adversary %s %s[%d] -> fault %s"
-                      % (mode, region, idx, out.kind.value))
+        pages = self.pages[var][region == "channel"]
+        if which != "all":
+            idx = step.number(which, range(len(pages)), "page index")
+            pages, which = pages[idx:idx + 1], str(idx)
+        access = self.sim.vm_read if mode == "read" else self.sim.vm_write
+        arg = 16 if mode == "read" else b"\xa5" * 16
+        outs = [access(self.sim.hv.primary, page << PAGE_SHIFT, arg)
+                for page in pages]
+        self.last["pages"] = len(pages)   # what one `expect` judges
+        faults = {out.kind.value for out in outs
+                  if isinstance(out, AccessFault)}
+        passed = [out for out in outs if not isinstance(out, AccessFault)]
+        if len(faults) == 1 and not passed:
+            self.last["fault"] = faults.pop()
+            done = "fault " + self.last["fault"]
         else:
             if mode == "read":
-                self.last["payload"] = out
-            self._say(step, "adversary %s %s[%d] -> succeeded"
-                      % (mode, region, idx))
+                self.last["payload"] = b"".join(passed)
+            done = "succeeded" if len(pages) == 1 else \
+                "%d of %d succeeded" % (len(passed), len(pages))
+        self._say(step, "adversary %s %s[%s] -> %s"
+                  % (mode, region, which, done))
+
+    def _op_secret(self, step: Step) -> None:
+        if len(step.args) < 3 or step.args[1] != "wallet":
+            raise step.fail("secret needs: secret <var> wallet <payload>")
+        seed = self._payload(step, " ".join(step.args[2:]))
+        master = wallet_master_key(seed)
+        self.secrets[step.args[0]] = [master, wallet_derived_key(master, 0)]
+
+    def _op_scan(self, step: Step) -> None:
+        if len(step.args) != 2 or step.args[0] not in ("all", "primary"):
+            raise step.fail("scan needs: scan all|primary <var>")
+        where, var = step.args
+        if var not in self.secrets:
+            raise step.fail("unknown secret variable %r" % var)
+        scanner, patterns = SecretScanner(self.sim.machine), self.secrets[var]
+        hits = scanner.scan_frames(patterns) if where == "all" else \
+            scanner.scan_vm_reachable(self.sim.hv, self.sim.hv.primary.vmid,
+                                      patterns)
+        self.last["hits"] = len(hits)
+        self._say(step, "scan %s %s -> %d hits" % (where, var, len(hits)))
 
     # raw stacking, for demos of the scheduling machinery
     def _op_aux(self, step: Step) -> None:
@@ -408,7 +453,9 @@ class _Runner:
                     raise ExpectationFailed(
                         "line %d: payload %r != expected %r"
                         % (step.lineno, got, want))
-        elif what in ("fault", "error", "outcome"):
+        elif what in ("fault", "error", "outcome", "hits"):
+            if what == "hits":
+                value = step.number(value)
             got = self.last.get(what)
             if got != value:
                 raise ExpectationFailed("line %d: expected %s %r, got %r"
@@ -425,3 +472,43 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
 def run_scenario_text(text: str) -> ScenarioResult:
     return run_scenario(parse_scenario(text))
+
+
+# -- the attack playbook ------------------------------------------------------
+
+PLAYBOOK = ("steal-private-memory", "scavenge-after-destroy",
+            "scan-live-secrets", "privilege-escalation", "address-space-probe")
+
+
+class AttackResult(NamedTuple):
+    """One playbook script's verdict.  Each `expect` that held is one
+    contained attempt, one after an `all` statement once per page it judged;
+    a failed `expect` or an oracle violation is a note, and a breach."""
+    name: str
+    attempts: int
+    contained: int
+    notes: List[str]
+
+    @property
+    def ok(self) -> bool:
+        return self.attempts > 0 and not self.notes
+
+
+def run_attack(name: str) -> AttackResult:
+    """Run the playbook script `playbook/<name>.txt` with its end battery."""
+    path = resources.files(__package__) / "playbook" / (name + ".txt")
+    runner = _Runner(parse_scenario(path.read_text(encoding="utf-8")))
+    contained = 0
+    try:
+        for step in runner.scenario.steps:
+            runner.execute(step)
+            if step.op == "expect":
+                contained += runner.last.get("pages", 1)
+        notes, attempts = runner.finish().violations, contained
+    except ExpectationFailed as err:
+        notes, attempts = [str(err)], contained + runner.last.get("pages", 1)
+    return AttackResult(name, attempts, contained, notes)
+
+
+def run_attacks() -> List[AttackResult]:
+    return [run_attack(name) for name in PLAYBOOK]

@@ -351,7 +351,7 @@ register_ta("wallet", 8, {
 })
 
 
-# -- adversarial programs (used by the attack suite) ------------------------
+# -- adversarial programs (used by the attack playbook) ---------------------
 
 def _escalate(ctx: TaContext, args: bytes) -> GuestProgram:
     """Tries the two management hypercalls an enclave must never get."""

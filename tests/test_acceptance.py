@@ -35,7 +35,7 @@ import reference_wallet as ref
 
 def test_criterion_1_isolation_attacks_fully_contained():
     t0 = time.monotonic()
-    results = run_attacks(seed=0)
+    results = run_attacks()
     elapsed = time.monotonic() - t0
     for res in results:
         assert res.ok, "%s breached: %s" % (res.name, res.notes[:3])

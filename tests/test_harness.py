@@ -30,6 +30,7 @@ from enclavesim.harness import (
     fuzz_mixed,
     fuzz_stack_ops,
     parse_scenario,
+    run_attacks,
     run_scenario,
     run_scenario_text,
     sabotage_teardown,
@@ -52,6 +53,9 @@ from enclavesim.ta_runtime import image_for_pages
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
+PLAYBOOK_DIR = Path(scenario_module.__file__).parent / "playbook"
+PLAYBOOK = ["steal-private-memory", "scavenge-after-destroy",
+            "scan-live-secrets", "privilege-escalation", "address-space-probe"]
 
 
 def make_sim(frames=256, **kw):
@@ -423,6 +427,92 @@ def test_scenario_adversary_reads_are_payloads_and_outlive_destroy():
         """)
 
 
+def test_scenario_adversary_all_judges_every_page_at_once():
+    """`all` touches every page in order.  One fault kind on every page is
+    the fault; otherwise a read's payload is the pages that answered."""
+    result = run_scenario_text("""
+        machine frames=128
+        create e echo mem=6 chan=2
+        adversary read e private all
+        expect fault unmapped
+        adversary write e private all
+        expect fault unmapped
+        adversary read e channel all
+        expect payload len:32
+        destroy e
+        adversary read e private all
+        expect payload zero:96
+        create f echo mem=3             # donates three of e's old pages
+        adversary read e private all
+        expect payload len:48
+    """)
+    assert result.ok, result.violations
+    assert result.outputs[-1].endswith("read private[all] -> 3 of 6 succeeded")
+
+
+def test_scenario_secret_scan_counts_the_wallet_keys():
+    result = run_scenario_text("""
+        machine frames=128
+        create w wallet
+        secret k wallet str:seed
+        scan all k
+        expect hits 0
+        invoke w 1 str:seed
+        invoke w 2
+        scan all k
+        expect hits 2
+        scan primary k
+        expect hits 0
+        destroy w
+        scan all k
+        expect hits 0
+    """)
+    assert result.ok, result.violations
+    # before `invoke w 2` only the master key is in RAM
+    with pytest.raises(ExpectationFailed,
+                       match="line 5: expected hits 2, got 1"):
+        run_scenario_text("create w wallet\ninvoke w 1 str:seed\n"
+                          "secret k wallet str:seed\nscan all k\n"
+                          "expect hits 2\n")
+
+
+def test_scenario_create_pins_its_pcpu():
+    head = "machine pcpus=2\ncreate e echo pcpu=1\n"
+    before = len(run_scenario_text(head).sim.trace.events)
+    result = run_scenario_text(head + "invoke e 0 str:hi\n"
+                                      "expect payload str:hi\n")
+    assert result.ok, result.violations
+    # channel events still name pCPU 0, a known open bug, so they are left out
+    caused = [ev for ev in result.sim.trace.events[before:]
+              if ev.kind in ("hypercall", "push", "ctx_switch")]
+    assert {ev.kind for ev in caused} == {"hypercall", "push", "ctx_switch"}
+    assert {ev.pcpu for ev in caused} == {1}
+    with pytest.raises(ScenarioParseError, match="^line 2: pcpu 2 not in "):
+        run_scenario_text("machine pcpus=2\ncreate e echo pcpu=2")
+
+
+@pytest.mark.parametrize("bad, lineno", [
+    ("secret k rsa str:x", 1),
+    ("secret k wallet hex:zz", 1),
+    ("secret k wallet", 1),
+    ("secret k wallet str:x\nscan all ghost", 2),
+    ("secret k wallet str:x\nscan some k", 2),
+    ("secret k wallet str:x\nscan all k\nexpect hits many", 3),
+    ("machine frames=80\ncreate e echo\ninvoke e 0 zero:327681", 3),
+    ("machine frames=80\ncreate e echo\ninvoke e 0 str:x\n"
+     "expect payload zero:327681", 4),
+    ("create e echo\nadversary read e private some", 2),
+])
+def test_scenario_playbook_statements_reject_bad_values(bad, lineno, tmp_path,
+                                                        capsys):
+    with pytest.raises(ScenarioParseError, match="^line %d: " % lineno):
+        run_scenario_text(bad)
+    script = tmp_path / "bad.txt"
+    script.write_text(bad)
+    assert cli_main(["run", str(script)]) == 2
+    assert "line %d: " % lineno in capsys.readouterr().out
+
+
 def test_scenario_expectation_failure_raises():
     with pytest.raises(ExpectationFailed):
         run_scenario_text("""
@@ -699,10 +789,65 @@ def test_documented_scenario_example_runs(source, tmp_path, capsys):
     assert cli_main(["run", str(script)]) == 0, capsys.readouterr().out
 
 
-def test_cli_attack(capsys):
+def test_cli_attack(capsys, monkeypatch, tmp_path):
+    # the playbook ships in the package, not beside the working directory
+    monkeypatch.chdir(tmp_path)
     assert cli_main(["attack"]) == 0
-    out = capsys.readouterr().out
-    assert "contained" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == PLAYBOOK
+    assert all(line.endswith(" contained") for line in lines)
+
+
+def test_attacks_count_one_attempt_per_page_judged():
+    assert [(r.name, r.contained, r.attempts, r.ok)
+            for r in run_attacks()] == [
+        ("steal-private-memory", 514, 514, True),
+        ("scavenge-after-destroy", 12, 12, True),
+        ("scan-live-secrets", 4, 4, True),
+        ("privilege-escalation", 2, 2, True),
+        ("address-space-probe", 5, 5, True)]
+
+
+def test_playbook_is_its_five_scripts():
+    assert sorted(p.stem for p in PLAYBOOK_DIR.iterdir()) == sorted(PLAYBOOK)
+
+
+@pytest.mark.parametrize("name", PLAYBOOK)
+def test_playbook_script_runs_clean_and_replays(name, capsys):
+    path = PLAYBOOK_DIR / (name + ".txt")
+    assert cli_main(["run", str(path)]) == 0, capsys.readouterr().out
+    text = path.read_text()
+    first, second = run_scenario_text(text), run_scenario_text(text)
+    assert first.sim.trace.to_jsonl() == second.sim.trace.to_jsonl()
+
+
+def _attack_verdicts(capsys):
+    status = cli_main(["attack"])
+    out = capsys.readouterr().out.splitlines()
+    return status, {line.split()[0]: line.split()[-1] for line in out
+                    if not line.startswith(" ")}
+
+
+def test_attack_breaches_on_a_donated_page_left_in_the_primary(monkeypatch,
+                                                               capsys):
+    class Leaky(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # a create whose unmap from the primary does nothing
+            self.hv.primary.table.unmap = lambda page: page
+
+    monkeypatch.setattr(scenario_module, "Simulation", Leaky)
+    status, verdicts = _attack_verdicts(capsys)
+    assert status == 1
+    assert verdicts["steal-private-memory"] == "BREACHED"
+
+
+def test_attack_breaches_on_skipped_zeroization(monkeypatch, capsys):
+    # what sabotage_teardown(hv, "skip_zeroize") does, for every hypervisor
+    monkeypatch.setattr(Hypervisor, "_teardown", Hypervisor._teardown_remap)
+    status, verdicts = _attack_verdicts(capsys)
+    assert status == 1
+    assert verdicts["scavenge-after-destroy"] == "BREACHED"
 
 
 def test_cli_bench_small(capsys):
