@@ -13,7 +13,7 @@ Format, one statement per line, `#` starts a comment:
 
     create w wallet                 # fd bound to variable `w`
     create e echo mem=16 chan=2     # override image geometry
-    create s spinner pcpu=0         # pin to a pCPU (default 0)
+    create s spinner
     invoke w 1 str:master seed      # payload: str:, hex:, rand:N, zero:N
     expect status done
     expect payload str:ok
@@ -33,7 +33,7 @@ Format, one statement per line, `#` starts a comment:
     adversary read e private 0      # primary reads 16 bytes of donated page 0
     expect fault unmapped
     adversary write e private 3     # primary writes 16 bytes of 0xa5
-    adversary read e private all    # every page in order, one outcome
+    adversary read e private all    # every whole page in order, one outcome
     expect fault unmapped           # held: one attempt per page judged
     aux a1                          # new bare vcpu on pcpu 0 in VM aux<vmid>
     schedule a1
@@ -52,7 +52,7 @@ variable's enclave was created with, so after `destroy` it probes the
 former pages: a reclaimed page reads as zeros, and one that was donated
 again faults.  With `all` it touches every page in order: if each faulted
 with the same kind, that is the `fault`; otherwise a read's `payload` is
-the 16-byte reads of the pages that did not fault, concatenated.  `secret`
+the whole pages that did not fault, concatenated.  `secret`
 computes patterns on the host; `scan` counts their occurrences in every
 frame (`all`) or in the frames the primary can map (`primary`).  `aux
 <var>` binds a variable, as `create` does, to a new vCPU whose VM the
@@ -69,6 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
+from os.path import commonprefix
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..channel import ChannelStatus
@@ -200,6 +201,7 @@ class _Runner:
         self.outputs: List[str] = []
         # outcome of the most recent action, consulted by `expect`
         self.last: Dict[str, object] = {}
+        self.held = 0   # attempts judged by `expect`s that held
         # report of an error no `expect error` has consumed yet
         self.unexpected: Optional[str] = None
 
@@ -280,15 +282,14 @@ class _Runner:
         image = image_for(ta_name)
         # a custom mem must still hold the program's code
         geom = step.options(step.args[2:],
-                            {"mem": "mem", "chan": "chan", "pcpu": "pcpu"},
+                            {"mem": "mem", "chan": "chan"},
                             {"mem": range(image.code_pages, _U32),
-                             "chan": range(1, _U32), "pcpu": self.pcpus})
-        pcpu = geom.pop("pcpu", 0)
+                             "chan": range(1, _U32)})
         if geom:
             image = image_for_pages(ta_name,
                                     geom.get("mem", image.mem_size_pages),
                                     geom.get("chan", 1))
-        fd = self.driver.create(image, pcpu=pcpu)
+        fd = self.driver.create(image)
         rec = self.driver.record_of(fd)
         self.fds[var] = fd
         self.pages[var] = (rec.primary_private_pages(),
@@ -349,11 +350,12 @@ class _Runner:
         if var not in self.pages:
             raise step.fail("unknown enclave variable %r" % var)
         pages = self.pages[var][region == "channel"]
+        size = PAGE_SIZE   # `all` reads whole pages, one page 16 bytes
         if which != "all":
             idx = step.number(which, range(len(pages)), "page index")
-            pages, which = pages[idx:idx + 1], str(idx)
+            pages, which, size = pages[idx:idx + 1], str(idx), 16
         access = self.sim.vm_read if mode == "read" else self.sim.vm_write
-        arg = 16 if mode == "read" else b"\xa5" * 16
+        arg = size if mode == "read" else b"\xa5" * 16
         outs = [access(self.sim.hv.primary, page << PAGE_SHIFT, arg)
                 for page in pages]
         self.last["pages"] = len(pages)   # what one `expect` judges
@@ -445,17 +447,19 @@ class _Runner:
                 want_len = step.number(value[4:])
                 if got is None or len(got) != want_len:
                     raise ExpectationFailed(
-                        "line %d: expected %d payload bytes, got %r"
+                        "line %d: expected %d payload bytes, got %.60r"
                         % (step.lineno, want_len, got))
             else:
                 want = self._payload(step, value)
-                if got != want:
+                if got != want:   # an `all` read is long: say where
+                    got = got or b""
+                    at = len(commonprefix([got, want]))
                     raise ExpectationFailed(
-                        "line %d: payload %r != expected %r"
-                        % (step.lineno, got, want))
+                        "line %d: %d payload bytes != expected %d, from byte "
+                        "%d: %r != %r" % (step.lineno, len(got), len(want), at,
+                                          got[at:at + 8], want[at:at + 8]))
         elif what in ("fault", "error", "outcome", "hits"):
-            if what == "hits":
-                value = step.number(value)
+            value = step.number(value) if what == "hits" else value
             got = self.last.get(what)
             if got != value:
                 raise ExpectationFailed("line %d: expected %s %r, got %r"
@@ -464,6 +468,7 @@ class _Runner:
                 self.unexpected = None
         else:
             raise step.fail("unknown expectation %r" % what)
+        self.held += self.last.get("pages", 1)
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
@@ -498,16 +503,11 @@ def run_attack(name: str) -> AttackResult:
     """Run the playbook script `playbook/<name>.txt` with its end battery."""
     path = resources.files(__package__) / "playbook" / (name + ".txt")
     runner = _Runner(parse_scenario(path.read_text(encoding="utf-8")))
-    contained = 0
     try:
-        for step in runner.scenario.steps:
-            runner.execute(step)
-            if step.op == "expect":
-                contained += runner.last.get("pages", 1)
-        notes, attempts = runner.finish().violations, contained
+        notes, attempts = runner.run().violations, runner.held
     except ExpectationFailed as err:
-        notes, attempts = [str(err)], contained + runner.last.get("pages", 1)
-    return AttackResult(name, attempts, contained, notes)
+        notes, attempts = [str(err)], runner.held + runner.last.get("pages", 1)
+    return AttackResult(name, attempts, runner.held, notes)
 
 
 def run_attacks() -> List[AttackResult]:

@@ -429,7 +429,8 @@ def test_scenario_adversary_reads_are_payloads_and_outlive_destroy():
 
 def test_scenario_adversary_all_judges_every_page_at_once():
     """`all` touches every page in order.  One fault kind on every page is
-    the fault; otherwise a read's payload is the pages that answered."""
+    the fault; otherwise a read's payload is the whole pages that
+    answered."""
     result = run_scenario_text("""
         machine frames=128
         create e echo mem=6 chan=2
@@ -438,13 +439,13 @@ def test_scenario_adversary_all_judges_every_page_at_once():
         adversary write e private all
         expect fault unmapped
         adversary read e channel all
-        expect payload len:32
+        expect payload len:8192
         destroy e
         adversary read e private all
-        expect payload zero:96
+        expect payload zero:24576
         create f echo mem=3             # donates three of e's old pages
         adversary read e private all
-        expect payload len:48
+        expect payload len:12288
     """)
     assert result.ok, result.violations
     assert result.outputs[-1].endswith("read private[all] -> 3 of 6 succeeded")
@@ -474,21 +475,6 @@ def test_scenario_secret_scan_counts_the_wallet_keys():
         run_scenario_text("create w wallet\ninvoke w 1 str:seed\n"
                           "secret k wallet str:seed\nscan all k\n"
                           "expect hits 2\n")
-
-
-def test_scenario_create_pins_its_pcpu():
-    head = "machine pcpus=2\ncreate e echo pcpu=1\n"
-    before = len(run_scenario_text(head).sim.trace.events)
-    result = run_scenario_text(head + "invoke e 0 str:hi\n"
-                                      "expect payload str:hi\n")
-    assert result.ok, result.violations
-    # channel events still name pCPU 0, a known open bug, so they are left out
-    caused = [ev for ev in result.sim.trace.events[before:]
-              if ev.kind in ("hypercall", "push", "ctx_switch")]
-    assert {ev.kind for ev in caused} == {"hypercall", "push", "ctx_switch"}
-    assert {ev.pcpu for ev in caused} == {1}
-    with pytest.raises(ScenarioParseError, match="^line 2: pcpu 2 not in "):
-        run_scenario_text("machine pcpus=2\ncreate e echo pcpu=2")
 
 
 @pytest.mark.parametrize("bad, lineno", [
@@ -848,6 +834,32 @@ def test_attack_breaches_on_skipped_zeroization(monkeypatch, capsys):
     status, verdicts = _attack_verdicts(capsys)
     assert status == 1
     assert verdicts["scavenge-after-destroy"] == "BREACHED"
+
+
+def _clear_first_16_bytes(machine, frame):
+    machine.frames.get(frame, bytearray(16))[:16] = bytes(16)
+
+
+def _clear_nothing(machine, frame):
+    pass
+
+
+@pytest.mark.parametrize("clear", [_clear_nothing, _clear_first_16_bytes])
+def test_attack_breaches_on_residue_behind_a_reported_zeroing(monkeypatch,
+                                                              clear):
+    """A zeroing that tells its observers the frame is clear but leaves
+    bytes in it: ZeroizeWatch sees a clean zeroing, so the whole-page reads
+    of the reclaimed pages are what catch it."""
+    def zero_frame(machine, frame):
+        clear(machine, frame)
+        for obs in machine.observers:
+            obs.on_zero(frame)
+
+    monkeypatch.setattr(PhysicalMachine, "zero_frame", zero_frame)
+    result = scenario_module.run_attack("scavenge-after-destroy")
+    assert not result.ok
+    assert result.notes[0].startswith("line 14: 32768 payload bytes "
+                                      "!= expected 32768, from byte ")
 
 
 def test_cli_bench_small(capsys):
