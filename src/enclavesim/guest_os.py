@@ -13,9 +13,9 @@ later calls on its fd issue from the primary vCPU that created it.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .channel import ChannelStatus, ChannelView
 from .errors import BadFd, DriverError, Exhausted, HypercallError, NoMemory
@@ -30,65 +30,65 @@ FD_CAPACITY = 16
 
 
 class OsAllocator:
-    """Free-list page allocator over the primary's donation-eligible region.
+    """Page allocator over the primary's donation-eligible region.
 
-    Pages are handed out lowest-numbered first; allocations are tracked by
-    id so conservation (free + allocated = constant) is checkable from the
-    outside.  An allocation's id is its first page, which no other held
-    allocation can have, so a freed allocation leaves no trace in later ids.
+    Its one record is `allocations`, each held allocation's pages by id; the
+    free pages are the region minus those, worked out per allocation, so the
+    state is the size of what is held.  Pages go out lowest-numbered first.
+    An allocation's id is its first page, which no other held allocation
+    can have, so a freed allocation leaves no trace in later ids.
     """
 
     def __init__(self, first_page: int, end_page: int):
         self.region = (first_page, end_page)
-        self._free: List[int] = list(range(first_page, end_page))
         self.allocations: Dict[int, List[int]] = {}
 
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        first, end = self.region
+        return end - first - sum(map(len, self.allocations.values()))
 
     def snapshot(self) -> tuple:
-        return (tuple(self._free),
-                tuple(sorted((aid, tuple(pages))
-                             for aid, pages in self.allocations.items())))
+        return tuple(sorted((aid, tuple(pages))
+                            for aid, pages in self.allocations.items()))
+
+    def _free_runs(self) -> Iterator[Tuple[int, int]]:
+        """The free pages as [start, end) runs, lowest first."""
+        start, end = self.region
+        for page in sorted(chain.from_iterable(self.allocations.values())):
+            if page > start:
+                yield start, page
+            start = page + 1
+        if start < end:
+            yield start, end
 
     def _take(self, pages: List[int]) -> Tuple[int, List[int]]:
-        for p in pages:
-            self._free.remove(p)
-        self.allocations[pages[0]] = list(pages)
+        self.allocations[pages[0]] = pages
         return pages[0], list(pages)
 
     def allocate(self, n: int) -> Tuple[int, List[int]]:
         if n < 1:
             raise DriverError("allocation of %d pages" % n)
-        if n > len(self._free):
-            raise NoMemory("%d pages requested, %d free" % (n, len(self._free)))
-        return self._take(self._free[:n])
+        pages: List[int] = []
+        for start, end in self._free_runs():
+            pages += range(start, min(end, start + n - len(pages)))
+        if len(pages) < n:
+            raise NoMemory("%d pages requested, %d free" % (n, len(pages)))
+        return self._take(pages)
 
     def allocate_contiguous(self, n: int) -> Tuple[int, List[int]]:
         if n < 1:
             raise DriverError("allocation of %d pages" % n)
-        # sorted, no duplicates: free[i:i+n] is a run iff its ends are n-1
-        # apart, and the first such i starts the lowest run long enough
-        free, last = self._free, n - 1
-        for i in range(len(free) - last):
-            if free[i + last] - free[i] == last:
-                return self._take(free[i:i + n])
+        for start, end in self._free_runs():
+            if end - start >= n:
+                return self._take(list(range(start, start + n)))
         raise NoMemory("no contiguous run of %d pages" % n)
 
     def free(self, aid: int) -> List[int]:
         pages = self.allocations.pop(aid, None)
         if pages is None:
             raise DriverError("free of unknown allocation %d" % aid)
-        for p in pages:
-            self._insort(p)
         return pages
-
-    def _insort(self, page: int) -> None:
-        idx = bisect.bisect_left(self._free, page)
-        if idx < len(self._free) and self._free[idx] == page:
-            raise DriverError("double free of page %#x" % page)
-        self._free.insert(idx, page)
 
 
 @dataclass

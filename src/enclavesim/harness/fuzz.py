@@ -53,7 +53,6 @@ from ..ta_runtime import (
 )
 from .oracles import (
     ReferenceStackModel,
-    ZeroizeWatch,
     check_stack_integrity,
     check_trace_completeness,
 )
@@ -457,15 +456,11 @@ def verify_oracle_sensitivity(seed: int = 0) -> Dict[str, bool]:
     one clean lifecycle and confirm it is not."""
     outcomes = {}
     for mode in ("none", "skip_zeroize", "remap_before_zeroize"):
-        sim = Simulation(MachineConfig(frames=128), seed=seed)
-        driver = EnclaveDriver(sim)
-        watch = ZeroizeWatch(sim.hv)
-        sim.machine.observers.append(watch)
+        runner = _Runner(parse_scenario(
+            "machine frames=128\nseed %d\ncreate w wallet mem=8 chan=1\n"
+            "invoke w 1 str:sensitivity-probe\ndestroy w" % seed))
         if mode != "none":
-            sabotage_teardown(sim.hv, mode)
-        fd = driver.create(image_for_pages("wallet", 8, 1))
-        driver.invoke(fd, 1, b"sensitivity probe")
-        driver.destroy(fd)
-        flagged = bool(watch.violations)
-        outcomes[mode] = (not flagged) if mode == "none" else flagged
+            sabotage_teardown(runner.sim.hv, mode)
+        runner.run()
+        outcomes[mode] = bool(runner.zerowatch.violations) == (mode != "none")
     return outcomes

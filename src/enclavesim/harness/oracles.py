@@ -435,26 +435,23 @@ class WriteConfinementOracle(Observer):
 # -- allocator conservation ---------------------------------------------------
 
 def check_allocator_conservation(allocator) -> List[str]:
-    """Free + allocated page sets must tile the region exactly, with the
-    free list sorted and duplicate-free."""
+    """The free pages are the region minus the allocations, so pages are
+    conserved when every allocation is keyed by its first page and lies
+    inside the region, and no page is in two allocations.  O(allocated)."""
     problems = []
     first, end = allocator.region
-    free = allocator.snapshot()[0]
-    if list(free) != sorted(set(free)):
-        problems.append("free list unsorted or duplicated")
-    held: Set[int] = set(free)
-    for aid, pages in allocator.allocations.items():
+    owner: Dict[int, int] = {}
+    for aid, pages in sorted(allocator.allocations.items()):
+        if pages[:1] != [aid]:
+            problems.append("allocation %d not keyed by its first page" % aid)
         for p in pages:
-            if p in held:
-                problems.append("page %d both free and in allocation %d"
-                                % (p, aid))
-            held.add(p)
-    expected = set(range(first, end))
-    if held != expected:
-        missing = sorted(expected - held)[:4]
-        extra = sorted(held - expected)[:4]
-        problems.append("allocator lost track of pages (missing %s, extra %s)"
-                        % (missing, extra))
+            if not first <= p < end:
+                problems.append("page %d of allocation %d outside region "
+                                "[%d, %d)" % (p, aid, first, end))
+            if p in owner:
+                problems.append("page %d in allocations %d and %d"
+                                % (p, owner[p], aid))
+            owner.setdefault(p, aid)
     return problems
 
 
@@ -498,25 +495,31 @@ def check_trace_completeness(sim) -> List[str]:
     return problems
 
 
-def _channel_frames(sim, driver) -> Set[int]:
-    """The sharing the OS expects: each live fd's channel pages, translated
-    through the primary's view."""
-    shared = set()
+def _fd_holdings(sim, driver) -> Tuple[Set[int], Set[int]]:
+    """What the OS's open fds say it holds: the frames of their channel
+    pages, translated through the primary's view, and their allocations."""
+    shared, aids = set(), set()
     for fd in driver.open_fds():
-        for page in driver.fd_info(fd).chan_pages:
+        rec = driver.fd_info(fd)
+        aids.update((rec.priv_aid, rec.chan_pages[0]))
+        for page in rec.chan_pages:
             ent = sim.hv.primary.table.lookup(page)
             if ent is not None:
                 shared.add(ent[0])
-    return shared
+    return shared, aids
 
 
 def standard_checks(sim, driver) -> List[str]:
     """The battery run at the end of a scenario, a fuzz campaign or a
-    benchmark round.  The driver's channel allocations are the second
-    source the frame sharing is checked against."""
+    benchmark round.  The driver's fds are the second source the frame
+    sharing and the allocator's allocations are checked against."""
+    shared, aids = _fd_holdings(sim, driver)
     problems = []
     problems += check_stack_integrity(sim.hv)
-    problems += check_frame_exclusivity(sim.hv, _channel_frames(sim, driver))
+    problems += check_frame_exclusivity(sim.hv, shared)
     problems += check_trace_completeness(sim)
     problems += check_allocator_conservation(driver.allocator)
+    for aid in sorted(aids.symmetric_difference(driver.allocator.allocations)):
+        problems.append("allocation %d %s" % (aid, "of an open fd not held"
+                        if aid in aids else "held by no open fd"))
     return problems

@@ -76,10 +76,10 @@ class Observer:
         PREEMPTED."""
 
 
-# What a machine may be.  Boot builds one object per pCPU and the guest
-# OS's allocator one free-list entry per page, so the bounds keep one
-# config from exhausting host memory; os_reserved_pages is bounded by the
-# machine's own frame count.
+# What a machine may be.  Boot builds one object per pCPU, a payload may be
+# as large as memory and a sweep for a pattern in the zero page visits every
+# frame, so the bounds keep one config from exhausting host memory or time;
+# os_reserved_pages is bounded by the machine's own frame count.
 MACHINE_BOUNDS = {"frames": range(1, 65536 + 1), "pcpus": range(1, 64 + 1),
                   "max_vms": range(1, 1 << 32)}
 

@@ -63,9 +63,25 @@ def test_double_free_detected_via_overlap():
     alloc = OsAllocator(10, 20)
     aid, pages = alloc.allocate(2)
     alloc.allocations[99] = list(pages)  # simulate corrupted bookkeeping
-    alloc.free(aid)
-    with pytest.raises(DriverError):
-        alloc.free(99)
+    problems = check_allocator_conservation(alloc)
+    assert "page 10 in allocations 10 and 99" in problems
+    assert "page 11 in allocations 10 and 99" in problems
+
+
+def test_allocator_check_flags_pages_it_could_not_hand_out():
+    alloc = OsAllocator(10, 20)
+    assert check_allocator_conservation(alloc) == []
+    alloc.allocations[12] = [13, 14]
+    alloc.allocations[20] = [20]
+    assert check_allocator_conservation(alloc) == [
+        "allocation 12 not keyed by its first page",
+        "page 20 of allocation 20 outside region [10, 20)"]
+
+
+def test_fresh_allocator_holds_nothing_at_65536_frames():
+    sim, driver = make_driver(frames=65536)
+    assert driver.allocator.snapshot() == ()
+    assert driver.allocator.free_count == 65536 - 64
 
 
 def test_aid_rollback_keeps_error_paths_invisible():
@@ -95,7 +111,9 @@ def test_allocator_conservation_property(rolls):
         if roll < 6 or not live:
             n = roll % 4 + 1
             if n <= alloc.free_count:
+                free = _free_pages(alloc)
                 aid, pages = alloc.allocate(n)
+                assert pages == free[:n]
                 live.append(aid)
         elif roll < 9:
             aid = live.pop(roll % len(live))
@@ -108,8 +126,14 @@ def test_allocator_conservation_property(rolls):
                 continue
             assert pages == list(range(pages[0], pages[0] + n))
             live.append(aid)
-        check_allocator_conservation(alloc)
-    check_allocator_conservation(alloc)
+        assert check_allocator_conservation(alloc) == []
+        assert alloc.free_count == len(_free_pages(alloc))
+
+
+def _free_pages(alloc):
+    """The region's pages in no allocation, in order."""
+    held = {p for pages in alloc.allocations.values() for p in pages}
+    return [p for p in range(*alloc.region) if p not in held]
 
 
 def _reference_allocate_contiguous(alloc, n):
@@ -117,12 +141,14 @@ def _reference_allocate_contiguous(alloc, n):
     take the first run of at least `n` pages."""
     if n < 1:
         raise DriverError("allocation of %d pages" % n)
+    free = _free_pages(alloc)
     run_start = 0
-    for i in range(1, len(alloc._free) + 1):
-        if i == len(alloc._free) or alloc._free[i] != alloc._free[i - 1] + 1:
+    for i in range(1, len(free) + 1):
+        if i == len(free) or free[i] != free[i - 1] + 1:
             if i - run_start >= n:
-                pages = alloc._free[run_start:run_start + n]
-                return alloc._take(pages)
+                pages = free[run_start:run_start + n]
+                alloc.allocations[pages[0]] = pages
+                return pages[0], list(pages)
             run_start = i
     raise NoMemory("no contiguous run of %d pages" % n)
 
@@ -209,6 +235,21 @@ def test_failed_create_rolls_back_allocator():
         driver.create(image_for_pages("echo", 3, 1))
     assert driver.allocator.snapshot() == snap
     assert driver.open_fds() == open_before
+
+
+def test_standard_checks_flag_an_allocation_no_fd_holds():
+    sim, driver = make_driver(max_vms=2)
+    driver.create(image_for_pages("echo", 3, 1))     # pages 64-67
+    with pytest.raises(Exhausted):
+        driver.create(image_for_pages("echo", 3, 1))
+    assert standard_checks(sim, driver) == []
+    driver.allocator.allocate_contiguous(1)          # leaked: no fd holds it
+    assert standard_checks(sim, driver) == [
+        "allocation 68 held by no open fd"]
+    driver.allocator.free(68)
+    driver.allocator.free(64)                        # freed under a live fd
+    assert standard_checks(sim, driver) == [
+        "allocation 64 of an open fd not held"]
 
 
 def test_create_with_no_memory_rolls_back():
