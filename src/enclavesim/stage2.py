@@ -105,32 +105,35 @@ class Stage2Table:
             return ipa_page, PERM_RWX
         return None
 
-    def _store(self, ipa_page: int, entry: Optional[Tuple[int, Perms]]) -> None:
-        """Give `ipa_page` `entry` (None: unmapped), kept as an exception
-        only where it differs from the default."""
-        if entry == self._default(ipa_page):
-            self.entries.pop(ipa_page, None)
-        else:
-            self.entries[ipa_page] = entry
-
     def map(self, ipa_page: int, frame: int, perms: Perms) -> None:
-        if self.lookup(ipa_page) is not None:
+        entries = self.entries
+        entry = entries.get(ipa_page, _MISS)
+        identity = 0 <= ipa_page < self.identity_pages
+        if entry is not None and (entry is not _MISS or identity):
             raise AlreadyMapped(f"vm{self.owner_vm} ipa page {ipa_page:#x}")
         if not 0 <= frame < self.machine.n_frames:
             raise BadFrame(f"frame {frame} outside [0, {self.machine.n_frames})")
         if not (perms.read or perms.write or perms.execute):
             raise InvalidPerms("mapping needs at least one permission bit")
-        self._store(ipa_page, (frame, perms))
+        if identity and frame == ipa_page and perms == PERM_RWX:
+            del entries[ipa_page]       # back to the default
+        else:
+            entries[ipa_page] = frame, perms
         self.machine.ledger.pt_ops += 1
         for obs in self.machine.observers:
             obs.on_map(self.owner_vm, ipa_page, frame, perms)
 
     def unmap(self, ipa_page: int) -> int:
-        entry = self.lookup(ipa_page)
-        if entry is None:
+        entries = self.entries
+        entry = entries.get(ipa_page, _MISS)
+        identity = 0 <= ipa_page < self.identity_pages
+        if entry is None or (entry is _MISS and not identity):
             raise NotMapped(f"vm{self.owner_vm} ipa page {ipa_page:#x}")
-        self._store(ipa_page, None)
-        frame = entry[0]
+        frame = ipa_page if entry is _MISS else entry[0]
+        if identity:
+            entries[ipa_page] = None    # an exception to the default
+        else:
+            del entries[ipa_page]
         self.machine.ledger.pt_ops += 1
         for obs in self.machine.observers:
             obs.on_unmap(self.owner_vm, ipa_page, frame)
@@ -138,13 +141,18 @@ class Stage2Table:
 
     def protect(self, ipa_page: int, perms: Perms) -> Perms:
         """Update the permissions of an installed entry; returns the old ones."""
-        entry = self.lookup(ipa_page)
-        if entry is None:
+        entries = self.entries
+        entry = entries.get(ipa_page, _MISS)
+        identity = 0 <= ipa_page < self.identity_pages
+        if entry is None or (entry is _MISS and not identity):
             raise NotMapped(f"vm{self.owner_vm} ipa page {ipa_page:#x}")
         if not (perms.read or perms.write or perms.execute):
             raise InvalidPerms("mapping needs at least one permission bit")
-        frame, old = entry
-        self._store(ipa_page, (frame, perms))
+        frame, old = (ipa_page, PERM_RWX) if entry is _MISS else entry
+        if identity and frame == ipa_page and perms == PERM_RWX:
+            entries.pop(ipa_page, None)     # back to the default
+        else:
+            entries[ipa_page] = frame, perms
         self.machine.ledger.pt_ops += 1
         for obs in self.machine.observers:
             obs.on_protect(self.owner_vm, ipa_page, frame, old, perms)

@@ -28,16 +28,30 @@ The line equals ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
 of that record.  Only ``detail`` goes through the JSON encoder; the fixed
 keys are written directly, with strings escaped as ``json.dumps`` escapes
 them (ASCII only) and a missing vCPU written as ``null``.
+
+The trace is serialized in blocks of ``BLOCK`` events, one encoder call per
+block.  A block's details are encoded together as one JSON array; with its
+outer ``[`` and ``]`` stripped, the text is cut at each ``},{`` into one
+piece per event.  The cut is exact whenever it gives exactly as many pieces
+as the block has events: the encoder escapes to ASCII, so its output holds
+no raw newline to confuse the split, and the n-1 top-level boundaries
+between the n detail dicts are always there, so a ``},{`` inside a detail (a
+nested list of dicts, or a string holding those three characters) can only
+add pieces.  A block whose piece count differs is encoded one detail at a
+time with the same encoder.  ``to_jsonl`` joins the blocks, and
+``write_jsonl`` writes them to the file one by one, so neither builds a
+list of every line.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
 
 _LINE = '{"detail":%s,"event":%s,"pcpu":%d,"step":%d,"t":%d,"vcpu":%s}\n'
 _encode_detail = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+BLOCK = 256     # events serialized per encoder call
 
 
 class TraceEvent(NamedTuple):
@@ -67,13 +81,25 @@ class TraceRecorder:
     def count(self, kind: str) -> int:
         return sum(1 for ev in self.events if ev.kind == kind)
 
+    def _blocks(self) -> Iterator[str]:
+        """The JSONL text of each block of `BLOCK` events, in order."""
+        events = self.events
+        for i in range(0, len(events), BLOCK):
+            block = events[i:i + BLOCK]
+            details = [ev[4] for ev in block]
+            pieces = _encode_detail(details)[1:-1].replace(
+                "},{", "}\n{").split("\n")
+            if len(pieces) != len(block):   # a "},{" inside some detail
+                pieces = [_encode_detail(detail) for detail in details]
+            yield "".join([
+                _LINE % (text, _quote(kind), pcpu, step, t,
+                         "null" if vcpu is None else _quote(vcpu))
+                for text, (step, kind, pcpu, vcpu, _, t) in zip(pieces, block)
+            ])
+
     def to_jsonl(self) -> str:
-        return "".join([
-            _LINE % (_encode_detail(detail), _quote(kind), pcpu, step, t,
-                     "null" if vcpu is None else _quote(vcpu))
-            for step, kind, pcpu, vcpu, detail, t in self.events
-        ])
+        return "".join(self._blocks())
 
     def write_jsonl(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
+            fh.writelines(self._blocks())

@@ -22,7 +22,7 @@ from enclavesim.hypervisor import (
 from enclavesim.machine import MachineConfig, Observer
 from enclavesim.sim import Simulation, _call_detail
 from enclavesim.ta_runtime import image_for
-from enclavesim.trace import TraceRecorder
+from enclavesim.trace import BLOCK, TraceRecorder
 
 
 def _recorder(*events):
@@ -55,6 +55,18 @@ CASES = {
             "no": False, "none": None, "neg": -17,
             "text": "naïve ☃", "café": "\U0001f600"})),
     "create-enclave": _create_enclave,
+    # a "},{" inside a detail makes the block's cut give too many pieces,
+    # so these blocks are encoded one detail at a time
+    "boundary-in-string": lambda: _recorder(
+        ("work", 0, None, {"a": 1}), ("work", 0, None, {"s": "x},{y"}),
+        ("work", 0, None, {"b": 2})),
+    "nested-list-of-dicts": lambda: _recorder(
+        ("work", 0, None, {"l": [{"a": 1}, {"b": 2}]}),
+        ("work", 0, None, {})),
+    "three-blocks": lambda: _recorder(*(
+        ("work", i % 2, "primary.v0",
+         {"l": [{"a": i}, {}]} if i == BLOCK + BLOCK // 2 else {"units": i})
+        for i in range(600))),
 }
 
 
@@ -70,6 +82,13 @@ def test_to_jsonl_equals_sorted_compact_json_dumps(build):
     assert got == want
     if not trace.events:
         assert got == ""
+
+
+@pytest.mark.parametrize("build", CASES.values(), ids=CASES.keys())
+def test_write_jsonl_writes_the_bytes_of_to_jsonl(build, tmp_path):
+    trace, path = build(), tmp_path / "trace.jsonl"
+    trace.write_jsonl(str(path))
+    assert path.read_bytes() == trace.to_jsonl().encode()
 
 
 def test_call_detail_equals_asdict_for_every_hypercall():
