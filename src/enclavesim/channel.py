@@ -12,8 +12,13 @@ The channel lives in pages mapped rw into both VMs.  Its layout is a fixed
     20      ...   payload (request args, later overwritten by the reply)
 
 Both sides poll; there are no interrupt doorbells.  Memory ordering is
-modeled by writing the status word last: a reader that observes REQUEST or
-DONE is guaranteed to see the matching payload.  Legal status transitions:
+modeled by publishing last: a request or a reply writes its payload, then
+header bytes 4-20 (status, cmd_id, arg_len, ret_len) in one write, so a
+reader that observes REQUEST or DONE is guaranteed to see the matching
+payload and lengths.  Preempting and re-arming rewrite the status word
+alone.  Each step reads the header once and checks its transition before
+it writes anything, so a refused step leaves the channel untouched.  Legal
+status transitions:
 
     IDLE -> REQUEST
     REQUEST -> DONE | ERROR | PREEMPTED
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .errors import ChannelBusy, ChannelError, ChannelNoRequest, ChannelTooLarge
 from .machine import PAGE_SIZE, PhysicalMachine
@@ -58,6 +63,8 @@ LEGAL_TRANSITIONS = {
 }
 
 _STATUS_WORD = struct.Struct("<I")
+# header bytes 4-20: status, cmd_id, arg_len, ret_len
+_TAIL = struct.Struct("<IIII")
 # raw status word -> ChannelStatus; one dict lookup, where calling the enum
 # goes through its metaclass and a try/except
 _STATUS_OF = {int(st): st for st in ChannelStatus}
@@ -105,33 +112,40 @@ class ChannelView:
     def status(self) -> int:
         return _STATUS_WORD.unpack(self._read(4, 4))[0]
 
-    def _set_status(self, new: ChannelStatus,
-                    payload: Optional[bytes] = None) -> None:
-        """Move the status word to `new` and show the observers the header
-        as it now reads, with the active payload.  The header is read once,
-        before the write, and the new status word spliced in.  A caller that
-        has just written the payload hands it over; otherwise it is read."""
-        header = self._read(0, HEADER_LEN)
-        _, old_raw, _, arg_len, ret_len = CHANNEL_HEADER.unpack(header)
+    def _transition(self, old_raw: int, new: ChannelStatus) -> ChannelStatus:
+        """The status `old_raw` decodes to, if moving it to `new` is legal."""
         old = _STATUS_OF.get(old_raw)
         if old is None:
             raise ChannelError("corrupt channel status %d" % old_raw)
         if (old, new) not in LEGAL_TRANSITIONS:
             raise ChannelError("illegal channel transition %s -> %s"
                                % (old.name, new.name))
-        word = _STATUS_WORD.pack(new)
-        self._write(4, word)
-        header = header[:4] + word + header[8:]
-        if payload is None:
-            if new is ChannelStatus.REQUEST:
-                active = min(arg_len, self.capacity)
-            elif new in (ChannelStatus.DONE, ChannelStatus.ERROR):
-                active = min(ret_len, self.capacity)
-            else:
-                active = 0
-            payload = self._read(HEADER_LEN, active) if active else b""
+        return old
+
+    def _publish(self, header: bytes, old: int, new: ChannelStatus,
+                 tail: bytes, payload: bytes) -> None:
+        """Write `tail` over the header from the status word on, and show
+        the observers the header as it now reads, with the active payload.
+        `header` is the header as it read before the write."""
+        self._write(4, tail)
+        header = header[:4] + tail + header[4 + len(tail):]
         for obs in self.machine.observers:
             obs.on_channel(self.side, int(old), int(new), header, payload)
+
+    def _set_status(self, new: ChannelStatus) -> None:
+        """Move the status word alone to `new`, reading the active payload
+        for the observers before anything is written."""
+        header = self._read(0, HEADER_LEN)
+        _, old_raw, _, arg_len, ret_len = CHANNEL_HEADER.unpack(header)
+        old = self._transition(old_raw, new)
+        if new is ChannelStatus.REQUEST:
+            active = min(arg_len, self.capacity)
+        elif new in (ChannelStatus.DONE, ChannelStatus.ERROR):
+            active = min(ret_len, self.capacity)
+        else:
+            active = 0
+        payload = self._read(HEADER_LEN, active) if active else b""
+        self._publish(header, old, new, _STATUS_WORD.pack(new), payload)
 
     # -- protocol steps -----------------------------------------------------
 
@@ -141,17 +155,19 @@ class ChannelView:
                                            0, 0, 0))
 
     def write_request(self, cmd_id: int, args: bytes) -> None:
-        st = self.status()
+        header = self._read(0, HEADER_LEN)
+        st = _STATUS_WORD.unpack_from(header, 4)[0]
         if st not in (ChannelStatus.IDLE, ChannelStatus.DONE,
                       ChannelStatus.ERROR):
             raise ChannelBusy("channel status %d, cannot submit" % st)
         if len(args) > self.capacity:
             raise ChannelTooLarge("args %d > capacity %d"
                                   % (len(args), self.capacity))
-        self._write(8, struct.pack("<III", cmd_id, len(args), 0))
         if args:
             self._write(HEADER_LEN, args)
-        self._set_status(ChannelStatus.REQUEST, args)
+        self._publish(header, st, ChannelStatus.REQUEST,
+                      _TAIL.pack(ChannelStatus.REQUEST, cmd_id, len(args), 0),
+                      args)
 
     def serve(self) -> Tuple[int, bytes]:
         """Enclave side: fetch the pending request."""
@@ -177,10 +193,13 @@ class ChannelView:
         if len(ret) > self.capacity:
             raise ChannelTooLarge("ret %d > capacity %d"
                                   % (len(ret), self.capacity))
+        header = self._read(0, HEADER_LEN)
+        _, old_raw, cmd_id, arg_len, _ = CHANNEL_HEADER.unpack(header)
+        old = self._transition(old_raw, status)
         if ret:
             self._write(HEADER_LEN, ret)
-        self._write(16, _STATUS_WORD.pack(len(ret)))
-        self._set_status(status, ret)
+        self._publish(header, old, status,
+                      _TAIL.pack(status, cmd_id, arg_len, len(ret)), ret)
 
     def mark_preempted(self) -> None:
         """Driver side: record that the enclave was interrupted mid-request."""

@@ -160,7 +160,9 @@ class PhysicalMachine:
             raise OutOfRange(f"frame {frame} outside [0, {self.n_frames})")
 
     def read_frame(self, frame: int, offset: int, length: int) -> bytes:
-        self._check_frame(frame)
+        # _check_frame's test, with no call: every guest access comes here
+        if not 0 <= frame < self.n_frames:
+            raise OutOfRange(f"frame {frame} outside [0, {self.n_frames})")
         if offset < 0 or length < 0 or offset + length > PAGE_SIZE:
             raise OutOfRange(f"read [{offset}, {offset + length}) crosses frame end")
         buf = self.frames.get(frame)
@@ -169,7 +171,9 @@ class PhysicalMachine:
         return bytes(buf[offset:offset + length])
 
     def write_frame(self, frame: int, offset: int, data: bytes) -> None:
-        self._check_frame(frame)
+        # _check_frame's test, with no call: every guest access comes here
+        if not 0 <= frame < self.n_frames:
+            raise OutOfRange(f"frame {frame} outside [0, {self.n_frames})")
         if offset < 0 or offset + len(data) > PAGE_SIZE:
             raise OutOfRange(f"write [{offset}, {offset + len(data)}) crosses frame end")
         buf = self.frames.get(frame)

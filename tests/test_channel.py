@@ -1,10 +1,12 @@
 """Channel protocol: header discipline, transitions, payload round trips."""
 import itertools
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enclavesim import channel
 from enclavesim.channel import (
     CHANNEL_HEADER,
     CHANNEL_MAGIC,
@@ -176,7 +178,9 @@ def test_bad_magic_detected():
 
 
 def test_status_written_after_payload():
-    """Once a reader sees REQUEST, the args bytes are already in place."""
+    """Once a reader sees REQUEST or DONE, the payload bytes are already in
+    place, and the one write that carries the status carries the rest of
+    the header after it (cmd_id, arg_len, ret_len) too."""
     machine, primary, enclave = make_channel()
     order = []
 
@@ -188,12 +192,85 @@ def test_status_written_after_payload():
             order.append(("status", new, payload))
 
     machine.observers.append(Spy())
-    primary.write_request(5, b"payload!")
-    status_pos = next(i for i, ev in enumerate(order) if ev[0] == "status")
-    payload_pos = next(i for i, ev in enumerate(order)
-                       if ev[0] == "write" and ev[2] == b"payload!")
-    assert payload_pos < status_pos
-    assert order[status_pos][2] == b"payload!"
+    for step, new, payload, tail in [
+            (lambda: primary.write_request(5, b"payload!"),
+             ChannelStatus.REQUEST, b"payload!", (5, 8, 0)),
+            (lambda: enclave.complete(b"reply"),
+             ChannelStatus.DONE, b"reply", (5, 8, 5))]:
+        order.clear()
+        step()
+        status_pos = next(i for i, ev in enumerate(order)
+                          if ev[0] == "status")
+        payload_pos = next(i for i, ev in enumerate(order)
+                           if ev[0] == "write" and ev[2] == payload)
+        assert payload_pos < status_pos
+        assert order[status_pos][1:] == (new, payload)
+        header_writes = [ev[1:] for ev in order
+                         if ev[0] == "write" and ev[1] < HEADER_LEN]
+        assert header_writes == [
+            (4, struct.pack("<IIII", new, *tail))]
+
+
+def _frame_bytes(machine):
+    return {f: bytes(buf) for f, buf in machine.frames.items()}
+
+
+@pytest.mark.parametrize("word", [ChannelStatus.IDLE, ChannelStatus.DONE,
+                                  ChannelStatus.ERROR,
+                                  ChannelStatus.PREEMPTED, 99])
+@pytest.mark.parametrize("reply", ["complete", "complete_error"])
+def test_refused_reply_leaves_channel_untouched(word, reply):
+    """A reply to a channel that holds no request raises before it writes:
+    neither the reply payload nor ret_len reaches the frames."""
+    machine, primary, enclave = make_channel()
+    primary.write_request(3, b"args")
+    enclave.serve()
+    enclave.complete(b"first reply")
+    primary._write(4, int(word).to_bytes(4, "little"))
+    before = _frame_bytes(machine)
+    writes = []
+
+    class Spy(Observer):
+        def on_write(self, frame, offset, data):
+            writes.append((frame, offset))
+
+    machine.observers.append(Spy())
+    step = {"complete": lambda: enclave.complete(b"second, longer reply"),
+            "complete_error": enclave.complete_error}[reply]
+    with pytest.raises(ChannelError):
+        step()
+    assert writes == []
+    assert _frame_bytes(machine) == before
+
+
+@pytest.mark.parametrize("payload,want", [
+    (b"ping", {"write_request": 3, "serve": 2, "complete": 3,
+               "read_response": 2}),
+    (b"", {"write_request": 2, "serve": 1, "complete": 2,
+           "read_response": 1}),
+], ids=["payload", "empty"])
+def test_guest_accesses_per_step(monkeypatch, payload, want):
+    """Each protocol step reads the header once and publishes it once: one
+    access per header read or write, plus one per non-empty payload."""
+    _, primary, enclave = make_channel()
+    calls = []
+    real = channel.guest_access
+
+    def counted(*args, **kw):
+        calls.append(args[2])       # the accessed ipa
+        return real(*args, **kw)
+
+    monkeypatch.setattr(channel, "guest_access", counted)
+    got = {}
+    for name, step in [
+            ("write_request", lambda: primary.write_request(1, payload)),
+            ("serve", enclave.serve),
+            ("complete", lambda: enclave.complete(payload)),
+            ("read_response", primary.read_response)]:
+        calls.clear()
+        step()
+        got[name] = len(calls)
+    assert got == want
 
 
 def test_lost_write_mapping_faults():
