@@ -16,15 +16,20 @@ modeled by publishing last: a request or a reply writes its payload, then
 header bytes 4-20 (status, cmd_id, arg_len, ret_len) in one write, so a
 reader that observes REQUEST or DONE is guaranteed to see the matching
 payload and lengths.  Preempting and re-arming rewrite the status word
-alone.  Each step reads the header once and checks its transition before
-it writes anything, so a refused step leaves the channel untouched.  Legal
-status transitions:
+alone.
 
-    IDLE -> REQUEST
-    REQUEST -> DONE | ERROR | PREEMPTED
-    PREEMPTED -> REQUEST          (driver re-arms after resuming the enclave)
-    DONE -> REQUEST
-    ERROR -> REQUEST
+Every step reads the header once and checks it before writing anything:
+a bad magic or corrupt status word is a ChannelError, and a status outside
+the step's start set raises its refusal error.  A refused step writes nothing.
+
+    step            side     start statuses      moves to   refusal error
+    write_request   primary  IDLE, DONE, ERROR   REQUEST    ChannelBusy
+    serve           enclave  REQUEST             -          ChannelNoRequest
+    complete        enclave  REQUEST             DONE       ChannelError
+    complete_error  enclave  REQUEST             ERROR      ChannelError
+    mark_preempted  primary  REQUEST             PREEMPTED  ChannelError
+    rearm_request   primary  PREEMPTED           REQUEST    ChannelError
+    read_response   primary  any                 -          -
 
 All accesses go through a stage-2 table, so a side that lost its write
 mapping faults here like anywhere else.
@@ -52,14 +57,16 @@ class ChannelStatus(enum.IntEnum):
     PREEMPTED = 4
 
 
-LEGAL_TRANSITIONS = {
-    (ChannelStatus.IDLE, ChannelStatus.REQUEST),
-    (ChannelStatus.REQUEST, ChannelStatus.DONE),
-    (ChannelStatus.REQUEST, ChannelStatus.ERROR),
-    (ChannelStatus.REQUEST, ChannelStatus.PREEMPTED),
-    (ChannelStatus.PREEMPTED, ChannelStatus.REQUEST),
-    (ChannelStatus.DONE, ChannelStatus.REQUEST),
-    (ChannelStatus.ERROR, ChannelStatus.REQUEST),
+_IDLE, _REQUEST, _DONE, _ERROR, _PREEMPTED = ChannelStatus
+# step -> (statuses it may start from, error for any other), as tabled above
+_STEPS = {
+    "write_request": ((_IDLE, _DONE, _ERROR), ChannelBusy),
+    "serve": ((_REQUEST,), ChannelNoRequest),
+    "complete": ((_REQUEST,), ChannelError),
+    "complete_error": ((_REQUEST,), ChannelError),
+    "mark_preempted": ((_REQUEST,), ChannelError),
+    "rearm_request": ((_PREEMPTED,), ChannelError),
+    "read_response": (tuple(ChannelStatus), ChannelError),
 }
 
 _STATUS_WORD = struct.Struct("<I")
@@ -112,15 +119,26 @@ class ChannelView:
     def status(self) -> int:
         return _STATUS_WORD.unpack(self._read(4, 4))[0]
 
-    def _transition(self, old_raw: int, new: ChannelStatus) -> ChannelStatus:
-        """The status `old_raw` decodes to, if moving it to `new` is legal."""
-        old = _STATUS_OF.get(old_raw)
-        if old is None:
-            raise ChannelError("corrupt channel status %d" % old_raw)
-        if (old, new) not in LEGAL_TRANSITIONS:
-            raise ChannelError("illegal channel transition %s -> %s"
-                               % (old.name, new.name))
-        return old
+    def _header(self, step: str) -> Tuple[bytes, ChannelStatus, int, int, int]:
+        """The header bytes, status, cmd_id, arg_len and ret_len, read once
+        and checked for `step`: magic, a valid status, in its start set."""
+        header = self._read(0, HEADER_LEN)
+        magic, raw, cmd_id, arg_len, ret_len = CHANNEL_HEADER.unpack(header)
+        if magic != CHANNEL_MAGIC:
+            raise ChannelError("bad channel magic %r" % magic)
+        st = _STATUS_OF.get(raw)
+        if st is None:
+            raise ChannelError("corrupt channel status %d" % raw)
+        start, refusal = _STEPS[step]
+        if st not in start:
+            raise refusal("%s on channel status %s" % (step, st.name))
+        return header, st, cmd_id, arg_len, ret_len
+
+    def _payload(self, length: int, field: str) -> bytes:
+        """The `length` payload bytes a header announces in `field`."""
+        if length > self.capacity:
+            raise ChannelError("%s %d exceeds capacity" % (field, length))
+        return self._read(HEADER_LEN, length) if length else b""
 
     def _publish(self, header: bytes, old: int, new: ChannelStatus,
                  tail: bytes, payload: bytes) -> None:
@@ -132,21 +150,6 @@ class ChannelView:
         for obs in self.machine.observers:
             obs.on_channel(self.side, int(old), int(new), header, payload)
 
-    def _set_status(self, new: ChannelStatus) -> None:
-        """Move the status word alone to `new`, reading the active payload
-        for the observers before anything is written."""
-        header = self._read(0, HEADER_LEN)
-        _, old_raw, _, arg_len, ret_len = CHANNEL_HEADER.unpack(header)
-        old = self._transition(old_raw, new)
-        if new is ChannelStatus.REQUEST:
-            active = min(arg_len, self.capacity)
-        elif new in (ChannelStatus.DONE, ChannelStatus.ERROR):
-            active = min(ret_len, self.capacity)
-        else:
-            active = 0
-        payload = self._read(HEADER_LEN, active) if active else b""
-        self._publish(header, old, new, _STATUS_WORD.pack(new), payload)
-
     # -- protocol steps -----------------------------------------------------
 
     def init(self) -> None:
@@ -155,73 +158,55 @@ class ChannelView:
                                            0, 0, 0))
 
     def write_request(self, cmd_id: int, args: bytes) -> None:
-        header = self._read(0, HEADER_LEN)
-        st = _STATUS_WORD.unpack_from(header, 4)[0]
-        if st not in (ChannelStatus.IDLE, ChannelStatus.DONE,
-                      ChannelStatus.ERROR):
-            raise ChannelBusy("channel status %d, cannot submit" % st)
+        header, st, _, _, _ = self._header("write_request")
         if len(args) > self.capacity:
             raise ChannelTooLarge("args %d > capacity %d"
                                   % (len(args), self.capacity))
         if args:
             self._write(HEADER_LEN, args)
-        self._publish(header, st, ChannelStatus.REQUEST,
-                      _TAIL.pack(ChannelStatus.REQUEST, cmd_id, len(args), 0),
-                      args)
+        self._publish(header, st, _REQUEST,
+                      _TAIL.pack(_REQUEST, cmd_id, len(args), 0), args)
 
     def serve(self) -> Tuple[int, bytes]:
         """Enclave side: fetch the pending request."""
-        magic, st, cmd_id, arg_len, _ = self.read_header()
-        if magic != CHANNEL_MAGIC:
-            raise ChannelError("bad channel magic %r" % magic)
-        if st != ChannelStatus.REQUEST:
-            raise ChannelNoRequest("channel status %d, nothing to serve" % st)
-        if arg_len > self.capacity:
-            raise ChannelError("arg_len %d exceeds capacity" % arg_len)
-        args = self._read(HEADER_LEN, arg_len) if arg_len else b""
-        return cmd_id, args
+        _, _, cmd_id, arg_len, _ = self._header("serve")
+        return cmd_id, self._payload(arg_len, "arg_len")
 
     def complete(self, ret: bytes) -> None:
         """Enclave side: publish a successful reply (payload before status)."""
-        self._reply(ChannelStatus.DONE, ret)
+        self._reply("complete", _DONE, ret)
 
     def complete_error(self) -> None:
         """Enclave side: publish a failed request's (empty) reply."""
-        self._reply(ChannelStatus.ERROR, b"")
+        self._reply("complete_error", _ERROR, b"")
 
-    def _reply(self, status: ChannelStatus, ret: bytes) -> None:
+    def _reply(self, step: str, status: ChannelStatus, ret: bytes) -> None:
         if len(ret) > self.capacity:
             raise ChannelTooLarge("ret %d > capacity %d"
                                   % (len(ret), self.capacity))
-        header = self._read(0, HEADER_LEN)
-        _, old_raw, cmd_id, arg_len, _ = CHANNEL_HEADER.unpack(header)
-        old = self._transition(old_raw, status)
+        header, st, cmd_id, arg_len, _ = self._header(step)
         if ret:
             self._write(HEADER_LEN, ret)
-        self._publish(header, old, status,
+        self._publish(header, st, status,
                       _TAIL.pack(status, cmd_id, arg_len, len(ret)), ret)
 
     def mark_preempted(self) -> None:
         """Driver side: record that the enclave was interrupted mid-request."""
-        self._set_status(ChannelStatus.PREEMPTED)
+        header, st, _, _, _ = self._header("mark_preempted")
+        self._publish(header, st, _PREEMPTED, _STATUS_WORD.pack(_PREEMPTED),
+                      b"")
 
     def rearm_request(self) -> None:
         """Driver side: flip PREEMPTED back to REQUEST before resuming."""
-        self._set_status(ChannelStatus.REQUEST)
+        header, st, _, arg_len, _ = self._header("rearm_request")
+        args = self._payload(arg_len, "arg_len")
+        self._publish(header, st, _REQUEST, _STATUS_WORD.pack(_REQUEST), args)
 
     def read_response(self) -> Tuple[ChannelStatus, bytes]:
-        """Driver side: read the current (status, payload).  Pure read, never
-        raises on state; the status itself tells the caller what happened.
-        Payload bytes are returned only for DONE and ERROR."""
-        magic, st_raw, _, _, ret_len = self.read_header()
-        if magic != CHANNEL_MAGIC:
-            raise ChannelError("bad channel magic %r" % magic)
-        st = _STATUS_OF.get(st_raw)
-        if st is None:
-            raise ChannelError("corrupt channel status %d" % st_raw)
-        if st not in (ChannelStatus.DONE, ChannelStatus.ERROR):
+        """Driver side: read the current (status, payload).  Any status is
+        returned, not raised; the status itself tells the caller what
+        happened.  Payload bytes are returned only for DONE and ERROR."""
+        _, st, _, _, ret_len = self._header("read_response")
+        if st is not _DONE and st is not _ERROR:
             return st, b""
-        if ret_len > self.capacity:
-            raise ChannelError("ret_len %d exceeds capacity" % ret_len)
-        ret = self._read(HEADER_LEN, ret_len) if ret_len else b""
-        return st, ret
+        return st, self._payload(ret_len, "ret_len")

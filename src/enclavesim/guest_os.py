@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .channel import ChannelStatus, ChannelView
 from .errors import BadFd, DriverError, Exhausted, HypercallError, NoMemory
@@ -97,7 +97,7 @@ class EnclaveFd:
     caller: Vcpu            # the primary vCPU that created the enclave
     priv_aid: int
     chan_pages: List[int]   # contiguous; the first is the allocation's id
-    channel: Optional[ChannelView] = None
+    channel: ChannelView    # the primary's view of the channel region
 
     @property
     def channel_ipa(self) -> int:
@@ -169,10 +169,9 @@ class EnclaveDriver:
             self.allocator.free(chan_aid)
             self.allocator.free(priv_aid)
             raise
-        rec = EnclaveFd(handle, caller, priv_aid, chan)
-        rec.channel = ChannelView(self.sim.machine, self.hv.primary.table,
-                                  rec.channel_ipa, image.channel_size_pages,
-                                  "primary")
+        rec = EnclaveFd(handle, caller, priv_aid, chan, ChannelView(
+            self.sim.machine, self.hv.primary.table, chan[0] << PAGE_SHIFT,
+            image.channel_size_pages, "primary"))
         rec.channel.init()
         self._fds[fd] = rec
         return fd
@@ -181,21 +180,18 @@ class EnclaveDriver:
                args: bytes = b"") -> Tuple[ChannelStatus, bytes]:
         rec = self._get(fd)
         rec.channel.write_request(cmd_id, args)
-        outcome = self.hv.invoke_enclave(rec.caller, rec.handle)
-        return self._collect(rec, outcome)
+        return self._enter(rec)
 
     def resume(self, fd: int) -> Tuple[ChannelStatus, bytes]:
-        """Re-enter an enclave that was interrupted mid-command."""
+        """Re-enter an enclave that was interrupted mid-command.  A channel
+        that is not PREEMPTED refuses the re-arm with ChannelError."""
         rec = self._get(fd)
-        status = rec.channel.status()
-        if status != ChannelStatus.PREEMPTED:
-            raise DriverError("resume with channel status %d" % status)
         rec.channel.rearm_request()
-        outcome = self.hv.invoke_enclave(rec.caller, rec.handle)
-        return self._collect(rec, outcome)
+        return self._enter(rec)
 
-    def _collect(self, rec: EnclaveFd,
-                 outcome: Resumption) -> Tuple[ChannelStatus, bytes]:
+    def _enter(self, rec: EnclaveFd) -> Tuple[ChannelStatus, bytes]:
+        """Run the enclave on its armed request and collect the outcome."""
+        outcome = self.hv.invoke_enclave(rec.caller, rec.handle)
         if outcome is Resumption.PREEMPTED:
             # the TA never saw the end of the request; record that for the
             # application, which may call resume() later

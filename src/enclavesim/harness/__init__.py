@@ -9,8 +9,8 @@ calls and guest-level accesses, and watches it through observer hooks and
 raw physical inspection.  Its checks also read the hypervisor's own records:
 ``check_frame_exclusivity``, the confinement oracle and the secret scanner
 read the stage-2 tables of ``hv.vms``, ``check_stack_integrity`` walks the
-vCPU ``head``/``tail`` links, the create-fail fuzzer snapshots ``hv.vms``
-and ``hv.enclaves``, and ``sabotage_teardown`` replaces ``hv._teardown``.
+vCPU links and reads ``hv.enclaves``, the create-fail fuzzer snapshots both
+registries, and ``sabotage_teardown`` replaces ``hv._teardown``.
 """
 from .oracles import (
     MemoryOracle,

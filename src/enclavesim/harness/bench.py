@@ -80,11 +80,11 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def _measure_size(size: int, reps: int, seed: int) -> Dict[str, OpStats]:
+def _measure_size(size: int, reps: int) -> Dict[str, OpStats]:
     """One simulation per size; each rep is a full create/invoke/destroy
     cycle whose per-phase cost is the ledger delta."""
     config = MachineConfig(frames=64 + size + 8)
-    sim = Simulation(config, seed=seed)
+    sim = Simulation(config)
     # cost accounting is the ledger's job; skip trace recording for speed
     sim.machine.observers.clear()
     driver = EnclaveDriver(sim)
@@ -104,12 +104,12 @@ def _measure_size(size: int, reps: int, seed: int) -> Dict[str, OpStats]:
     return {name: OpStats(samples) for name, samples in out.items()}
 
 
-def run_bench(sizes: Sequence[int] = (16, 64, 256, 1024), reps: int = 30,
-              seed: int = 0) -> BenchReport:
+def run_bench(sizes: Sequence[int] = (16, 64, 256, 1024),
+              reps: int = 30) -> BenchReport:
     """`sizes` are total donated pages per enclave (private + one channel)."""
     report = BenchReport(tuple(sizes), reps)
     for size in sizes:
         if size < 3:
             raise ValueError("donation must cover code, state and channel")
-        report.stats[size] = _measure_size(size, reps, seed)
+        report.stats[size] = _measure_size(size, reps)
     return report

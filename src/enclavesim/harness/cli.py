@@ -2,7 +2,7 @@
 
     enclavesim run SCENARIO [SCENARIO ...] [--trace OUT]
     enclavesim attack
-    enclavesim bench [--pages 16,64,256,1024] [--reps 30] [--seed N]
+    enclavesim bench [--pages 16,64,256,1024] [--reps 30]
     enclavesim fuzz [--profile mixed|stack|lifecycle|create-fail|sensitivity]
                     [--ops N] [--seed N]
     enclavesim pack-image --mem-pages N --channel-pages N --code FILE -o OUT
@@ -76,7 +76,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = tuple(int(s) for s in args.pages.split(","))
-    report = run_bench(sizes=sizes, reps=args.reps, seed=args.seed)
+    report = run_bench(sizes=sizes, reps=args.reps)
     print(report.format())
     ok = (report.deterministic() and report.ordering_holds()
           and report.invoke_constant() and report.teardown_gap_r2() > 0.999)
@@ -142,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pages", default="16,64,256,1024",
                    help="comma-separated donation sizes in pages")
     p.add_argument("--reps", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("fuzz", help="randomized campaigns")

@@ -130,9 +130,11 @@ def check_frame_exclusivity(hv: Hypervisor,
 def check_stack_integrity(hv: Hypervisor) -> List[str]:
     """Walk every pCPU stack through the raw links and check the doubly
     linked shape: symmetric links, no cycles, primary at the base, nothing
-    above the running vCPU, and clean links on every idle vCPU."""
+    above the running vCPU, and clean links on every idle vCPU.  Callers run
+    between operations, so a live enclave's vCPU on a stack is flagged."""
     problems = []
     on_stack: Set[int] = set()
+    enclave_vms = {rec.vm for rec in hv.enclaves.values()}
     for pcpu in hv.machine.pcpus:
         cur = pcpu.current_vcpu
         if cur.head is not None:
@@ -147,6 +149,8 @@ def check_stack_integrity(hv: Hypervisor) -> List[str]:
                 break
             seen.append(node)
             on_stack.add(id(node))
+            if node.vm in enclave_vms:
+                problems.append("%s left on pcpu %d stack" % (node.name, pcpu.id))
             if node.pcpu != pcpu.id:
                 problems.append("%s on pcpu %d stack but pinned to %d"
                                 % (node.name, pcpu.id, node.pcpu))

@@ -29,7 +29,8 @@ everything above it.
 Guest execution is cooperative.  An enclave vCPU's saved context is a Python
 generator that yields ``Work(units)`` to burn simulated time and a
 ``Hypercall`` to trap into the hypervisor; hypercall results are sent back
-in, hypercall errors are thrown in.
+in, hypercall errors are thrown in.  A program that raises is popped like
+one that returns, so its error reaches an invoker that runs again.
 """
 from __future__ import annotations
 
@@ -130,8 +131,7 @@ class Vcpu:
     head: Optional["Vcpu"] = None   # vCPU stacked above (child)
     tail: Optional["Vcpu"] = None   # vCPU stacked below (parent)
     saved_context: Optional[GuestProgram] = None
-    inbox: object = None            # value sent into the generator next
-    inbox_exc: Optional[Exception] = None
+    inbox: object = None            # last hypercall's result or error
     pending_irq: bool = False
     last_leave: Optional[Resumption] = None
     name: str = field(init=False)   # "<vm name>.v<index>", fixed at birth
@@ -526,17 +526,17 @@ class Hypervisor:
             if gen is None:
                 raise SimulationError("vcpu %s scheduled with no context"
                                       % cur.name)
+            value, cur.inbox = cur.inbox, None
             try:
-                if cur.inbox_exc is not None:
-                    exc, cur.inbox_exc = cur.inbox_exc, None
-                    item = gen.throw(exc)
-                else:
-                    value, cur.inbox = cur.inbox, None
-                    item = gen.send(value)
-            except StopIteration:
-                # program finished: an implicit exit, no hypercall charged
+                item = (gen.throw(value) if isinstance(value, HypercallError)
+                        else gen.send(value))
+            except Exception as exc:
+                # the program returned or raised: an implicit exit, no
+                # hypercall charged; what it raised reaches the caller
                 self._unwind(pcpu, cur.tail, Resumption.COMPLETED, "finish")
-                continue
+                if isinstance(exc, StopIteration):
+                    continue
+                raise
             if isinstance(item, Work):
                 if item.units < 0:
                     raise SimulationError("negative work")
@@ -548,7 +548,7 @@ class Hypervisor:
                 try:
                     cur.inbox = self.dispatch(cur, item)
                 except HypercallError as err:
-                    cur.inbox_exc = err
+                    cur.inbox = err
                 self.tick()
             else:
                 raise SimulationError("guest %s yielded %r" % (cur.name, item))

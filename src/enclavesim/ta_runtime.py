@@ -30,7 +30,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from .channel import ChannelView
 from .errors import (
     BadKeyId,
-    ChannelNoRequest,
+    ChannelError,
     NoMasterKey,
     PrivilegeViolation,
     SimulationError,
@@ -108,26 +108,22 @@ Handler = Callable[[TaContext, bytes], GuestProgram]
 def standard_loop(ctx: TaContext,
                   handlers: Dict[int, Handler]) -> GuestProgram:
     """Serve forever: take a request, run its handler, publish the reply,
-    give control back.  Handler failures become status ERROR with an empty
-    payload; nothing escapes the loop."""
+    give control back.  A ChannelError (only `serve` raises one) means
+    nothing to serve: no reply.  An unknown command or a failed handler
+    becomes status ERROR with an empty payload."""
     while True:
         try:
             cmd_id, args = ctx.channel.serve()
-        except ChannelNoRequest:
-            yield Exit()
-            continue
-        handler = handlers.get(cmd_id)
-        if handler is None:
-            ctx.channel.complete_error()
-            yield Exit()
-            continue
-        try:
+            handler = handlers.get(cmd_id)
+            if handler is None:
+                raise TaCommandError("unknown command %d" % cmd_id)
             ret = yield from handler(ctx, args)
+        except ChannelError:
+            pass
         except TaCommandError:
             ctx.channel.complete_error()
-            yield Exit()
-            continue
-        ctx.channel.complete(ret if ret is not None else b"")
+        else:
+            ctx.channel.complete(ret if ret is not None else b"")
         yield Exit()
 
 

@@ -87,7 +87,7 @@ def test_criterion_4_create_destroy_roundtrip_is_exact():
 
 
 def test_criterion_5_cost_ordering_and_scaling():
-    report = run_bench(sizes=(16, 64, 256, 1024), reps=30, seed=0)
+    report = run_bench(sizes=(16, 64, 256, 1024), reps=30)
     assert report.deterministic(), "per-size samples not identical"
     assert report.ordering_holds(), "invoke < create < destroy violated"
     assert report.invoke_constant(), "invoke cost varies with enclave size"

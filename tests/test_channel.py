@@ -11,7 +11,6 @@ from enclavesim.channel import (
     CHANNEL_HEADER,
     CHANNEL_MAGIC,
     HEADER_LEN,
-    LEGAL_TRANSITIONS,
     ChannelStatus,
     ChannelView,
 )
@@ -132,19 +131,86 @@ def test_preempt_rearm_cycle():
     assert enclave.serve() == (1, b"work")
 
 
+# Each step's start statuses, the status it leaves, and the error it
+# refuses any other start status with: the table of the channel docstring,
+# restated here so that the matrix checks the code against it.
+IDLE, REQUEST, DONE, ERROR, PREEMPTED = ChannelStatus
+STEP_RULES = {
+    "write_request": ({IDLE, DONE, ERROR}, REQUEST, ChannelBusy),
+    "serve": ({REQUEST}, None, ChannelNoRequest),
+    "complete": ({REQUEST}, DONE, ChannelError),
+    "complete_error": ({REQUEST}, ERROR, ChannelError),
+    "mark_preempted": ({REQUEST}, PREEMPTED, ChannelError),
+    "rearm_request": ({PREEMPTED}, REQUEST, ChannelError),
+    "read_response": (set(ChannelStatus), None, ChannelError),
+}
+
+
+def _run_step(primary, enclave, name):
+    return {"write_request": lambda: primary.write_request(6, b"new args"),
+            "serve": enclave.serve,
+            "complete": lambda: enclave.complete(b"ok"),
+            "complete_error": enclave.complete_error,
+            "mark_preempted": primary.mark_preempted,
+            "rearm_request": primary.rearm_request,
+            "read_response": primary.read_response}[name]()
+
+
+def _refusal(name, start):
+    """The (error class, message) step `name` must raise from `start`, a
+    status word or "bad magic"; None where it must succeed."""
+    allowed, _, refusal = STEP_RULES[name]
+    if start == "bad magic":
+        return ChannelError, "bad channel magic b'XXXX'"
+    if not isinstance(start, ChannelStatus):
+        return ChannelError, "corrupt channel status %d" % start
+    if start not in allowed:
+        return refusal, "%s on channel status %s" % (name, start.name)
+    return None
+
+
 def test_transition_legality_exhaustive():
-    """Every (old, new) pair outside the legal set is refused, and the
-    refusal leaves the status word untouched."""
-    for old, new in itertools.product(ChannelStatus, ChannelStatus):
-        _, primary, enclave = make_channel()
-        primary._write(4, int(old).to_bytes(4, "little"))
-        if (old, new) in LEGAL_TRANSITIONS:
-            primary._set_status(new)
-            assert primary.status() == new
-        else:
-            with pytest.raises(ChannelError):
-                primary._set_status(new)
-            assert primary.status() == old
+    """Every public step crossed with every start state: the five statuses,
+    a corrupt word and a bad magic.  A step succeeds exactly when its start
+    set allows the state, and leaves the status it is tabled to; a refused
+    step raises its error and writes no frame byte and no on_channel."""
+    mismatches = []
+    for name, start in itertools.product(
+            STEP_RULES, list(ChannelStatus) + [99, "bad magic"]):
+        machine, primary, enclave = make_channel()
+        primary.write_request(3, b"args")
+        enclave.serve()
+        enclave.complete(b"reply")
+        allowed, moves_to, _ = STEP_RULES[name]
+        # a bad magic comes with a status word the step would accept
+        word = min(allowed) if start == "bad magic" else start
+        primary._write(4, int(word).to_bytes(4, "little"))
+        if start == "bad magic":
+            primary._write(0, b"XXXX")
+        before = _frame_bytes(machine)
+        seen = []
+
+        class Spy(Observer):
+            def on_write(self, frame, offset, data):
+                seen.append(("write", frame, offset))
+
+            def on_channel(self, side, old, new, header, payload):
+                seen.append(("channel", old, new))
+
+        machine.observers.append(Spy())
+        want = _refusal(name, start)
+        try:
+            _run_step(primary, enclave, name)
+        except ChannelError as err:
+            got = (type(err), str(err))
+            if got != want or seen or _frame_bytes(machine) != before:
+                mismatches.append((name, start, got, seen))
+            continue
+        after = primary.read_header()[1]
+        if want is not None or after != (word if moves_to is None
+                                          else moves_to):
+            mismatches.append((name, start, "ran", after))
+    assert mismatches == []
 
 
 def test_corrupt_status_detected():
@@ -153,15 +219,14 @@ def test_corrupt_status_detected():
     with pytest.raises(ChannelError):
         primary.read_response()
     with pytest.raises(ChannelError):
-        primary._set_status(ChannelStatus.REQUEST)
+        primary.rearm_request()
 
 
 @pytest.mark.parametrize("word", [5, 99, 2**32 - 1])
 def test_corrupt_status_message_names_the_word(word):
     _, primary, enclave = make_channel()
     primary._write(4, word.to_bytes(4, "little"))
-    for step in (primary.read_response,
-                 lambda: primary._set_status(ChannelStatus.REQUEST)):
+    for step in (primary.read_response, primary.rearm_request):
         with pytest.raises(ChannelError) as info:
             step()
         assert str(info.value) == "corrupt channel status %d" % word
@@ -245,14 +310,23 @@ def test_refused_reply_leaves_channel_untouched(word, reply):
 
 @pytest.mark.parametrize("payload,want", [
     (b"ping", {"write_request": 3, "serve": 2, "complete": 3,
-               "read_response": 2}),
+               "read_response": 2, "mark_preempted": 2, "rearm_request": 3,
+               "resume": 8}),
     (b"", {"write_request": 2, "serve": 1, "complete": 2,
-           "read_response": 1}),
+           "read_response": 1, "mark_preempted": 2, "rearm_request": 2,
+           "resume": 7}),
 ], ids=["payload", "empty"])
 def test_guest_accesses_per_step(monkeypatch, payload, want):
     """Each protocol step reads the header once and publishes it once: one
-    access per header read or write, plus one per non-empty payload."""
+    access per header read or write, plus one per non-empty payload.  A
+    driver's resume is the re-arm, the enclave's reply and the read of it,
+    with no status read of its own."""
     _, primary, enclave = make_channel()
+    sim = Simulation(MachineConfig(frames=256))
+    driver = EnclaveDriver(sim)
+    fd = driver.create(image_for_pages("spinner", 4, 1))
+    sim.arm_timer(8)
+    assert driver.invoke(fd, 1, payload) == (ChannelStatus.PREEMPTED, b"")
     calls = []
     real = channel.guest_access
 
@@ -266,10 +340,16 @@ def test_guest_accesses_per_step(monkeypatch, payload, want):
             ("write_request", lambda: primary.write_request(1, payload)),
             ("serve", enclave.serve),
             ("complete", lambda: enclave.complete(payload)),
-            ("read_response", primary.read_response)]:
+            ("read_response", primary.read_response),
+            (None, lambda: primary.write_request(2, payload)),
+            ("mark_preempted", primary.mark_preempted),
+            ("rearm_request", primary.rearm_request),
+            ("resume", lambda: driver.resume(fd))]:
         calls.clear()
-        step()
-        got[name] = len(calls)
+        out = step()
+        if name is not None:
+            got[name] = len(calls)
+    assert out == (ChannelStatus.DONE, b"spun")
     assert got == want
 
 

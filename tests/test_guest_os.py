@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enclavesim.channel import ChannelStatus
-from enclavesim.errors import BadFd, DriverError, Exhausted, NoMemory
+from enclavesim.errors import (BadFd, ChannelError, DriverError, Exhausted,
+                               NoMemory)
 from enclavesim.guest_os import FD_BASE, FD_CAPACITY, EnclaveDriver, OsAllocator
 from enclavesim.harness import (
     WriteConfinementOracle,
@@ -211,10 +212,30 @@ def test_unknown_command_reports_error_status():
 
 
 def test_resume_requires_preempted_channel():
+    """The re-arm refuses a channel that is not PREEMPTED, before any
+    hypercall."""
     sim, driver = make_driver()
     fd = driver.create(image_for_pages("echo", 3, 1))
-    with pytest.raises(DriverError):
+    hypercalls = sim.machine.ledger.hypercalls
+    with pytest.raises(ChannelError,
+                       match="^rearm_request on channel status IDLE$"):
         driver.resume(fd)
+    assert sim.machine.ledger.hypercalls == hypercalls
+
+
+def test_bad_magic_refuses_invoke_before_any_hypercall():
+    """A channel whose magic the primary overwrote refuses the request, so
+    the enclave is never entered and the other enclave still invokes."""
+    sim, driver = make_driver()
+    fd = driver.create(image_for_pages("echo", 3, 1))
+    other = driver.create(image_for_pages("echo", 3, 1))
+    driver.fd_info(fd).channel._write(0, b"XXXX")
+    hypercalls = sim.trace.count("hypercall")
+    with pytest.raises(ChannelError, match="^bad channel magic b'XXXX'$"):
+        driver.invoke(fd, 0, b"x")
+    assert sim.trace.count("hypercall") == hypercalls
+    assert sim.hv.stack_of(0) == [sim.primary_vcpu(0)]
+    assert driver.invoke(other, 0, b"y") == (ChannelStatus.DONE, b"y")
 
 
 def test_destroy_returns_allocator_to_prior_state():

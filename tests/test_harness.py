@@ -266,6 +266,23 @@ def test_stack_integrity_sees_broken_links():
     assert any("dangling" in p for p in check_stack_integrity(hv))
 
 
+def test_stack_integrity_flags_an_enclave_left_on_a_stack():
+    """Between operations every invoke has returned to its caller, so a
+    live enclave's vCPU on a stack is flagged; an aux vCPU is not."""
+    sim, driver = make_sim()
+    hv = sim.hv
+    fd = driver.create(image_for_pages("echo", 3, 1))
+    vcpu = driver.record_of(fd).vm.vcpus[0]
+    aux = hv.make_aux_vcpu(0)
+    hv.schedule_vcpu(0, aux)
+    assert check_stack_integrity(hv) == []
+    hv.yield_vcpu(0)
+    hv.schedule_vcpu(0, vcpu)
+    assert check_stack_integrity(hv) == ["%s left on pcpu 0 stack" % vcpu.name]
+    hv.yield_vcpu(0)
+    assert check_stack_integrity(hv) == []
+
+
 def test_trace_completeness_detects_tampering():
     sim, driver = make_sim()
     fd = driver.create(image_for_pages("echo", 3, 1))

@@ -29,8 +29,8 @@ from enclavesim.machine import PAGE_SHIFT, PAGE_SIZE, MachineConfig, Observer
 from enclavesim.sim import Simulation
 from enclavesim.stage2 import PERM_RO, PERM_RW, PERM_RWX
 from enclavesim.guest_os import EnclaveDriver
-from enclavesim.harness import sabotage_teardown
-from enclavesim.ta_runtime import image_for_pages
+from enclavesim.harness import check_stack_integrity, sabotage_teardown
+from enclavesim.ta_runtime import image_for_pages, load_program
 
 
 def boot(frames=256, pcpus=1, max_vms=16):
@@ -520,3 +520,32 @@ def test_program_falling_off_the_end_pops_without_exit_call():
     assert ledger.work_units - before["work_units"] == 2
     last = sim.trace.events[-1]
     assert last.kind == "ctx_switch" and last.detail["reason"] == "finish"
+
+
+def test_program_that_raises_leaves_through_the_finish_unwind():
+    """An error raised inside a guest reaches the invoker with the invoker
+    running again, after the same `finish` unwind a returning program
+    takes, so the pCPU serves the next invoke."""
+    def loader(page0):
+        if b"TA!spinner" not in page0:
+            return load_program(page0)
+
+        def factory(rec):
+            def prog():
+                yield Work(3)
+                raise SimulationError("guest fault mid-command")
+            return prog()
+        return factory
+
+    sim = Simulation(MachineConfig(frames=256), program_loader=loader)
+    driver = EnclaveDriver(sim)
+    faulty = driver.create(image_for_pages("spinner", 4, 1))
+    echo = driver.create(image_for_pages("echo", 4, 1))
+    with pytest.raises(SimulationError, match="^guest fault mid-command$"):
+        driver.invoke(faulty, 1, b"")
+    assert sim.hv.stack_of(0) == [sim.primary_vcpu(0)]
+    last = sim.trace.events[-1]
+    assert last.kind == "ctx_switch" and last.detail["reason"] == "finish"
+    assert check_stack_integrity(sim.hv) == []
+    assert driver.invoke(echo, 0, b"still here") == (ChannelStatus.DONE,
+                                                     b"still here")
