@@ -8,8 +8,8 @@ acts on the simulator through the enclave driver, the hypervisor's public
 calls and guest-level accesses, and watches it through observer hooks and
 raw physical inspection.  Its checks also read the hypervisor's own records:
 ``check_frame_exclusivity``, the confinement oracle and the secret scanner
-read the stage-2 tables of ``hv.vms``, ``check_stack_integrity`` walks the
-vCPU links and reads ``hv.enclaves``, the create-fail fuzzer snapshots both
+read the stage-2 tables of ``hv.vms``, ``check_stack_integrity`` reads each
+pCPU's vCPU stack, ``hv.vms`` and ``hv.enclaves``, the create-fail fuzzer snapshots both
 registries, and ``sabotage_teardown`` replaces ``hv._teardown``.
 """
 from .oracles import (

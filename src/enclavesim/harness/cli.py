@@ -9,8 +9,10 @@
                     [--cmds 1,2,3]
 
 Exit status 0 means every check that ran held; 1 means a violation,
-containment failure or fuzz divergence; 2 means a usage error, such as a
-malformed scenario script.
+containment failure or fuzz divergence; 2 means a usage error, printed in
+one line: a malformed scenario script, a file that cannot be read or
+written, `--pages` not two or more distinct sizes of at least 3 pages or
+too large for a machine, or `--reps` or `--ops` below 1.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from ..errors import ScenarioParseError, SimulationError
+from ..errors import ConfigError, ScenarioParseError, SimulationError
 from ..image import EnclaveImage
 from .bench import run_bench
 from .fuzz import (
@@ -32,6 +34,10 @@ from .fuzz import (
 )
 from .scenario import (ExpectationFailed, parse_scenario, run_attacks,
                        run_scenario)
+
+
+class _Usage(Exception):
+    """A malformed argument; `main` reports it in one line, exit status 2."""
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -75,7 +81,15 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes = tuple(int(s) for s in args.pages.split(","))
+    try:
+        sizes = tuple(int(s) for s in args.pages.split(","))
+    except ValueError:
+        raise _Usage("--pages %r is not a list of integers" % args.pages)
+    if len(set(sizes)) < 2 or min(sizes) < 3:
+        raise _Usage("--pages needs two or more distinct sizes, each of at "
+                     "least 3 pages")
+    if args.reps < 1:
+        raise _Usage("--reps must be at least 1")
     report = run_bench(sizes=sizes, reps=args.reps)
     print(report.format())
     ok = (report.deterministic() and report.ordering_holds()
@@ -95,6 +109,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         "lifecycle": fuzz_lifecycles,
         "create-fail": fuzz_failed_creates,
     }[args.profile]
+    if args.ops is not None and args.ops < 1:
+        raise _Usage("--ops must be at least 1")
     # the first positional differs in name (ops vs cases) per profile
     ops = () if args.ops is None else (args.ops,)
     report = runner(*ops, seed=args.seed)
@@ -165,7 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (_Usage, OSError, ConfigError) as err:
+        print("enclavesim %s: %s" % (args.command, err), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

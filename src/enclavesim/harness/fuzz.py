@@ -15,7 +15,7 @@ Four profiles:
 The lifecycle and mixed profiles are scenario scripts: each random choice
 becomes a statement, every answer the host can compute becomes an `expect`,
 and the scenario interpreter runs them one at a time.  After every case the
-zeroization and confinement watchdogs and the stack links are checked, and
+zeroization and confinement watchdogs and the vCPU stacks are checked, and
 at the end the interpreter's battery runs.  `FuzzReport.script` holds the
 statements behind the `machine` and `seed` lines, so saved to a file it
 replays the run with `enclavesim run`.
@@ -248,7 +248,7 @@ class _Script:
         pass
 
     def __exit__(self, kind, err, trace) -> bool:
-        """Close the case: check both watchdogs, the stack links and that no
+        """Close the case: check both watchdogs, the vCPU stacks and that no
         error went unexpected.  A failure is recorded with the case's
         statements."""
         failed = isinstance(err, ExpectationFailed)

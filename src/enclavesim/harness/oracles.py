@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..hypervisor import Hypervisor, Vcpu, VmKind
+from ..hypervisor import Hypervisor, VmKind
 from ..machine import PAGE_SIZE, Observer, PhysicalMachine
 from ..stage2 import PERM_RWX, Perms, Stage2Table
 
@@ -128,52 +128,28 @@ def check_frame_exclusivity(hv: Hypervisor,
 # -- vCPU stack structure -----------------------------------------------------
 
 def check_stack_integrity(hv: Hypervisor) -> List[str]:
-    """Walk every pCPU stack through the raw links and check the doubly
-    linked shape: symmetric links, no cycles, primary at the base, nothing
-    above the running vCPU, and clean links on every idle vCPU.  Callers run
-    between operations, so a live enclave's vCPU on a stack is flagged."""
+    """Check each pCPU's vCPU stack: its own primary vCPU at the base, every
+    vCPU pinned to it, on no stack twice and of a VM not retired.  Callers
+    run between operations, so a live enclave's vCPU on a stack is flagged."""
     problems = []
-    on_stack: Set[int] = set()
+    seen: Set[int] = set()
     enclave_vms = {rec.vm for rec in hv.enclaves.values()}
     for pcpu in hv.machine.pcpus:
-        cur = pcpu.current_vcpu
-        if cur.head is not None:
-            problems.append("pcpu %d running %s which still has a child"
-                            % (pcpu.id, cur.name))
-        seen: List[Vcpu] = []
-        node = cur
-        while node is not None:
-            if any(node is s for s in seen):
-                problems.append("pcpu %d stack has a cycle at %s"
-                                % (pcpu.id, node.name))
-                break
-            seen.append(node)
-            on_stack.add(id(node))
-            if node.vm in enclave_vms:
-                problems.append("%s left on pcpu %d stack" % (node.name, pcpu.id))
-            if node.pcpu != pcpu.id:
+        if pcpu.stack[:1] != [hv.primary.vcpus[pcpu.id]]:
+            problems.append("pcpu %d stack base is not its primary vcpu"
+                            % pcpu.id)
+        for vcpu in pcpu.stack:
+            if id(vcpu) in seen:
+                problems.append("%s on a stack twice" % vcpu.name)
+            seen.add(id(vcpu))
+            if vcpu.pcpu != pcpu.id:
                 problems.append("%s on pcpu %d stack but pinned to %d"
-                                % (node.name, pcpu.id, node.pcpu))
-            below = node.tail
-            if below is not None and below.head is not node:
-                problems.append("asymmetric link between %s and %s"
-                                % (node.name, below.name))
-            node = below
-            if len(seen) > 4096:
-                problems.append("pcpu %d stack walk did not terminate"
-                                % pcpu.id)
-                break
-        base = seen[-1]
-        if base.vm.kind is not VmKind.PRIMARY or base.pcpu != pcpu.id:
-            problems.append("pcpu %d stack base is %s, not its primary vcpu"
-                            % (pcpu.id, base.name))
-    for vm in hv.vms.values():
-        for vcpu in vm.vcpus:
-            if id(vcpu) in on_stack:
-                continue
-            if vcpu.head is not None or vcpu.tail is not None:
-                problems.append("idle vcpu %s has dangling stack links"
-                                % vcpu.name)
+                                % (vcpu.name, pcpu.id, vcpu.pcpu))
+            if vcpu.vm in enclave_vms:
+                problems.append("%s left on pcpu %d stack" % (vcpu.name, pcpu.id))
+            elif hv.vms.get(vcpu.vm.vmid) is not vcpu.vm:
+                problems.append("%s of retired vm%d on pcpu %d stack"
+                                % (vcpu.name, vcpu.vm.vmid, pcpu.id))
     return problems
 
 
@@ -417,10 +393,7 @@ class WriteConfinementOracle(Observer):
         identity = frame not in self._excepted
         allowed = False
         for pcpu in self.machine.pcpus:
-            cur = pcpu.current_vcpu
-            if cur is None:
-                continue
-            vmid = cur.vm.vmid
+            vmid = pcpu.current_vcpu.vm.vmid
             if self._writable.get(vmid, {}).get(frame, 0) > 0 \
                     or (identity and vmid == self._primary):
                 allowed = True

@@ -18,19 +18,20 @@ its type to the VM kind allowed to issue it and to its handler; each
 handler is called as ``handler(caller, hc)``.  Management calls (create,
 destroy, invoke) belong to the primary, exit belongs to enclaves.
 
-Scheduling is a per-pCPU LIFO stack of vCPUs expressed through two links on
-each vCPU: ``head`` points at the vCPU stacked immediately above (more
-recently scheduled), ``tail`` at the one below.  Invoking an enclave pushes
-its vCPU.  Every pop goes through ``_unwind``, which pops down to a target
-and charges one context switch: exit, a finished program and a yield pop
-the running vCPU, and an interrupt aimed at a vCPU deeper in the stack pops
-everything above it.
+Scheduling is a per-pCPU LIFO stack of vCPUs, the list ``Pcpu.stack``,
+base first; the running vCPU is its last entry.  Invoking an enclave pushes
+its vCPU.  Every pop goes through ``_unwind``, which pops down to the lowest
+``keep`` vCPUs and charges one context switch: exit, a finished program and
+a yield pop the running vCPU, and an interrupt aimed at a vCPU deeper in the
+stack pops everything above it.
 
 Guest execution is cooperative.  An enclave vCPU's saved context is a Python
 generator that yields ``Work(units)`` to burn simulated time and a
 ``Hypercall`` to trap into the hypervisor; hypercall results are sent back
-in, hypercall errors are thrown in.  A program that raises is popped like
-one that returns, so its error reaches an invoker that runs again.
+in, hypercall errors are thrown in.  A program that raises or yields a step
+the run loop refuses (negative work, an unknown hypercall, neither ``Work``
+nor a ``Hypercall``) is popped like one that returns, so the error reaches
+an invoker that runs again.
 """
 from __future__ import annotations
 
@@ -128,8 +129,6 @@ class Vcpu:
     vm: "Vm"
     index: int
     pcpu: int
-    head: Optional["Vcpu"] = None   # vCPU stacked above (child)
-    tail: Optional["Vcpu"] = None   # vCPU stacked below (parent)
     saved_context: Optional[GuestProgram] = None
     inbox: object = None            # last hypercall's result or error
     pending_irq: bool = False
@@ -235,7 +234,7 @@ class Hypervisor:
         pcpus = self.machine.pcpus
         vm = self._new_vm(VmKind.PRIMARY, "primary", range(len(pcpus)))
         for pcpu, vcpu in zip(pcpus, vm.vcpus):
-            pcpu.current_vcpu = vcpu
+            pcpu.stack.append(vcpu)
         # the primary starts owning every frame through its table's identity
         # default, which stores, emits and charges nothing
         return vm
@@ -252,63 +251,36 @@ class Hypervisor:
                 obs.on_interrupt(pcpu.id, to, "taken_on_entry")
 
     def _push(self, pcpu: Pcpu, child: Vcpu, reason: str) -> None:
-        parent = pcpu.current_vcpu
-        if parent.head is not None or child.tail is not None:
-            raise SimulationError("stack links corrupt on push")
-        parent.head = child
-        child.tail = parent
-        pcpu.current_vcpu = child
+        parent = pcpu.stack[-1]
+        pcpu.stack.append(child)
         for obs in self.machine.observers:
             obs.on_push(pcpu.id, child)
         self._charge_switch(pcpu, parent, child, reason)
 
-    def _pop_current(self, pcpu: Pcpu, resumption: Resumption) -> None:
-        """Unlink the running vCPU and fall back to its parent."""
-        cur = pcpu.current_vcpu
-        parent = cur.tail
-        if parent is None:
-            raise NoParent("vcpu %s has nothing underneath it" % cur.name)
-        parent.head = None
-        cur.tail = None
-        cur.last_leave = resumption
-        pcpu.current_vcpu = parent
-        for obs in self.machine.observers:
-            obs.on_pop(pcpu.id, cur, resumption)
-
-    def _unwind(self, pcpu: Pcpu, to: Optional[Vcpu], resumption: Resumption,
+    def _unwind(self, pcpu: Pcpu, keep: int, resumption: Resumption,
                 reason: str) -> Vcpu:
-        """Pop every vCPU above `to` as `resumption` and charge one context
-        switch onto it; return the vCPU that was running.  A `to` of None,
-        below the base, makes the first pop raise NoParent."""
-        frm = pcpu.current_vcpu
-        while pcpu.current_vcpu is not to:
-            self._pop_current(pcpu, resumption)
-        self._charge_switch(pcpu, frm, to, reason)
+        """Pop the stack down to its lowest `keep` vCPUs, top first, each as
+        `resumption`, and charge one context switch onto the new top; return
+        the vCPU that was running.  Popping the base raises NoParent."""
+        stack = pcpu.stack
+        frm = stack[-1]
+        if keep < 1:
+            raise NoParent("vcpu %s has nothing underneath it" % frm.name)
+        while len(stack) > keep:
+            cur = stack.pop()
+            cur.last_leave = resumption
+            for obs in self.machine.observers:
+                obs.on_pop(pcpu.id, cur, resumption)
+        self._charge_switch(pcpu, frm, stack[-1], reason)
         return frm
 
     def _is_scheduled(self, vcpu: Vcpu) -> bool:
         """On its pCPU's stack: running, or stacked under another vCPU."""
-        return (vcpu.tail is not None
-                or self.machine.pcpus[vcpu.pcpu].current_vcpu is vcpu)
+        return vcpu in self.machine.pcpus[vcpu.pcpu].stack
 
     def stack_of(self, pcpu_id: int) -> List[Vcpu]:
         """The vCPU stack on a pCPU, base first, running vCPU last."""
-        out: List[Vcpu] = []
-        cur = self.machine.pcpus[pcpu_id].current_vcpu
-        while cur is not None:
-            out.append(cur)
-            cur = cur.tail
-        out.reverse()
-        return out
-
-    @staticmethod
-    def _is_ancestor(candidate: Vcpu, of: Vcpu) -> bool:
-        cur = of.tail
-        while cur is not None:
-            if cur is candidate:
-                return True
-            cur = cur.tail
-        return False
+        return list(self.machine.pcpus[pcpu_id].stack)
 
     # -- interrupts ---------------------------------------------------------
 
@@ -327,8 +299,10 @@ class Hypervisor:
             raise WrongPcpu("vcpu %s lives on pcpu %d, interrupt sent to %d"
                             % (target.name, target.pcpu, pcpu_id))
         pcpu = self.machine.pcpus[pcpu_id]
-        if self._is_ancestor(target, pcpu.current_vcpu):
-            self._unwind(pcpu, target, Resumption.PREEMPTED, "interrupt")
+        below = pcpu.stack[:-1]
+        if target in below:
+            self._unwind(pcpu, below.index(target) + 1, Resumption.PREEMPTED,
+                         "interrupt")
             outcome = "unwound"
         else:
             target.pending_irq = True
@@ -494,7 +468,7 @@ class Hypervisor:
             raise WrongPcpu("enclave %d pinned to pcpu %d, invoked from %d"
                             % (rec.handle, target.pcpu, caller.pcpu))
         pcpu = self.machine.pcpus[caller.pcpu]
-        if pcpu.current_vcpu is not caller:
+        if pcpu.stack[-1] is not caller:
             raise SimulationError("invoke from a vcpu that is not running")
         if self._is_scheduled(target):
             raise EnclaveActive("enclave %d already scheduled" % rec.handle)
@@ -504,9 +478,9 @@ class Hypervisor:
 
     def _do_exit(self, caller: Vcpu, hc: Exit) -> None:
         pcpu = self.machine.pcpus[caller.pcpu]
-        if pcpu.current_vcpu is not caller:
+        if pcpu.stack[-1] is not caller:
             raise SimulationError("exit from a vcpu that is not running")
-        self._unwind(pcpu, caller.tail, Resumption.COMPLETED, "exit")
+        self._unwind(pcpu, len(pcpu.stack) - 1, Resumption.COMPLETED, "exit")
 
     # issuing VM kind and handler of each hypercall type
     _CALLS = {
@@ -520,38 +494,37 @@ class Hypervisor:
 
     def _run_until(self, pcpu: Pcpu, stop: Vcpu) -> None:
         """Advance the running guest until `stop` is back on the pCPU."""
-        while pcpu.current_vcpu is not stop:
-            cur = pcpu.current_vcpu
+        stack = pcpu.stack
+        while stack[-1] is not stop:
+            cur = stack[-1]
             gen = cur.saved_context
-            if gen is None:
-                raise SimulationError("vcpu %s scheduled with no context"
-                                      % cur.name)
             value, cur.inbox = cur.inbox, None
             try:
                 item = (gen.throw(value) if isinstance(value, HypercallError)
                         else gen.send(value))
+                if isinstance(item, Work):
+                    if item.units < 0:
+                        raise SimulationError("negative work")
+                    self.machine.ledger.work_units += item.units
+                    for obs in self.machine.observers:
+                        obs.on_work(cur, item.units)
+                elif isinstance(item, Hypercall):
+                    try:
+                        cur.inbox = self.dispatch(cur, item)
+                    except HypercallError as err:
+                        cur.inbox = err
+                else:
+                    raise SimulationError("guest %s yielded %r"
+                                          % (cur.name, item))
             except Exception as exc:
-                # the program returned or raised: an implicit exit, no
-                # hypercall charged; what it raised reaches the caller
-                self._unwind(pcpu, cur.tail, Resumption.COMPLETED, "finish")
+                # the program returned, raised or asked for a step the loop
+                # refuses: an implicit exit, no hypercall charged
+                self._unwind(pcpu, len(stack) - 1, Resumption.COMPLETED,
+                             "finish")
                 if isinstance(exc, StopIteration):
                     continue
                 raise
-            if isinstance(item, Work):
-                if item.units < 0:
-                    raise SimulationError("negative work")
-                self.machine.ledger.work_units += item.units
-                for obs in self.machine.observers:
-                    obs.on_work(cur, item.units)
-                self.tick()
-            elif isinstance(item, Hypercall):
-                try:
-                    cur.inbox = self.dispatch(cur, item)
-                except HypercallError as err:
-                    cur.inbox = err
-                self.tick()
-            else:
-                raise SimulationError("guest %s yielded %r" % (cur.name, item))
+            self.tick()
 
     # -- raw scheduling for tests and demos -----------------------------------
 
@@ -577,5 +550,5 @@ class Hypervisor:
         state."""
         self.check_pcpu(pcpu_id)
         pcpu = self.machine.pcpus[pcpu_id]
-        return self._unwind(pcpu, pcpu.current_vcpu.tail,
-                            Resumption.COMPLETED, "yield")
+        return self._unwind(pcpu, len(pcpu.stack) - 1, Resumption.COMPLETED,
+                            "yield")

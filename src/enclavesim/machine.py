@@ -10,7 +10,7 @@ identical operation sequences always produce identical timelines.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .errors import ConfigError, OutOfRange
@@ -127,7 +127,13 @@ class CostLedger:
 @dataclass
 class Pcpu:
     id: int
-    current_vcpu: Optional[object] = None  # set by the hypervisor
+    # the vCPU stack, base first; only the hypervisor pushes and pops it
+    stack: List[object] = field(default_factory=list)
+
+    @property
+    def current_vcpu(self):
+        """The running vCPU: the top of the stack."""
+        return self.stack[-1]
 
 
 class PhysicalMachine:

@@ -58,7 +58,7 @@ def test_criterion_3_stacking_matches_reference_model():
     report = fuzz_stack_ops(10000, seed=0)
     assert report.ok, report.format()
     print("criterion 3 PASS: 10000 stack ops match the reference model "
-          "with per-step link checks")
+          "with per-step stack checks")
 
 
 def test_criterion_4_create_destroy_roundtrip_is_exact():

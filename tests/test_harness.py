@@ -252,18 +252,38 @@ def test_retirement_refuses_vm_with_leftover_mappings():
         sim.hv.destroy_enclave(sim.primary_vcpu(0), rec.handle)
 
 
-def test_stack_integrity_sees_broken_links():
-    sim, _ = make_sim()
-    hv = sim.hv
-    a = hv.make_aux_vcpu(0)
-    hv.schedule_vcpu(0, a)
-    assert check_stack_integrity(hv) == []
-    a.tail.head = None  # sever the downlink's back-pointer
-    assert any("asymmetric" in p for p in check_stack_integrity(hv))
-    a.tail.head = a
-    hv.yield_vcpu(0)
-    a.tail = sim.primary_vcpu(0)  # dangling link on an idle vcpu
-    assert any("dangling" in p for p in check_stack_integrity(hv))
+def _twice(sim, driver):
+    aux = sim.hv.make_aux_vcpu(0)
+    sim.hv.schedule_vcpu(0, aux)
+    sim.machine.pcpus[0].stack.append(aux)
+
+
+def _pinned_elsewhere(sim, driver):
+    sim.machine.pcpus[0].stack.append(sim.hv.make_aux_vcpu(1))
+
+
+def _foreign_base(sim, driver):
+    sim.machine.pcpus[0].stack[0] = sim.hv.make_aux_vcpu(0)
+
+
+def _retired(sim, driver):
+    fd = driver.create(image_for_pages("echo", 3, 1))
+    vcpu = driver.record_of(fd).vm.vcpus[0]
+    driver.destroy(fd)
+    sim.hv.schedule_vcpu(0, vcpu)
+
+
+@pytest.mark.parametrize("corrupt, problems", [
+    (_twice, ["aux1.v0 on a stack twice"]),
+    (_pinned_elsewhere, ["aux1.v0 on pcpu 0 stack but pinned to 1"]),
+    (_foreign_base, ["pcpu 0 stack base is not its primary vcpu"]),
+    (_retired, ["enclave1.v0 of retired vm1 on pcpu 0 stack"]),
+], ids=["twice", "pinned-elsewhere", "foreign-base", "retired"])
+def test_stack_integrity_flags_a_malformed_stack(corrupt, problems):
+    sim, driver = make_sim(pcpus=2)
+    assert check_stack_integrity(sim.hv) == []
+    corrupt(sim, driver)
+    assert check_stack_integrity(sim.hv) == problems
 
 
 def test_stack_integrity_flags_an_enclave_left_on_a_stack():
@@ -755,6 +775,25 @@ def test_cli_trace_wants_one_scenario(capsys):
     demo = str(SCENARIO_DIR / "stack_demo.txt")
     assert cli_main(["run", demo, demo, "--trace", "/tmp/x.jsonl"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--pages", "16"],
+    ["bench", "--pages", "16,16"],
+    ["bench", "--pages", "2,16"],
+    ["bench", "--pages", "x"],
+    ["bench", "--reps", "0"],
+    ["fuzz", "--profile", "stack", "--ops", "-3"],
+    ["run", "no-such-scenario.txt"],
+], ids=["one-size", "same-size", "small-size", "not-a-number", "no-reps",
+        "negative-ops", "missing-file"])
+def test_cli_rejects_malformed_arguments(argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("enclavesim %s: " % argv[0])
 
 
 def test_cli_run_failed_expectation_exits_1(tmp_path, capsys):

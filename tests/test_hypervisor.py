@@ -19,6 +19,7 @@ from enclavesim.hypervisor import (
     CreateEnclave,
     DestroyEnclave,
     Exit,
+    Hypercall,
     ImageMeta,
     InvokeEnclave,
     Resumption,
@@ -362,9 +363,8 @@ def test_stack_order_and_links():
     hv.schedule_vcpu(0, b)
     stack = hv.stack_of(0)
     assert [v.name for v in stack] == ["primary.v0", "aux1.v0", "aux2.v0"]
-    assert a.head is b and b.tail is a
     popped = hv.yield_vcpu(0)
-    assert popped is b and b.head is None and b.tail is None
+    assert popped is b
     assert hv.stack_of(0)[-1] is a
 
 
@@ -388,7 +388,6 @@ def test_interrupt_unwinds_to_ancestor_in_one_switch():
     assert hv.stack_of(0) == [primary]
     for v in vcpus:
         assert v.last_leave is Resumption.PREEMPTED
-        assert v.head is None and v.tail is None
 
 
 def test_interrupt_for_running_vcpu_goes_pending():
@@ -523,29 +522,42 @@ def test_program_falling_off_the_end_pops_without_exit_call():
 
 
 def test_program_that_raises_leaves_through_the_finish_unwind():
-    """An error raised inside a guest reaches the invoker with the invoker
-    running again, after the same `finish` unwind a returning program
-    takes, so the pCPU serves the next invoke."""
+    """An error raised inside a guest, or by the run loop refusing the step
+    a guest yields, reaches the invoker with the invoker running again,
+    after the same `finish` unwind a returning program takes, so the pCPU
+    serves the next invoke."""
+    faults = [  # (what the guest does after some work, the error it meets)
+        (None, r"^guest fault mid-command$"),
+        (Work(-1), r"^negative work$"),
+        ("junk", r"^guest enclave\d+\.v0 yielded 'junk'$"),
+        (Hypercall(), r"^unknown hypercall Hypercall\(\)$"),
+    ]
+    steps = [step for step, _ in faults]
+
     def loader(page0):
         if b"TA!spinner" not in page0:
             return load_program(page0)
+        step = steps.pop(0)
 
         def factory(rec):
             def prog():
                 yield Work(3)
-                raise SimulationError("guest fault mid-command")
+                if step is None:
+                    raise SimulationError("guest fault mid-command")
+                yield step
             return prog()
         return factory
 
     sim = Simulation(MachineConfig(frames=256), program_loader=loader)
     driver = EnclaveDriver(sim)
-    faulty = driver.create(image_for_pages("spinner", 4, 1))
     echo = driver.create(image_for_pages("echo", 4, 1))
-    with pytest.raises(SimulationError, match="^guest fault mid-command$"):
-        driver.invoke(faulty, 1, b"")
-    assert sim.hv.stack_of(0) == [sim.primary_vcpu(0)]
-    last = sim.trace.events[-1]
-    assert last.kind == "ctx_switch" and last.detail["reason"] == "finish"
-    assert check_stack_integrity(sim.hv) == []
-    assert driver.invoke(echo, 0, b"still here") == (ChannelStatus.DONE,
-                                                     b"still here")
+    for _, error in faults:
+        faulty = driver.create(image_for_pages("spinner", 4, 1))
+        with pytest.raises(SimulationError, match=error):
+            driver.invoke(faulty, 1, b"")
+        assert sim.hv.stack_of(0) == [sim.primary_vcpu(0)]
+        last = sim.trace.events[-1]
+        assert last.kind == "ctx_switch" and last.detail["reason"] == "finish"
+        assert check_stack_integrity(sim.hv) == []
+        assert driver.invoke(echo, 0, b"still here") == (ChannelStatus.DONE,
+                                                         b"still here")
