@@ -123,7 +123,7 @@ class EnclaveDriver:
                 return fd
         raise Exhausted("driver fd table full (%d live)" % FD_CAPACITY)
 
-    def _get(self, fd: int) -> EnclaveFd:
+    def fd_info(self, fd: int) -> EnclaveFd:
         rec = self._fds.get(fd)
         if rec is None:
             raise BadFd("no enclave behind fd %d" % fd)
@@ -131,9 +131,6 @@ class EnclaveDriver:
 
     def open_fds(self) -> List[int]:
         return sorted(self._fds)
-
-    def fd_info(self, fd: int) -> EnclaveFd:
-        return self._get(fd)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -178,14 +175,14 @@ class EnclaveDriver:
 
     def invoke(self, fd: int, cmd_id: int,
                args: bytes = b"") -> Tuple[ChannelStatus, bytes]:
-        rec = self._get(fd)
+        rec = self.fd_info(fd)
         rec.channel.write_request(cmd_id, args)
         return self._enter(rec)
 
     def resume(self, fd: int) -> Tuple[ChannelStatus, bytes]:
         """Re-enter an enclave that was interrupted mid-command.  A channel
         that is not PREEMPTED refuses the re-arm with ChannelError."""
-        rec = self._get(fd)
+        rec = self.fd_info(fd)
         rec.channel.rearm_request()
         return self._enter(rec)
 
@@ -200,11 +197,11 @@ class EnclaveDriver:
         return rec.channel.read_response()
 
     def destroy(self, fd: int) -> None:
-        rec = self._get(fd)
+        rec = self.fd_info(fd)
         self.hv.destroy_enclave(rec.caller, rec.handle)
         self.allocator.free(rec.chan_pages[0])
         self.allocator.free(rec.priv_aid)
         del self._fds[fd]
 
     def record_of(self, fd: int) -> EnclaveRecord:
-        return self.hv.enclaves[self._get(fd).handle]
+        return self.hv.enclaves[self.fd_info(fd).handle]

@@ -90,14 +90,14 @@ def _mappers(hv: Hypervisor) -> Dict[int, List[Tuple[int, VmKind, Perms]]]:
 
 
 def check_frame_exclusivity(hv: Hypervisor,
-                            shared_expected: Optional[Set[int]] = None) -> List[str]:
-    """Every frame is reachable from at most one VM, except an explicitly
-    shared channel frame which must be reachable from exactly the primary
+                            shared_expected: Set[int]) -> List[str]:
+    """Every frame is reachable from at most one VM, except a channel frame
+    in `shared_expected`, which must be reachable from exactly the primary
     and one enclave, data-only on both sides.
 
-    `shared_expected`, when given, comes from OS-level bookkeeping (the
-    driver's channel allocations) so the allowed sharing is cross-checked
-    against a second source instead of trusted.
+    `shared_expected` comes from OS-level bookkeeping (the driver's channel
+    allocations), so the allowed sharing is cross-checked against a second
+    source instead of trusted.
     """
     problems = []
     shared_seen: Set[int] = set()
@@ -116,12 +116,10 @@ def check_frame_exclusivity(hv: Hypervisor,
             if perms.execute or not (perms.read and perms.write):
                 problems.append("shared frame %d has perms %s in vm%d"
                                 % (frame, perms.tag(), vmid))
-        if shared_expected is not None and frame not in shared_expected:
+        if frame not in shared_expected:
             problems.append("frame %d shared but not a known channel" % frame)
-    if shared_expected is not None:
-        for frame in sorted(shared_expected - shared_seen):
-            problems.append("channel frame %d not visible to both sides"
-                            % frame)
+    for frame in sorted(shared_expected - shared_seen):
+        problems.append("channel frame %d not visible to both sides" % frame)
     return problems
 
 
@@ -393,7 +391,7 @@ class WriteConfinementOracle(Observer):
         identity = frame not in self._excepted
         allowed = False
         for pcpu in self.machine.pcpus:
-            vmid = pcpu.current_vcpu.vm.vmid
+            vmid = pcpu.stack[-1].vm.vmid
             if self._writable.get(vmid, {}).get(frame, 0) > 0 \
                     or (identity and vmid == self._primary):
                 allowed = True

@@ -23,15 +23,18 @@ base first; the running vCPU is its last entry.  Invoking an enclave pushes
 its vCPU.  Every pop goes through ``_unwind``, which pops down to the lowest
 ``keep`` vCPUs and charges one context switch: exit, a finished program and
 a yield pop the running vCPU, and an interrupt aimed at a vCPU deeper in the
-stack pops everything above it.
+stack pops everything above it.  Each scheduling event (push, pop, context
+switch, hypercall and its error, work, interrupt) is recorded right here
+through the trace's ``emit``; no observer hook sees it.
 
 Guest execution is cooperative.  An enclave vCPU's saved context is a Python
 generator that yields ``Work(units)`` to burn simulated time and a
 ``Hypercall`` to trap into the hypervisor; hypercall results are sent back
 in, hypercall errors are thrown in.  A program that raises or yields a step
 the run loop refuses (negative work, an unknown hypercall, neither ``Work``
-nor a ``Hypercall``) is popped like one that returns, so the error reaches
-an invoker that runs again.
+nor a ``Hypercall``) is popped like one that returns and is closed, so the
+error reaches an invoker that runs again and a later invoke starts no
+leftover step.
 """
 from __future__ import annotations
 
@@ -122,6 +125,15 @@ GuestOp = Union[Work, Hypercall]
 GuestProgram = Generator[GuestOp, object, None]
 
 
+def _call_detail(hc: Hypercall) -> dict:
+    """``dataclasses.asdict(hc)`` plus `call`, without its deep copy."""
+    # one literal: a copy of vars(hc) grows its table when `call` is added
+    d = {"call": type(hc).__name__, **vars(hc)}
+    if "meta" in d:
+        d["meta"] = dict(vars(d["meta"]))
+    return d
+
+
 # -- VM bookkeeping -----------------------------------------------------------
 
 @dataclass(eq=False)
@@ -206,10 +218,12 @@ ProgramLoader = Callable[[bytes], Optional[Callable[[EnclaveRecord], GuestProgra
 
 class Hypervisor:
     def __init__(self, machine: PhysicalMachine,
-                 program_loader: ProgramLoader, tick: Callable[[], None]):
+                 program_loader: ProgramLoader, tick: Callable[[], None],
+                 emit: Callable[..., None]):
         self.machine = machine
         self.program_loader = program_loader
         self.tick = tick        # runs after each costed guest step
+        self.emit = emit        # records one scheduling event in the trace
         self.vms: Dict[int, Vm] = {}
         self.enclaves: Dict[int, EnclaveRecord] = {}
         self._next_vmid = 0
@@ -243,18 +257,17 @@ class Hypervisor:
 
     def _charge_switch(self, pcpu: Pcpu, frm: Vcpu, to: Vcpu, reason: str) -> None:
         self.machine.ledger.ctx_switches += 1
-        for obs in self.machine.observers:
-            obs.on_switch(pcpu.id, frm, to, reason)
+        self.emit("ctx_switch", pcpu.id, to.name,
+                  {"frm": frm.name, "to": to.name, "reason": reason})
         if to.pending_irq:
             to.pending_irq = False
-            for obs in self.machine.observers:
-                obs.on_interrupt(pcpu.id, to, "taken_on_entry")
+            self.emit("interrupt", pcpu.id, to.name,
+                      {"target": to.name, "outcome": "taken_on_entry"})
 
     def _push(self, pcpu: Pcpu, child: Vcpu, reason: str) -> None:
         parent = pcpu.stack[-1]
         pcpu.stack.append(child)
-        for obs in self.machine.observers:
-            obs.on_push(pcpu.id, child)
+        self.emit("push", pcpu.id, child.name, {})
         self._charge_switch(pcpu, parent, child, reason)
 
     def _unwind(self, pcpu: Pcpu, keep: int, resumption: Resumption,
@@ -269,8 +282,8 @@ class Hypervisor:
         while len(stack) > keep:
             cur = stack.pop()
             cur.last_leave = resumption
-            for obs in self.machine.observers:
-                obs.on_pop(pcpu.id, cur, resumption)
+            self.emit("pop", pcpu.id, cur.name,
+                      {"resumption": resumption.value})
         self._charge_switch(pcpu, frm, stack[-1], reason)
         return frm
 
@@ -307,16 +320,15 @@ class Hypervisor:
         else:
             target.pending_irq = True
             outcome = "pending"
-        for obs in self.machine.observers:
-            obs.on_interrupt(pcpu_id, target, outcome)
+        self.emit("interrupt", pcpu_id, target.name,
+                  {"target": target.name, "outcome": outcome})
         return outcome
 
     # -- hypercall dispatch ---------------------------------------------------
 
     def dispatch(self, caller: Vcpu, hc: Hypercall):
         self.machine.ledger.hypercalls += 1
-        for obs in self.machine.observers:
-            obs.on_hypercall(caller, hc)
+        self.emit("hypercall", caller.pcpu, caller.name, _call_detail(hc))
         entry = self._CALLS.get(type(hc))
         if entry is None:
             raise SimulationError("unknown hypercall %r" % (hc,))
@@ -330,8 +342,9 @@ class Hypervisor:
                     else "exit issued by %s" % caller.name)
             return handler(self, caller, hc)
         except HypercallError as err:
-            for obs in self.machine.observers:
-                obs.on_hypercall_error(caller, hc, err)
+            self.emit("hypercall_error", caller.pcpu, caller.name,
+                      {"call": type(hc).__name__,
+                       "error": type(err).__name__, "message": str(err)})
             raise
 
     # convenience wrappers for driver-side code
@@ -506,8 +519,7 @@ class Hypervisor:
                     if item.units < 0:
                         raise SimulationError("negative work")
                     self.machine.ledger.work_units += item.units
-                    for obs in self.machine.observers:
-                        obs.on_work(cur, item.units)
+                    self.emit("work", cur.pcpu, cur.name, {"units": item.units})
                 elif isinstance(item, Hypercall):
                     try:
                         cur.inbox = self.dispatch(cur, item)
@@ -518,9 +530,11 @@ class Hypervisor:
                                           % (cur.name, item))
             except Exception as exc:
                 # the program returned, raised or asked for a step the loop
-                # refuses: an implicit exit, no hypercall charged
+                # refuses: an implicit exit, no hypercall charged, and the
+                # program is over, so a later invoke cannot resume it
                 self._unwind(pcpu, len(stack) - 1, Resumption.COMPLETED,
                              "finish")
+                gen.close()
                 if isinstance(exc, StopIteration):
                     continue
                 raise

@@ -25,8 +25,9 @@ class Observer:
 
     Subclasses override what they care about.  Hooks fire synchronously at
     the primitive that performs the action (frame writes and zeroing here,
-    mapping changes in the stage-2 code, scheduling in the hypervisor), so
+    mapping changes and faults in the stage-2 code, channel transitions), so
     an oracle sees the true operation order, not a reconstruction.
+    Scheduling has no hook: the hypervisor records it in the trace itself.
     """
 
     def on_write(self, frame: int, offset: int, data: bytes) -> None:
@@ -45,27 +46,6 @@ class Observer:
         pass
 
     def on_fault(self, fault) -> None:
-        pass
-
-    def on_push(self, pcpu: int, vcpu) -> None:
-        pass
-
-    def on_pop(self, pcpu: int, vcpu, resumption) -> None:
-        pass
-
-    def on_switch(self, pcpu: int, frm, to, reason: str) -> None:
-        pass
-
-    def on_hypercall(self, vcpu, call) -> None:
-        pass
-
-    def on_hypercall_error(self, vcpu, call, err: Exception) -> None:
-        pass
-
-    def on_work(self, vcpu, units: int) -> None:
-        pass
-
-    def on_interrupt(self, pcpu: int, target, outcome: str) -> None:
         pass
 
     def on_channel(self, side: str, old: int, new: int,
@@ -127,13 +107,9 @@ class CostLedger:
 @dataclass
 class Pcpu:
     id: int
-    # the vCPU stack, base first; only the hypervisor pushes and pops it
+    # the vCPU stack, base first, running vCPU last; only the hypervisor
+    # pushes and pops it
     stack: List[object] = field(default_factory=list)
-
-    @property
-    def current_vcpu(self):
-        """The running vCPU: the top of the stack."""
-        return self.stack[-1]
 
 
 class PhysicalMachine:

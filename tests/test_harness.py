@@ -236,7 +236,7 @@ def test_exclusivity_flags_executable_sharing():
     rec = driver.record_of(fd)
     page = rec.primary_channel_pages()[0]
     sim.hv.primary.table.protect(page, PERM_RWX)
-    problems = check_frame_exclusivity(sim.hv)
+    problems = check_frame_exclusivity(sim.hv, set(rec.channel_frames()))
     assert any("perms" in p for p in problems)
 
 

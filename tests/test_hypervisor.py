@@ -69,9 +69,6 @@ class EventSpy(Observer):
     def on_protect(self, vm, ipa_page, frame, old, new):
         self.events.append(("protect", vm, ipa_page, frame))
 
-    def on_interrupt(self, pcpu, target, outcome):
-        self.events.append(("interrupt", target.name, outcome))
-
 
 # -- create ------------------------------------------------------------------
 
@@ -406,10 +403,12 @@ def test_interrupt_for_idle_vcpu_goes_pending_then_fires_on_entry():
     hv = sim.hv
     a = hv.make_aux_vcpu(0)
     assert hv.deliver_interrupt(0, a) == "pending"
-    spy = EventSpy()
-    sim.machine.observers.append(spy)
     hv.schedule_vcpu(0, a)
-    assert ("interrupt", "aux1.v0", "taken_on_entry") in spy.events
+    switch, taken = sim.trace.events[-2:]
+    assert switch.kind == "ctx_switch" and switch.detail["to"] == "aux1.v0"
+    assert (taken.kind, taken.pcpu, taken.vcpu, taken.detail) == (
+        "interrupt", 0, "aux1.v0",
+        {"target": "aux1.v0", "outcome": "taken_on_entry"})
     assert not a.pending_irq
 
 
@@ -525,7 +524,8 @@ def test_program_that_raises_leaves_through_the_finish_unwind():
     """An error raised inside a guest, or by the run loop refusing the step
     a guest yields, reaches the invoker with the invoker running again,
     after the same `finish` unwind a returning program takes, so the pCPU
-    serves the next invoke."""
+    serves the next invoke.  The program is over: invoking it again
+    completes at once and runs none of the steps it had left."""
     faults = [  # (what the guest does after some work, the error it meets)
         (None, r"^guest fault mid-command$"),
         (Work(-1), r"^negative work$"),
@@ -545,6 +545,7 @@ def test_program_that_raises_leaves_through_the_finish_unwind():
                 if step is None:
                     raise SimulationError("guest fault mid-command")
                 yield step
+                yield Work(5)
             return prog()
         return factory
 
@@ -561,3 +562,9 @@ def test_program_that_raises_leaves_through_the_finish_unwind():
         assert check_stack_integrity(sim.hv) == []
         assert driver.invoke(echo, 0, b"still here") == (ChannelStatus.DONE,
                                                          b"still here")
+        ledger, handle = sim.machine.ledger, driver.record_of(faulty).handle
+        before = ledger.work_units
+        assert sim.hv.invoke_enclave(sim.primary_vcpu(0), handle) \
+            is Resumption.COMPLETED
+        assert ledger.work_units == before
+        assert sim.hv.stack_of(0) == [sim.primary_vcpu(0)]

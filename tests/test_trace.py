@@ -18,9 +18,10 @@ from enclavesim.hypervisor import (
     Hypercall,
     ImageMeta,
     InvokeEnclave,
+    _call_detail,
 )
 from enclavesim.machine import MachineConfig, Observer
-from enclavesim.sim import Simulation, _call_detail
+from enclavesim.sim import Simulation
 from enclavesim.ta_runtime import image_for
 from enclavesim.trace import BLOCK, TraceRecorder
 
