@@ -31,18 +31,21 @@ the step's start set raises its refusal error.  A refused step writes nothing.
     rearm_request   primary  PREEMPTED           REQUEST    ChannelError
     read_response   primary  any                 -          -
 
-All accesses go through a stage-2 table, so a side that lost its write
-mapping faults here like anywhere else.
+All accesses go through the stage-2 table of the vCPU a view belongs to,
+so a side that lost its write mapping faults here like anywhere else, and
+each status change is traced here as a ``channel`` event by that vCPU.
 """
 from __future__ import annotations
 
 import enum
 import struct
+import zlib
 from typing import Tuple
 
 from .errors import ChannelBusy, ChannelError, ChannelNoRequest, ChannelTooLarge
-from .machine import PAGE_SIZE, PhysicalMachine
-from .stage2 import Access, AccessFault, Stage2Table, guest_access
+from .hypervisor import Vcpu
+from .machine import PAGE_SIZE
+from .stage2 import Access, AccessFault, guest_access
 
 CHANNEL_MAGIC = b"BECH"
 CHANNEL_HEADER = struct.Struct("<4sIIII")
@@ -78,16 +81,16 @@ _STATUS_OF = {int(st): st for st in ChannelStatus}
 
 
 class ChannelView:
-    """One side's handle on a channel region, mediated by that side's
-    stage-2 table.  `side` is a label for tracing only."""
+    """The handle `vcpu` uses on a channel region, mediated by its VM's
+    stage-2 table.  `side` is the VM's kind, a label for tracing only."""
 
-    def __init__(self, machine: PhysicalMachine, table: Stage2Table,
-                 base_ipa: int, size_pages: int, side: str):
-        self.machine = machine
-        self.table = table
+    def __init__(self, vcpu: Vcpu, base_ipa: int, size_pages: int):
+        self.vcpu = vcpu
+        self.table = vcpu.vm.table
+        self.machine = self.table.machine
         self.base_ipa = base_ipa
         self.size_pages = size_pages
-        self.side = side
+        self.side = vcpu.vm.kind.value
 
     @property
     def capacity(self) -> int:
@@ -97,7 +100,7 @@ class ChannelView:
 
     def _read(self, offset: int, length: int) -> bytes:
         out, _ = guest_access(self.machine, self.table, self.base_ipa + offset,
-                              Access.READ, length=length)
+                              Access.READ, length=length, by=self.vcpu)
         if isinstance(out, AccessFault):
             raise ChannelError("channel read fault: %s" % (out.describe(),))
         return out
@@ -107,7 +110,7 @@ class ChannelView:
         try:
             out, _ = guest_access(self.machine, self.table,
                                   self.base_ipa + offset, Access.WRITE,
-                                  data=data)
+                                  data=data, by=self.vcpu)
         finally:
             self.machine.channel_op_depth -= 1
         if isinstance(out, AccessFault):
@@ -142,13 +145,14 @@ class ChannelView:
 
     def _publish(self, header: bytes, old: int, new: ChannelStatus,
                  tail: bytes, payload: bytes) -> None:
-        """Write `tail` over the header from the status word on, and show
-        the observers the header as it now reads, with the active payload.
-        `header` is the header as it read before the write."""
+        """Write `tail` over the header from the status word on, and trace
+        the header as it now reads with the CRC of `payload`, the active
+        payload.  `header` is the header as it read before the write."""
         self._write(4, tail)
         header = header[:4] + tail + header[4 + len(tail):]
-        for obs in self.machine.observers:
-            obs.on_channel(self.side, int(old), int(new), header, payload)
+        self.machine.trace.emit("channel", self.vcpu.pcpu, self.vcpu.name, {
+            "side": self.side, "old": int(old), "new": int(new),
+            "header": header.hex(), "payload_crc32": zlib.crc32(payload)})
 
     # -- protocol steps -----------------------------------------------------
 
@@ -158,6 +162,8 @@ class ChannelView:
                                            0, 0, 0))
 
     def write_request(self, cmd_id: int, args: bytes) -> None:
+        if not 0 <= cmd_id <= 0xFFFFFFFF:
+            raise ChannelError("cmd_id %d is not a u32" % cmd_id)
         header, st, _, _, _ = self._header("write_request")
         if len(args) > self.capacity:
             raise ChannelTooLarge("args %d > capacity %d"

@@ -97,7 +97,7 @@ class EnclaveFd:
     caller: Vcpu            # the primary vCPU that created the enclave
     priv_aid: int
     chan_pages: List[int]   # contiguous; the first is the allocation's id
-    channel: ChannelView    # the primary's view of the channel region
+    channel: ChannelView    # `caller`'s view of the channel region
 
     @property
     def channel_ipa(self) -> int:
@@ -167,8 +167,7 @@ class EnclaveDriver:
             self.allocator.free(priv_aid)
             raise
         rec = EnclaveFd(handle, caller, priv_aid, chan, ChannelView(
-            self.sim.machine, self.hv.primary.table, chan[0] << PAGE_SHIFT,
-            image.channel_size_pages, "primary"))
+            caller, chan[0] << PAGE_SHIFT, image.channel_size_pages))
         rec.channel.init()
         self._fds[fd] = rec
         return fd

@@ -85,8 +85,8 @@ def _measure_size(size: int, reps: int) -> Dict[str, OpStats]:
     cycle whose per-phase cost is the ledger delta."""
     config = MachineConfig(frames=64 + size + 8)
     sim = Simulation(config)
-    # cost accounting is the ledger's job; this skips the memory-level events
-    # only: the ~10 scheduling events per rep are still recorded, and unread
+    # cost accounting is the ledger's job; this skips the mapping and zeroing
+    # events only: each rep's 9 scheduling and 2 channel events stay, unread
     sim.machine.observers.clear()
     driver = EnclaveDriver(sim)
     image = image_for_pages("echo", size - 1, 1)

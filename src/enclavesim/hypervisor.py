@@ -25,7 +25,7 @@ its vCPU.  Every pop goes through ``_unwind``, which pops down to the lowest
 a yield pop the running vCPU, and an interrupt aimed at a vCPU deeper in the
 stack pops everything above it.  Each scheduling event (push, pop, context
 switch, hypercall and its error, work, interrupt) is recorded right here
-through the trace's ``emit``; no observer hook sees it.
+in the machine's trace; no observer hook sees it.
 
 Guest execution is cooperative.  An enclave vCPU's saved context is a Python
 generator that yields ``Work(units)`` to burn simulated time and a
@@ -218,12 +218,11 @@ ProgramLoader = Callable[[bytes], Optional[Callable[[EnclaveRecord], GuestProgra
 
 class Hypervisor:
     def __init__(self, machine: PhysicalMachine,
-                 program_loader: ProgramLoader, tick: Callable[[], None],
-                 emit: Callable[..., None]):
+                 program_loader: ProgramLoader, tick: Callable[[], None]):
         self.machine = machine
         self.program_loader = program_loader
         self.tick = tick        # runs after each costed guest step
-        self.emit = emit        # records one scheduling event in the trace
+        self.emit = machine.trace.emit  # records one scheduling event
         self.vms: Dict[int, Vm] = {}
         self.enclaves: Dict[int, EnclaveRecord] = {}
         self._next_vmid = 0

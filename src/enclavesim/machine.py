@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .errors import ConfigError, OutOfRange
+from .trace import TraceRecorder
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
@@ -25,9 +26,10 @@ class Observer:
 
     Subclasses override what they care about.  Hooks fire synchronously at
     the primitive that performs the action (frame writes and zeroing here,
-    mapping changes and faults in the stage-2 code, channel transitions), so
-    an oracle sees the true operation order, not a reconstruction.
-    Scheduling has no hook: the hypervisor records it in the trace itself.
+    mapping changes in the stage-2 code), so an oracle sees the true
+    operation order, not a reconstruction.  Every hook has an oracle; an
+    event only the trace consumes (scheduling, faults, channel steps) is
+    recorded in ``PhysicalMachine.trace`` by the code that causes it.
     """
 
     def on_write(self, frame: int, offset: int, data: bytes) -> None:
@@ -44,16 +46,6 @@ class Observer:
 
     def on_protect(self, vm: int, ipa_page: int, frame: int, old, new) -> None:
         pass
-
-    def on_fault(self, fault) -> None:
-        pass
-
-    def on_channel(self, side: str, old: int, new: int,
-                   header: bytes, payload: bytes) -> None:
-        """A channel status transition by `side`.  `header` is the header as
-        it reads after the transition, `payload` the active payload: the
-        request's args for REQUEST, the reply for DONE and ERROR, empty for
-        PREEMPTED."""
 
 
 # What a machine may be.  Boot builds one object per pCPU, a payload may be
@@ -113,12 +105,13 @@ class Pcpu:
 
 
 class PhysicalMachine:
-    """Sparse frames plus pCPUs and the ledger.
+    """Sparse frames plus pCPUs, the ledger and the trace.
 
     ``frames`` maps a frame number to its buffer and holds only the frames
     written since their last zeroing; every other frame of [0, n_frames)
     reads as zeros.  Zeroing drops the buffer, and still charges a page of
-    ``zero_bytes`` and fires ``on_zero``.
+    ``zero_bytes`` and fires ``on_zero``.  ``trace`` is the run's one
+    record, stamped with the ledger's clock.
     """
 
     def __init__(self, config: Optional[MachineConfig] = None):
@@ -128,6 +121,7 @@ class PhysicalMachine:
         self.frames: Dict[int, bytearray] = {}
         self.pcpus = [Pcpu(i) for i in range(self.config.pcpus)]
         self.ledger = CostLedger()
+        self.trace = TraceRecorder(self.ledger.units)
         self.observers: List[Observer] = []
         # >0 while a ChannelView performs a sanctioned protocol write; lets
         # the write-confinement oracle tell protocol traffic from stray

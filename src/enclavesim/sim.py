@@ -1,11 +1,12 @@
 """Top-level simulation wiring.
 
-A Simulation owns one machine, one hypervisor, one trace, a timer queue and
-a seeded RNG.  Everything observable is recorded in the trace, so identical
-(config, seed, operations) always serialize to byte-identical JSON lines.
-An event only the trace consumes is emitted by the code that causes it (the
-hypervisor's scheduling, boot and timers here); the memory-level events
-reach it through ``TraceObserver``, on the hook points the oracles watch.
+A Simulation owns one machine (which holds the trace), one hypervisor, a
+timer queue and a seeded RNG.  Everything observable is recorded in the
+trace, so identical (config, seed, operations) always serialize to
+byte-identical JSON lines.  An event only the trace consumes is emitted by
+the vCPU or code that causes it (scheduling, faults, channel steps, and boot
+and timers here); the mapping and zeroing events reach the trace through
+``TraceObserver``, on the hook points the oracles watch.
 
 Simulated time is the cost ledger's unit sum: one unit per charged event,
 per work unit and per zeroed page.  The trace stamps every event with it,
@@ -16,14 +17,12 @@ from __future__ import annotations
 
 import heapq
 import random
-import zlib
 from typing import List, Optional, Tuple, Union
 
 from .errors import SimulationError
 from .hypervisor import Hypervisor, Vcpu, Vm
 from .machine import MachineConfig, Observer, PhysicalMachine
 from .stage2 import Access, AccessFault, Perms, guest_access
-from .trace import TraceRecorder
 
 
 class TraceObserver(Observer):
@@ -31,39 +30,27 @@ class TraceObserver(Observer):
 
     def __init__(self, sim: "Simulation"):
         self.trace = sim.trace
-        # pCPU 0 even for an enclave on another pCPU: ROADMAP item 2's open bug
-        self.pcpu0 = sim.machine.pcpus[0]
+        # pCPU 0's stack, whoever maps or zeroes: ROADMAP item 2's open bug
+        self.stack0 = sim.machine.pcpus[0].stack
 
     def on_map(self, vm: int, ipa_page: int, frame: int, perms: Perms) -> None:
-        self.trace.emit("s2_map", 0, self.pcpu0.stack[-1].name,
+        self.trace.emit("s2_map", 0, self.stack0[-1].name,
                         {"vm": vm, "ipa_page": ipa_page, "frame": frame,
                          "perms": perms.tag()})
 
     def on_unmap(self, vm: int, ipa_page: int, frame: int) -> None:
-        self.trace.emit("s2_unmap", 0, self.pcpu0.stack[-1].name,
+        self.trace.emit("s2_unmap", 0, self.stack0[-1].name,
                         {"vm": vm, "ipa_page": ipa_page, "frame": frame})
 
     def on_protect(self, vm: int, ipa_page: int, frame: int,
                    old: Perms, new: Perms) -> None:
-        self.trace.emit("s2_protect", 0, self.pcpu0.stack[-1].name,
+        self.trace.emit("s2_protect", 0, self.stack0[-1].name,
                         {"vm": vm, "ipa_page": ipa_page, "frame": frame,
                          "old": old.tag(), "new": new.tag()})
 
     def on_zero(self, frame: int) -> None:
-        self.trace.emit("zero_frame", 0, self.pcpu0.stack[-1].name,
+        self.trace.emit("zero_frame", 0, self.stack0[-1].name,
                         {"frame": frame})
-
-    def on_fault(self, fault: AccessFault) -> None:
-        self.trace.emit("fault", 0, self.pcpu0.stack[-1].name,
-                        {"vm": fault.vm, "ipa": fault.ipa,
-                         "fault": fault.kind.value})
-
-    def on_channel(self, side: str, old: int, new: int,
-                   header: bytes, payload: bytes) -> None:
-        self.trace.emit("channel", 0, self.pcpu0.stack[-1].name,
-                        {"side": side, "old": old, "new": new,
-                         "header": header.hex(),
-                         "payload_crc32": zlib.crc32(payload)})
 
 
 class Simulation:
@@ -73,9 +60,8 @@ class Simulation:
             from . import ta_runtime
             program_loader = ta_runtime.load_program
         self.machine = PhysicalMachine(config)
-        self.trace = TraceRecorder(self.machine.ledger.units)
-        self.hv = Hypervisor(self.machine, program_loader, self.check_timers,
-                             self.trace.emit)
+        self.trace = self.machine.trace
+        self.hv = Hypervisor(self.machine, program_loader, self.check_timers)
         self.rng = random.Random(seed)
         self.machine.observers.append(TraceObserver(self))
         cfg = self.machine.config
@@ -119,12 +105,12 @@ class Simulation:
 
     def vm_read(self, vm: Vm, ipa: int, length: int) -> Union[bytes, AccessFault]:
         out, _ = guest_access(self.machine, vm.table, ipa, Access.READ,
-                              length=length)
+                              length=length, by=vm.vcpus[0])
         return out
 
     def vm_write(self, vm: Vm, ipa: int, data: bytes) -> Union[bytes, AccessFault]:
         out, _ = guest_access(self.machine, vm.table, ipa, Access.WRITE,
-                              data=data)
+                              data=data, by=vm.vcpus[0])
         return out
 
     def primary_vcpu(self, pcpu_id: int = 0) -> Vcpu:

@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .errors import AlreadyMapped, BadFrame, InvalidPerms, NotMapped
+from .errors import AlreadyMapped, BadFrame, InvalidPerms, NotMapped, OutOfRange
 from .machine import OFFSET_MASK, PAGE_SHIFT, PAGE_SIZE, PhysicalMachine
 
 
@@ -181,13 +181,16 @@ def guest_access(
     access: Access,
     data: Optional[bytes] = None,
     length: int = 0,
+    *,
+    by,
 ) -> Tuple[Union[bytes, AccessFault], List[Tuple[int, int]]]:
-    """Perform a guest memory access through a stage-2 table.
+    """Perform a guest memory access by the vCPU `by` through a stage-2 table.
 
     Accesses crossing page boundaries are split and translated per page, in
     order.  A fault stops the access at the faulting page: chunks on earlier
-    pages have already landed (writes) or are discarded (reads), and nothing
-    on the faulting page onward is touched.
+    pages have already landed (writes) or are discarded (reads), nothing on
+    the faulting page onward is touched, and the fault is traced by `by`.
+    A negative length raises OutOfRange.
 
     Returns ``(result, touched)`` where result is the read bytes (``b""``
     for a successful write) or the fault, and touched lists the
@@ -200,7 +203,7 @@ def guest_access(
     elif data is not None:
         raise ValueError("data only valid for write access")
     if length < 0:
-        raise ValueError("negative length")
+        raise OutOfRange("negative length %d" % length)
 
     write = access is Access.WRITE
     read = access is Access.READ
@@ -224,8 +227,9 @@ def guest_access(
                 entry[1].read if read else entry[1].execute)):
             fault = _fault(table.owner_vm, cur, entry)
             machine.fault_count += 1
-            for obs in machine.observers:
-                obs.on_fault(fault)
+            machine.trace.emit("fault", by.pcpu, by.name,
+                               {"vm": fault.vm, "ipa": fault.ipa,
+                                "fault": fault.kind.value})
             return fault, touched
         frame = entry[0]
         touched.append((page, frame))

@@ -73,12 +73,13 @@ class TaContext:
 
     def read(self, ipa: int, length: int) -> Union[bytes, AccessFault]:
         out, _ = guest_access(self.machine, self.rec.vm.table, ipa,
-                              Access.READ, length=length)
+                              Access.READ, length=length,
+                              by=self.rec.vm.vcpus[0])
         return out
 
     def write(self, ipa: int, data: bytes) -> Union[bytes, AccessFault]:
         out, _ = guest_access(self.machine, self.rec.vm.table, ipa,
-                              Access.WRITE, data=data)
+                              Access.WRITE, data=data, by=self.rec.vm.vcpus[0])
         return out
 
     def _state_at(self, offset: int, length: int) -> int:
@@ -181,9 +182,8 @@ def load_program(page0: bytes) -> Optional[Callable[[EnclaveRecord], GuestProgra
         return None
 
     def factory(rec: EnclaveRecord) -> GuestProgram:
-        machine = rec.vm.table.machine
-        channel = ChannelView(machine, rec.vm.table, rec.channel_ipa,
-                              rec.channel_pages, "enclave")
+        channel = ChannelView(rec.vm.vcpus[0], rec.channel_ipa,
+                              rec.channel_pages)
         ctx = TaContext(rec, channel, spec.image.code_pages << PAGE_SHIFT)
         return standard_loop(ctx, spec.handlers)
 

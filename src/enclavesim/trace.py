@@ -17,8 +17,8 @@ detail is ``side``, ``old`` and ``new`` (status words), ``header`` (the
 ``payload_crc32`` (``zlib.crc32`` of the active payload, an int); the
 payload's length is the header's ``arg_len`` or ``ret_len``.  The payload
 bytes themselves are not traced: a CRC is enough to show where two runs
-diverge, and rerunning the scenario script reproduces the bytes, which an
-``Observer.on_channel`` hook receives.
+diverge, and rerunning the scenario script reproduces the bytes, which stay
+in the channel's frames until the next step overwrites them.
 
 One event is one line, its six keys in sorted order and no spaces:
 

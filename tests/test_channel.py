@@ -1,6 +1,7 @@
 """Channel protocol: header discipline, transitions, payload round trips."""
 import itertools
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from enclavesim.errors import (
     ChannelTooLarge,
 )
 from enclavesim.guest_os import EnclaveDriver
+from enclavesim.hypervisor import Vcpu, Vm, VmKind
 from enclavesim.machine import (
     PAGE_SHIFT,
     PAGE_SIZE,
@@ -33,18 +35,47 @@ from enclavesim.stage2 import PERM_RO, PERM_RW, Stage2Table
 from enclavesim.ta_runtime import image_for_pages
 
 
+def _vcpu(vmid, kind, name, table, pcpu=0):
+    """The one vCPU of a VM on `table`, pinned to `pcpu`."""
+    vm = Vm(vmid, kind, name, table)
+    vm.vcpus = [Vcpu(vm=vm, index=0, pcpu=pcpu)]
+    return vm.vcpus[0]
+
+
 def make_channel(pages=1):
-    """Two views (driver and enclave side) of the same frames."""
+    """Two views (driver and enclave side) of the same frames, each used by
+    its VM's vCPU."""
     machine = PhysicalMachine(MachineConfig(frames=4, os_reserved_pages=0))
     t_primary = Stage2Table(0, machine)
     t_enclave = Stage2Table(1, machine)
     for i in range(pages):
         t_primary.map(i, i, PERM_RW)
         t_enclave.map(8 + i, i, PERM_RW)
-    primary = ChannelView(machine, t_primary, 0, pages, "primary")
-    enclave = ChannelView(machine, t_enclave, 8 << 12, pages, "enclave")
+    primary = ChannelView(_vcpu(0, VmKind.PRIMARY, "primary", t_primary), 0,
+                          pages)
+    enclave = ChannelView(_vcpu(1, VmKind.ENCLAVE, "enclave1", t_enclave),
+                          8 << 12, pages)
     primary.init()
     return machine, primary, enclave
+
+
+def _channel_events(machine, since=0):
+    """The channel events traced from step `since` on."""
+    return [ev for ev in machine.trace.events[since:] if ev.kind == "channel"]
+
+
+def test_views_take_their_table_side_and_trace_from_their_vcpu():
+    machine, primary, enclave = make_channel()
+    assert (primary.table.owner_vm, primary.side) == (0, "primary")
+    assert (enclave.table.owner_vm, enclave.side) == (1, "enclave")
+    assert primary.machine is enclave.machine is machine
+    primary.write_request(1, b"hi")
+    enclave.serve()
+    enclave.complete(b"yo")
+    assert [(ev.vcpu, ev.detail["side"], ev.detail["new"])
+            for ev in _channel_events(machine)] == [
+        ("primary.v0", "primary", ChannelStatus.REQUEST),
+        ("enclave1.v0", "enclave", ChannelStatus.DONE)]
 
 
 def test_init_formats_header():
@@ -173,7 +204,7 @@ def test_transition_legality_exhaustive():
     """Every public step crossed with every start state: the five statuses,
     a corrupt word and a bad magic.  A step succeeds exactly when its start
     set allows the state, and leaves the status it is tabled to; a refused
-    step raises its error and writes no frame byte and no on_channel."""
+    step raises its error and writes no frame byte and no channel event."""
     mismatches = []
     for name, start in itertools.product(
             STEP_RULES, list(ChannelStatus) + [99, "bad magic"]):
@@ -188,14 +219,12 @@ def test_transition_legality_exhaustive():
         if start == "bad magic":
             primary._write(0, b"XXXX")
         before = _frame_bytes(machine)
+        since = len(machine.trace.events)
         seen = []
 
         class Spy(Observer):
             def on_write(self, frame, offset, data):
                 seen.append(("write", frame, offset))
-
-            def on_channel(self, side, old, new, header, payload):
-                seen.append(("channel", old, new))
 
         machine.observers.append(Spy())
         want = _refusal(name, start)
@@ -203,6 +232,8 @@ def test_transition_legality_exhaustive():
             _run_step(primary, enclave, name)
         except ChannelError as err:
             got = (type(err), str(err))
+            seen += [("channel", ev.detail["old"], ev.detail["new"])
+                     for ev in _channel_events(machine, since)]
             if got != want or seen or _frame_bytes(machine) != before:
                 mismatches.append((name, start, got, seen))
             continue
@@ -251,10 +282,9 @@ def test_status_written_after_payload():
 
     class Spy(Observer):
         def on_write(self, frame, offset, data):
-            order.append(("write", offset, bytes(data)))
-
-        def on_channel(self, side, old, new, header, payload):
-            order.append(("status", new, payload))
+            # a write made before the channel event sees a shorter trace
+            order.append(("write", offset, bytes(data),
+                          len(machine.trace.events)))
 
     machine.observers.append(Spy())
     for step, new, payload, tail in [
@@ -263,14 +293,15 @@ def test_status_written_after_payload():
             (lambda: enclave.complete(b"reply"),
              ChannelStatus.DONE, b"reply", (5, 8, 5))]:
         order.clear()
+        since = len(machine.trace.events)
         step()
-        status_pos = next(i for i, ev in enumerate(order)
-                          if ev[0] == "status")
-        payload_pos = next(i for i, ev in enumerate(order)
-                           if ev[0] == "write" and ev[2] == payload)
-        assert payload_pos < status_pos
-        assert order[status_pos][1:] == (new, payload)
-        header_writes = [ev[1:] for ev in order
+        [status] = _channel_events(machine, since)
+        payload_write = next(ev for ev in order
+                             if ev[0] == "write" and ev[2] == payload)
+        assert payload_write[3] <= status.step
+        assert (status.detail["new"], status.detail["payload_crc32"]) \
+            == (new, zlib.crc32(payload))
+        header_writes = [ev[1:3] for ev in order
                          if ev[0] == "write" and ev[1] < HEADER_LEN]
         assert header_writes == [
             (4, struct.pack("<IIII", new, *tail))]
@@ -378,14 +409,17 @@ def test_channel_writes_are_marked(monkeypatch):
 
 
 class FrameCheck(Observer):
-    """Re-reads each transition's header and active payload straight from
-    the frames, through the side's stage-2 table, and asserts they equal
-    the bytes `on_channel` was handed."""
+    """At each header publish, the write at +4 that carries the status word,
+    reads the header and the active payload straight from the frames,
+    through each side's stage-2 table; `check` then compares them with the
+    channel event traced right after that write."""
 
     def __init__(self, machine, views):
         self.machine = machine
         self.views = views          # side -> (table, channel base ipa)
-        self.seen = []
+        self.stored = []            # (trace length, header, payload)
+        table, base = views["primary"]
+        self.status_frame = table.lookup(base >> PAGE_SHIFT)[0]
 
     def _frames(self, table, ipa, length):
         out = b""
@@ -396,16 +430,34 @@ class FrameCheck(Observer):
             ipa, length = ipa + chunk, length - chunk
         return out
 
-    def on_channel(self, side, old, new, header, payload):
-        table, base = self.views[side]
-        stored = self._frames(table, base, HEADER_LEN)
-        _, status, _, arg_len, ret_len = CHANNEL_HEADER.unpack(stored)
+    def _stored(self, table, base):
+        header = self._frames(table, base, HEADER_LEN)
+        _, status, _, arg_len, ret_len = CHANNEL_HEADER.unpack(header)
         active = {ChannelStatus.REQUEST: arg_len, ChannelStatus.DONE: ret_len,
-                  ChannelStatus.ERROR: ret_len}.get(new, 0)
-        assert status == new
-        assert header == stored
-        assert payload == self._frames(table, base + HEADER_LEN, active)
-        self.seen.append((side, ChannelStatus(new).name, len(payload)))
+                  ChannelStatus.ERROR: ret_len}.get(status, 0)
+        return header, self._frames(table, base + HEADER_LEN, active)
+
+    def on_write(self, frame, offset, data):
+        if frame == self.status_frame and offset == 4:
+            [stored] = {self._stored(*view) for view in self.views.values()}
+            self.stored.append((len(self.machine.trace.events),) + stored)
+
+    def check(self):
+        """Each channel event against the bytes stored when it was
+        published; returns (side, status, payload length) per event."""
+        events = [ev for ev in self.machine.trace.events
+                  if ev.kind == "channel"]
+        assert len(events) == len(self.stored)
+        seen = []
+        for ev, (step, header, payload) in zip(events, self.stored):
+            new = CHANNEL_HEADER.unpack(header)[1]
+            assert ev.step == step
+            assert ev.detail["new"] == new
+            assert ev.detail["header"] == header.hex()
+            assert ev.detail["payload_crc32"] == zlib.crc32(payload)
+            seen.append((ev.detail["side"], ChannelStatus(new).name,
+                         len(payload)))
+        return seen
 
 
 def _run_checked(program, chan_pages, steps):
@@ -420,7 +472,7 @@ def _run_checked(program, chan_pages, steps):
         "enclave": (rec.vm.table, rec.channel_ipa)})
     sim.machine.observers.append(check)
     steps(sim, driver, fd)
-    return check.seen
+    return check.check()
 
 
 def _echo(n):
@@ -460,7 +512,8 @@ CROSSING = 2 * PAGE_SIZE - HEADER_LEN - 100   # payload reaches into page 2
                                          ("enclave", "DONE", 4)]),
 ], ids=["echo-0", "echo-1", "echo-page-2", "unknown-command",
         "preempt-resume"])
-def test_on_channel_gets_the_stored_bytes(program, chan_pages, steps, want):
+def test_channel_events_trace_the_stored_bytes(program, chan_pages, steps,
+                                               want):
     assert _run_checked(program, chan_pages, steps) == want
 
 

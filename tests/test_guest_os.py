@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from enclavesim.channel import ChannelStatus
 from enclavesim.errors import (BadFd, ChannelError, DriverError, Exhausted,
-                               NoMemory)
+                               NoMemory, OutOfRange)
 from enclavesim.guest_os import FD_BASE, FD_CAPACITY, EnclaveDriver, OsAllocator
 from enclavesim.harness import (
     WriteConfinementOracle,
@@ -236,6 +236,35 @@ def test_bad_magic_refuses_invoke_before_any_hypercall():
     assert sim.trace.count("hypercall") == hypercalls
     assert sim.hv.stack_of(0) == [sim.primary_vcpu(0)]
     assert driver.invoke(other, 0, b"y") == (ChannelStatus.DONE, b"y")
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda sim, driver, fd: driver.invoke(fd, -1, b""), ChannelError,
+     "^cmd_id -1 is not a u32$"),
+    (lambda sim, driver, fd: driver.invoke(fd, 2**40, b"x"), ChannelError,
+     "^cmd_id 1099511627776 is not a u32$"),
+    (lambda sim, driver, fd: sim.vm_read(sim.hv.primary, 0, -1), OutOfRange,
+     "^negative length -1$"),
+], ids=["cmd-id-negative", "cmd-id-over-u32", "vm-read-negative-length"])
+def test_malformed_api_call_is_refused_before_any_access(call, error,
+                                                         message):
+    """A typed error before any frame is read or written, with no event and
+    no charge; the enclave still serves the next valid request."""
+    sim, driver = make_driver()
+    fd = driver.create(image_for_pages("echo", 3, 1))
+    events, ledger = len(sim.trace.events), sim.machine.ledger.snapshot()
+    accesses = []
+    for name in ("read_frame", "write_frame"):
+        real = getattr(sim.machine, name)
+        setattr(sim.machine, name,
+                lambda *a, _real=real: accesses.append(a) or _real(*a))
+    with pytest.raises(error, match=message):
+        call(sim, driver, fd)
+    assert accesses == []
+    assert len(sim.trace.events) == events
+    assert sim.machine.ledger.snapshot() == ledger
+    assert driver.invoke(fd, 0, b"ok") == (ChannelStatus.DONE, b"ok")
+    assert accesses     # the counters do see a real access
 
 
 def test_destroy_returns_allocator_to_prior_state():

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enclavesim.errors import AlreadyMapped, BadFrame, InvalidPerms, NotMapped
+from enclavesim.errors import (
+    AlreadyMapped,
+    BadFrame,
+    InvalidPerms,
+    NotMapped,
+    OutOfRange,
+)
+from enclavesim.hypervisor import Vcpu, Vm, VmKind
 from enclavesim.machine import (
     OFFSET_MASK,
     PAGE_SHIFT,
@@ -33,6 +40,14 @@ def machine():
 @pytest.fixture
 def table(machine):
     return Stage2Table(0, machine)
+
+
+def _vcpu(table, pcpu=0):
+    """The one vCPU of an enclave VM on `table`, pinned to `pcpu`."""
+    vm = Vm(table.owner_vm, VmKind.ENCLAVE, "enclave%d" % table.owner_vm,
+            table)
+    vm.vcpus = [Vcpu(vm=vm, index=0, pcpu=pcpu)]
+    return vm.vcpus[0]
 
 
 def test_map_translate_unmap(machine, table):
@@ -89,11 +104,17 @@ def test_protect_returns_old_perms(machine, table):
 
 
 def test_guest_access_faults_count_and_notify(machine, table):
+    """A fault is counted and traced on the accessing vCPU's pCPU, in its
+    name."""
     out, touched = guest_access(machine, table, 5 << 12, Access.READ,
-                                length=4)
+                                length=4, by=_vcpu(table, pcpu=3))
     assert isinstance(out, AccessFault)
     assert touched == []
     assert machine.fault_count == 1
+    [event] = machine.trace.events
+    assert (event.kind, event.pcpu, event.vcpu, event.detail) == (
+        "fault", 3, "enclave0.v0",
+        {"vm": 0, "ipa": 5 << 12, "fault": "unmapped"})
 
 
 def test_guest_write_is_per_page_atomic(machine, table):
@@ -102,7 +123,7 @@ def test_guest_write_is_per_page_atomic(machine, table):
     table.map(0, 7, PERM_RW)
     data = bytes(range(1, 9))
     out, touched = guest_access(machine, table, PAGE_SIZE - 4, Access.WRITE,
-                                data=data)
+                                data=data, by=_vcpu(table))
     assert isinstance(out, AccessFault)
     assert out.ipa == PAGE_SIZE
     assert touched == [(0, 7)]
@@ -167,18 +188,19 @@ def test_split_write_matches_flat_buffer(start, payload):
     chunk = payload[:end - start]
     flat[start:start + len(chunk)] = chunk
 
+    vcpu = _vcpu(table)
     out, touched = guest_access(machine, table, start, Access.WRITE,
-                                data=chunk)
+                                data=chunk, by=vcpu)
     assert not isinstance(out, AccessFault)
     pages_spanned = (end - 1 >> 12) - (start >> 12) + 1 if chunk else 0
     assert len(touched) == pages_spanned
     back, _ = guest_access(machine, table, 0, Access.READ,
-                           length=8 * PAGE_SIZE)
+                           length=8 * PAGE_SIZE, by=vcpu)
     assert back == bytes(flat)
 
 
 def _reference_guest_access(machine, table, ipa, access, data=None,
-                            length=0):
+                            length=0, *, by):
     """The page loop `guest_access` replaced: one `translate` per page, as
     the reference its faster form must agree with."""
     if access is Access.WRITE:
@@ -188,7 +210,7 @@ def _reference_guest_access(machine, table, ipa, access, data=None,
     elif data is not None:
         raise ValueError("data only valid for write access")
     if length < 0:
-        raise ValueError("negative length")
+        raise OutOfRange("negative length %d" % length)
 
     touched = []
     parts = []
@@ -200,8 +222,9 @@ def _reference_guest_access(machine, table, ipa, access, data=None,
         phys = table.translate(cur, access)
         if isinstance(phys, AccessFault):
             machine.fault_count += 1
-            for obs in machine.observers:
-                obs.on_fault(phys)
+            machine.trace.emit("fault", by.pcpu, by.name,
+                               {"vm": phys.vm, "ipa": phys.ipa,
+                                "fault": phys.kind.value})
             return phys, touched
         frame = phys >> PAGE_SHIFT
         touched.append((cur >> PAGE_SHIFT, frame))
@@ -221,9 +244,6 @@ class _CallLog(Observer):
 
     def on_write(self, frame, offset, data):
         self.calls.append(("on_write", frame, offset, bytes(data)))
-
-    def on_fault(self, fault):
-        self.calls.append(("on_fault", fault))
 
 
 # offsets within a page, weighted towards its edges
@@ -267,16 +287,19 @@ def _run_access(impl, perms, frames, access, ipa, length, data):
     log = _CallLog()
     machine.observers.append(log)
     out, touched = impl(machine, table, ipa, access, data=data,
-                        length=0 if access is Access.WRITE else length)
+                        length=0 if access is Access.WRITE else length,
+                        by=_vcpu(table, pcpu=1))
     return out, touched, machine.fault_count, log.calls, \
+        machine.trace.events, \
         [machine.read_frame(f, 0, PAGE_SIZE) for f in range(8)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_accesses())
 def test_guest_access_matches_reference_loop(case):
-    """Same result, pages touched, fault count, observer calls and frame
-    contents as the reference loop, for any table and access."""
+    """Same result, pages touched, fault count, observer calls, traced
+    fault events and frame contents as the reference loop, for any table
+    and access."""
     got = _run_access(guest_access, *case)
     want = _run_access(_reference_guest_access, *case)
     assert got == want

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from enclavesim.harness import oracles
+from enclavesim.machine import Observer
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -76,3 +79,15 @@ def test_benchmark_round_runs_clean_traced_and_untraced(workload,
 def test_benchmark_cost_model_claims_hold(monkeypatch):
     run, _, _ = _load_bench(monkeypatch)
     assert run.cost_model_problems() == []
+
+
+def test_every_observer_hook_has_an_oracle():
+    """Each hook on `Observer` is overridden by some oracle.  An event that
+    only the trace consumes is emitted by the code that causes it, so a
+    hook that no oracle watches has no place on `Observer`."""
+    hooks = {name for name in vars(Observer) if name.startswith("on_")}
+    watched = {name for cls in vars(oracles).values()
+               if isinstance(cls, type) and issubclass(cls, Observer)
+               and cls.__module__ == oracles.__name__
+               for name in vars(cls) if name in hooks}
+    assert hooks and watched == hooks

@@ -8,7 +8,7 @@ import zlib
 
 import pytest
 
-from enclavesim.channel import ChannelStatus
+from enclavesim.channel import CHANNEL_HEADER, HEADER_LEN, ChannelStatus
 from enclavesim.guest_os import EnclaveDriver
 from enclavesim.harness.scenario import run_scenario_text
 from enclavesim.hypervisor import (
@@ -20,7 +20,7 @@ from enclavesim.hypervisor import (
     InvokeEnclave,
     _call_detail,
 )
-from enclavesim.machine import MachineConfig, Observer
+from enclavesim.machine import PAGE_SIZE, MachineConfig, Observer
 from enclavesim.sim import Simulation
 from enclavesim.ta_runtime import image_for
 from enclavesim.trace import BLOCK, TraceRecorder
@@ -161,22 +161,45 @@ def test_every_event_kind_has_pinned_bytes():
 
 
 class ChannelRecorder(Observer):
-    """Keeps what each channel transition handed the observers."""
+    """At each header publish, the write at +4 of the channel's first frame
+    that carries the status word, reads the header and the active payload
+    back from the channel's frames."""
 
     def __init__(self):
         self.calls = []
 
-    def on_channel(self, side, old, new, header, payload):
-        self.calls.append((side, old, new, header, payload))
+    def watch(self, machine, frames):
+        """Attach to `machine`, on the channel held in `frames`."""
+        self.machine, self.frames = machine, frames
+        machine.observers.append(self)
+
+    def _read(self, offset, length):
+        out = b""
+        while length:
+            frame, at = divmod(offset, PAGE_SIZE)
+            chunk = min(length, PAGE_SIZE - at)
+            out += self.machine.read_frame(self.frames[frame], at, chunk)
+            offset, length = offset + chunk, length - chunk
+        return out
+
+    def on_write(self, frame, offset, data):
+        if frame == self.frames[0] and offset == 4:
+            header = self._read(0, HEADER_LEN)
+            _, status, _, arg_len, ret_len = CHANNEL_HEADER.unpack(header)
+            length = {ChannelStatus.REQUEST: arg_len,
+                      ChannelStatus.DONE: ret_len,
+                      ChannelStatus.ERROR: ret_len}.get(status, 0)
+            self.calls.append((header, self._read(HEADER_LEN, length)))
 
 
-def _echo_run(*payloads, observer=None):
-    """One echo enclave invoked once per payload; returns the simulation."""
+def _echo_run(*payloads, recorder=None):
+    """One echo enclave invoked once per payload; returns the simulation.
+    A `recorder` watches the channel's frames from the create on."""
     sim = Simulation(MachineConfig(frames=256))
-    if observer is not None:
-        sim.machine.observers.append(observer)
     driver = EnclaveDriver(sim)
     fd = driver.create(image_for("echo"))
+    if recorder is not None:
+        recorder.watch(sim.machine, driver.record_of(fd).channel_frames())
     for payload in payloads:
         assert driver.invoke(fd, 0, payload) == (ChannelStatus.DONE, payload)
     assert driver.invoke(fd, 99, b"?") == (ChannelStatus.ERROR, b"")
@@ -184,14 +207,44 @@ def _echo_run(*payloads, observer=None):
 
 
 def test_channel_event_crc_is_of_the_bytes_the_observers_were_handed():
+    """Each channel event's header and CRC are those of the bytes an
+    observer reads back from the frames when the step publishes."""
     rec = ChannelRecorder()
-    sim = _echo_run(b"", b"x", bytes(range(256)) * 3, observer=rec)
+    sim = _echo_run(b"", b"x", bytes(range(256)) * 3, recorder=rec)
     details = [ev.detail for ev in sim.trace.events if ev.kind == "channel"]
     assert len(details) == len(rec.calls) == 8
-    for detail, (side, old, new, header, payload) in zip(details, rec.calls):
-        assert detail == {"side": side, "old": old, "new": new,
-                          "header": header.hex(),
-                          "payload_crc32": zlib.crc32(payload)}
+    for detail, (header, payload) in zip(details, rec.calls):
+        assert detail["new"] == CHANNEL_HEADER.unpack(header)[1]
+        assert detail["header"] == header.hex()
+        assert detail["payload_crc32"] == zlib.crc32(payload)
+
+
+def test_two_pcpu_invoke_names_the_enclaves_pcpu_on_every_event():
+    """An enclave pinned to pCPU 1 is invoked from pCPU 1's primary vCPU:
+    all nine events of an echo invoke name pCPU 1, the channel steps in the
+    name of the vCPU that made them, and a probe's fault is traced on
+    pCPU 1 in the enclave's vCPU's name."""
+    sim = Simulation(MachineConfig(frames=256, pcpus=2))
+    driver = EnclaveDriver(sim)
+    fd = driver.create(image_for("echo"), pcpu=1)
+    since = len(sim.trace.events)
+    assert driver.invoke(fd, 0, b"hi") == (ChannelStatus.DONE, b"hi")
+    events = sim.trace.events[since:]
+    assert [(ev.kind, ev.pcpu) for ev in events] == [
+        (kind, 1) for kind in ("channel", "hypercall", "push", "ctx_switch",
+                               "work", "channel", "hypercall", "pop",
+                               "ctx_switch")]
+    assert [ev.vcpu for ev in events if ev.kind == "channel"] == [
+        "primary.v1", "enclave1.v0"]
+
+    sim = Simulation(MachineConfig(frames=256, pcpus=2))
+    driver = EnclaveDriver(sim)
+    fd = driver.create(image_for("probe"), pcpu=1)
+    assert driver.invoke(fd, 1, (0x100000).to_bytes(8, "little")) == (
+        ChannelStatus.DONE, b"fault:unmapped")
+    [fault] = [ev for ev in sim.trace.events if ev.kind == "fault"]
+    assert (fault.pcpu, fault.vcpu, fault.detail) == (
+        1, "enclave1.v0", {"vm": 1, "ipa": 0x100000, "fault": "unmapped"})
 
 
 def test_one_payload_byte_changes_only_channel_events():
