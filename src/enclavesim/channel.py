@@ -164,6 +164,9 @@ class ChannelView:
     def write_request(self, cmd_id: int, args: bytes) -> None:
         if not 0 <= cmd_id <= 0xFFFFFFFF:
             raise ChannelError("cmd_id %d is not a u32" % cmd_id)
+        if not isinstance(args, (bytes, bytearray, memoryview)):
+            raise ChannelError("payload must be bytes-like, not %s"
+                               % type(args).__name__)
         header, st, _, _, _ = self._header("write_request")
         if len(args) > self.capacity:
             raise ChannelTooLarge("args %d > capacity %d"

@@ -14,7 +14,9 @@ class ConfigError(SimulationError):
 
 
 class OutOfRange(SimulationError):
-    """Frame index or offset outside physical memory bounds."""
+    """Frame index or offset outside physical memory bounds, or a guest
+    access with a negative length, a write without data or a read with
+    data."""
 
 
 # -- stage-2 table manipulation ----------------------------------------------

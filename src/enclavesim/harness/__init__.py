@@ -9,8 +9,9 @@ calls and guest-level accesses, and watches it through observer hooks and
 raw physical inspection.  Its checks also read the hypervisor's own records:
 ``check_frame_exclusivity``, the confinement oracle and the secret scanner
 read the stage-2 tables of ``hv.vms``, ``check_stack_integrity`` reads each
-pCPU's vCPU stack, ``hv.vms`` and ``hv.enclaves``, the create-fail fuzzer snapshots both
-registries, and ``sabotage_teardown`` replaces ``hv._teardown``.
+pCPU's vCPU stack, ``hv.vms`` and ``hv.enclaves``, the stack fuzzer reads
+each pCPU's stack and every vCPU's pending flag, and ``sabotage_teardown``
+replaces ``hv._teardown``.
 """
 from .oracles import (
     MemoryOracle,
@@ -37,7 +38,6 @@ from .scenario import (
 from .bench import BenchReport, run_bench
 from .fuzz import (
     FuzzReport,
-    fuzz_failed_creates,
     fuzz_lifecycles,
     fuzz_mixed,
     fuzz_stack_ops,
@@ -61,7 +61,6 @@ __all__ = [
     "check_frame_exclusivity",
     "check_stack_integrity",
     "check_trace_completeness",
-    "fuzz_failed_creates",
     "fuzz_lifecycles",
     "fuzz_mixed",
     "fuzz_stack_ops",

@@ -3,7 +3,7 @@
     enclavesim run SCENARIO [SCENARIO ...] [--trace OUT]
     enclavesim attack
     enclavesim bench [--pages 16,64,256,1024] [--reps 30]
-    enclavesim fuzz [--profile mixed|stack|lifecycle|create-fail|sensitivity]
+    enclavesim fuzz [--profile mixed|stack|lifecycle|sensitivity]
                     [--ops N] [--seed N]
     enclavesim pack-image --mem-pages N --channel-pages N --code FILE -o OUT
                     [--cmds 1,2,3]
@@ -12,7 +12,8 @@ Exit status 0 means every check that ran held; 1 means a violation,
 containment failure or fuzz divergence; 2 means a usage error, printed in
 one line: a malformed scenario script, a file that cannot be read or
 written, `--pages` not two or more distinct sizes of at least 3 pages or
-too large for a machine, or `--reps` or `--ops` below 1.
+too large for a machine, `--reps` or `--ops` below 1, or `--ops` given to
+the `sensitivity` profile, which runs a fixed set of lifecycles.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from ..errors import ConfigError, ScenarioParseError, SimulationError
 from ..image import EnclaveImage
 from .bench import run_bench
 from .fuzz import (
-    fuzz_failed_creates,
     fuzz_lifecycles,
     fuzz_mixed,
     fuzz_stack_ops,
@@ -34,6 +34,14 @@ from .fuzz import (
 )
 from .scenario import (ExpectationFailed, parse_scenario, run_attacks,
                        run_scenario)
+
+
+# the fuzz profiles that take a count; each runs as a scenario script
+FUZZ_PROFILES = {
+    "mixed": fuzz_mixed,
+    "stack": fuzz_stack_ops,
+    "lifecycle": fuzz_lifecycles,
+}
 
 
 class _Usage(Exception):
@@ -98,22 +106,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    if args.ops is not None and args.ops < 1:
+        raise _Usage("--ops must be at least 1")
     if args.profile == "sensitivity":
+        if args.ops is not None:
+            raise _Usage("--ops does not apply to --profile sensitivity")
         outcomes = verify_oracle_sensitivity(seed=args.seed)
         for mode, ok in sorted(outcomes.items()):
             print("%-22s %s" % (mode, "ok" if ok else "FAILED"))
         return 0 if all(outcomes.values()) else 1
-    runner = {
-        "mixed": fuzz_mixed,
-        "stack": fuzz_stack_ops,
-        "lifecycle": fuzz_lifecycles,
-        "create-fail": fuzz_failed_creates,
-    }[args.profile]
-    if args.ops is not None and args.ops < 1:
-        raise _Usage("--ops must be at least 1")
     # the first positional differs in name (ops vs cases) per profile
     ops = () if args.ops is None else (args.ops,)
-    report = runner(*ops, seed=args.seed)
+    report = FUZZ_PROFILES[args.profile](*ops, seed=args.seed)
     print(report.format())
     return 0 if report.ok else 1
 
@@ -162,8 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="randomized campaigns")
     p.add_argument("--profile", default="mixed",
-                   choices=["mixed", "stack", "lifecycle", "create-fail",
-                            "sensitivity"])
+                   choices=[*FUZZ_PROFILES, "sensitivity"])
     p.add_argument("--ops", type=int, default=None,
                    help="cases/operations to run (profile default if unset)")
     p.add_argument("--seed", type=int, default=0)

@@ -1,24 +1,22 @@
 """Randomized campaigns with reference models.
 
-Four profiles:
+Three profiles, each run as scenario statements:
 
-* stack      -- raw LIFO scheduling ops checked step-for-step against an
-                independent list-based model (contents, pending interrupt
-                flags, interrupt outcomes, context-switch charges).
+* stack      -- raw LIFO scheduling ops on two pCPUs, checked after every
+                operation against an independent list-based model (contents,
+                pending interrupt flags, interrupt outcomes, context-switch
+                charges).
 * lifecycle  -- create/use/destroy storms with known-answer output checks
                 and a probe of each reclaimed page.
 * mixed      -- interleaved lifecycles, timers, preemption, adversary object
                 reads and raw scheduling noise on one long-lived simulation.
-* create-fail -- injected-failure creates; every failure must leave stage-2
-                tables, allocator state and the fd table bit-identical.
 
-The lifecycle and mixed profiles are scenario scripts: each random choice
-becomes a statement, every answer the host can compute becomes an `expect`,
-and the scenario interpreter runs them one at a time.  After every case the
-zeroization and confinement watchdogs and the vCPU stacks are checked, and
-at the end the interpreter's battery runs.  `FuzzReport.script` holds the
-statements behind the `machine` and `seed` lines, so saved to a file it
-replays the run with `enclavesim run`.
+Each random choice becomes a statement, every answer the host can compute
+becomes an `expect`, and the scenario interpreter runs them one at a time.
+After every case the zeroization and confinement watchdogs and the vCPU
+stacks are checked, and at the end the interpreter's battery runs.
+`FuzzReport.script` holds the statements behind the `machine` and `seed`
+lines, so saved to a file it replays the run with `enclavesim run`.
 
 Every campaign is a pure function of its seed; a failure report names the
 seed and the case index, which is enough to replay it exactly, and prints
@@ -32,30 +30,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..channel import ChannelStatus
-from ..errors import (
-    Exhausted,
-    InvalidDonation,
-    NoMemory,
-    PageNotMapped,
-    TooSmall,
-    WrongPcpu,
-)
-from ..guest_os import EnclaveDriver
-from ..hypervisor import Hypervisor, ImageMeta
-from ..machine import MachineConfig
-from ..sim import Simulation
-from ..stage2 import PERM_RO
+from ..hypervisor import Hypervisor
 from ..ta_runtime import (
-    image_for_pages,
     wallet_address,
     wallet_derived_key,
     wallet_master_key,
 )
-from .oracles import (
-    ReferenceStackModel,
-    check_stack_integrity,
-    check_trace_completeness,
-)
+from .oracles import ReferenceStackModel, check_stack_integrity
 from .scenario import ExpectationFailed, Step, _Runner, parse_scenario
 
 
@@ -88,88 +69,7 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-# -- stack profile ------------------------------------------------------------
-
-def fuzz_stack_ops(ops: int = 10000, seed: int = 0) -> FuzzReport:
-    """Drive schedule/yield/interrupt through the public mechanism entry
-    points and compare every observable against the reference model after
-    every single operation.  Two pCPUs with six aux vCPUs each, so a
-    cross-pCPU interrupt always has a target."""
-    report = FuzzReport("stack", ops, seed)
-    pcpus = 2
-    sim = Simulation(MachineConfig(frames=96, pcpus=pcpus), seed=seed)
-    hv = sim.hv
-    rng = random.Random(seed)
-    auxes = {p: [hv.make_aux_vcpu(p) for _ in range(6)] for p in range(pcpus)}
-    bases = hv.primary.vcpus
-    everyone = bases + [v for vs in auxes.values() for v in vs]
-    model = ReferenceStackModel(pcpus, [v.name for v in bases])
-
-    def bad(i: int, msg: str) -> None:
-        report.failures.append((i, msg))
-
-    for i in range(ops):
-        p = rng.randrange(pcpus)
-        roll = rng.random()
-        kind = ("push" if roll < 0.35 else
-                "pop" if roll < 0.60 else
-                "irq" if roll < 0.90 else "xirq")
-        idle = [v for v in auxes[p] if v.name not in model.scheduled(p)]
-        if kind == "push" and not idle:
-            kind = "pop"
-        if kind == "pop" and len(model.stacks[p]) <= 1:
-            kind = "irq"
-
-        if kind == "push":
-            vcpu = rng.choice(idle)
-            hv.schedule_vcpu(p, vcpu)
-            model.push(p, vcpu.name)
-        elif kind == "pop":
-            popped = hv.yield_vcpu(p)
-            want = model.pop(p)
-            if popped.name != want:
-                bad(i, "popped %s, model expected %s" % (popped.name, want))
-        elif kind == "irq":
-            target = rng.choice([bases[p]] + auxes[p])
-            outcome = hv.deliver_interrupt(p, target)
-            want = model.interrupt(p, target.name)
-            if outcome != want:
-                bad(i, "interrupt %s -> %s, model says %s"
-                    % (target.name, outcome, want))
-        else:
-            other = (p + 1) % pcpus
-            vcpu = rng.choice(auxes[other])
-            try:
-                hv.deliver_interrupt(p, vcpu)
-                bad(i, "cross-pcpu interrupt was accepted")
-            except WrongPcpu:
-                pass
-
-        for q in range(pcpus):
-            real = [v.name for v in hv.stack_of(q)]
-            if real != model.stack(q):
-                bad(i, "pcpu %d stack %r, model %r"
-                    % (q, real, model.stack(q)))
-        real_pending = {v.name for v in everyone if v.pending_irq}
-        if real_pending != model.pending:
-            bad(i, "pending %r, model %r"
-                % (sorted(real_pending), sorted(model.pending)))
-        if sim.machine.ledger.ctx_switches != model.charges:
-            bad(i, "charged %d switches, model %d"
-                % (sim.machine.ledger.ctx_switches, model.charges))
-        for msg in check_stack_integrity(hv):
-            bad(i, "structure: " + msg)
-        if report.failures:
-            break
-
-    for msg in check_stack_integrity(hv):
-        report.failures.append((ops, "structure: " + msg))
-    for msg in check_trace_completeness(sim):
-        report.failures.append((ops, "trace: " + msg))
-    return report
-
-
-# -- scripted profiles ---------------------------------------------------------
+# -- the campaigns -------------------------------------------------------------
 
 _TAS = ("counter", "echo", "spinner", "wallet")
 _new = tuple.__new__    # skips the named tuple's generated Python __new__
@@ -181,10 +81,9 @@ class _Script:
     behind the `machine` and `seed` lines, so the script replays the run
     with `enclavesim run`."""
 
-    def __init__(self, report: FuzzReport, frames: int):
+    def __init__(self, report: FuzzReport, machine: str):
         self.report = report
-        report.script = self.lines = ["machine frames=%d" % frames,
-                                      "seed %d" % report.seed]
+        report.script = self.lines = [machine, "seed %d" % report.seed]
         self.runner = _Runner(parse_scenario("\n".join(self.lines)))
         self.counts: Dict[str, int] = {}  # each counter variable's count
         self.index = self.start = 0  # open case, its first statement
@@ -273,12 +172,83 @@ class _Script:
                 (index, m) for m in self.runner.finish().violations]
 
 
+def fuzz_stack_ops(ops: int = 10000, seed: int = 0) -> FuzzReport:
+    """Random schedule, yield and interrupt statements on two pCPUs with six
+    aux vCPUs each, so a cross-pCPU interrupt always has a target.  After
+    every operation the stacks, pending interrupt flags and context-switch
+    charges must match the reference model."""
+    report = FuzzReport("stack", ops, seed)
+    pcpus = 2
+    run = _Script(report, "machine frames=96 pcpus=%d" % pcpus)
+    rng = random.Random(seed)
+    hv, ledger = run.runner.sim.hv, run.runner.sim.machine.ledger
+    auxes = {p: ["a%d_%d" % (p, k) for k in range(6)] for p in range(pcpus)}
+    for p in range(pcpus):
+        for var in auxes[p]:
+            run("aux %s pcpu=%d" % (var, p))
+    bases = [v.name for v in hv.primary.vcpus]
+    names = {var: vcpu.name for var, vcpu in run.runner.vcpus.items()}
+    model = ReferenceStackModel(pcpus, bases)
+
+    def act(line: str) -> None:
+        """Run `line`, then hold the simulator to the model."""
+        run(line)
+        at = "line %d: " % len(run.lines)
+        for q in range(pcpus):
+            real = [v.name for v in hv.stack_of(q)]
+            if real != model.stack(q):
+                raise ExpectationFailed("%spcpu %d stack %r, model %r"
+                                        % (at, q, real, model.stack(q)))
+        pending = {v.name for vm in hv.vms.values() for v in vm.vcpus
+                   if v.pending_irq}
+        if pending != model.pending:
+            raise ExpectationFailed("%spending %r, model %r" % (
+                at, sorted(pending), sorted(model.pending)))
+        if ledger.ctx_switches != model.charges:
+            raise ExpectationFailed("%scharged %d switches, model %d"
+                                    % (at, ledger.ctx_switches, model.charges))
+
+    for i in range(ops):
+        with run.case(i):
+            p = rng.randrange(pcpus)
+            roll = rng.random()
+            kind = ("push" if roll < 0.35 else
+                    "pop" if roll < 0.60 else
+                    "irq" if roll < 0.90 else "xirq")
+            idle = [v for v in auxes[p] if names[v] not in model.scheduled(p)]
+            if kind == "push" and not idle:
+                kind = "pop"
+            if kind == "pop" and len(model.stacks[p]) <= 1:
+                kind = "irq"
+            if kind == "push":
+                var = rng.choice(idle)
+                model.push(p, names[var])
+                act("schedule " + var)
+            elif kind == "pop":
+                model.pop(p)
+                act("yield pcpu=%d" % p)
+            elif kind == "irq":
+                var = rng.choice(["primary"] + auxes[p])
+                outcome = model.interrupt(
+                    p, bases[p] if var == "primary" else names[var])
+                act("interrupt %s pcpu=%d" % (var, p))
+                run("expect outcome " + outcome)
+            else:
+                var = rng.choice(auxes[(p + 1) % pcpus])
+                act("interrupt %s pcpu=%d" % (var, p))
+                run("expect error WrongPcpu")
+        if not report.ok:
+            break
+    run.finish(ops)
+    return report
+
+
 def fuzz_lifecycles(cases: int = 1000, seed: int = 0) -> FuzzReport:
     """Random create/use/destroy cycles on one simulation.  Each cycle
     checks a known answer from its enclave, then that a reclaimed page
     reads as zeros."""
     report = FuzzReport("lifecycle", cases, seed)
-    run = _Script(report, frames=192)
+    run = _Script(report, "machine frames=192")
     rng = random.Random(seed)
     for i in range(cases):
         with run.case(i):
@@ -300,7 +270,7 @@ def fuzz_mixed(ops: int = 2000, seed: int = 0) -> FuzzReport:
     the middle of enclave execution, resumes, adversary reads of donated
     memory, and raw scheduling noise."""
     report = FuzzReport("mixed", ops, seed)
-    run = _Script(report, frames=256)
+    run = _Script(report, "machine frames=256")
     rng = random.Random(seed)
     live: Dict[str, Tuple[str, int, int]] = {}  # var -> (ta, mem, create)
     run("aux aux1")
@@ -347,89 +317,6 @@ def fuzz_mixed(ops: int = 2000, seed: int = 0) -> FuzzReport:
             for var in sorted(live, key=run.runner.fds.get):
                 run("destroy " + var)
     run.finish(ops)
-    return report
-
-
-# -- injected-failure creates -------------------------------------------------
-
-def _full_state(sim, driver) -> tuple:
-    hv = sim.hv
-    return (
-        {vmid: vm.table.snapshot() for vmid, vm in hv.vms.items()},
-        sorted(hv.enclaves),
-        driver.allocator.snapshot(),
-        tuple(driver.open_fds()),
-    )
-
-
-def fuzz_failed_creates(cases: int = 500, seed: int = 0) -> FuzzReport:
-    """Throw every rejectable donation at create and check the refusal is
-    total: same tables, same allocator, same fd table, correct error."""
-    report = FuzzReport("create-fail", cases, seed)
-    rng = random.Random(seed)
-
-    def machine(frames: int, max_vms: int, creates: int, mem: int):
-        """A simulation whose driver has made `creates` echo enclaves of
-        `mem` private pages, with OS page 60 made read-only.  Returns it,
-        the driver and the last enclave's record."""
-        sim = Simulation(MachineConfig(frames=frames, max_vms=max_vms),
-                         seed=seed)
-        driver = EnclaveDriver(sim)
-        for _ in range(creates):
-            fd = driver.create(image_for_pages("echo", mem, 1))
-        sim.hv.primary.table.protect(60, PERM_RO)
-        return sim, driver, driver.record_of(fd)
-
-    main = machine(160, 16, 1, 4)
-    # max_vms 2 leaves room for one enclave; 20 lets the fd table fill first
-    limit = machine(96, 2, 1, 4)
-    fds_full = machine(160, 20, 16, 3)
-    sim, driver, victim = main
-    # OS-reserved pages: identity mapped and writable but never allocated,
-    # so hand-rolled donations of them cannot collide with driver state
-    free = tuple(range(40, 44))
-
-    def donate(pages):
-        sim.hv.create_enclave(sim.primary_vcpu(0), pages, ImageMeta(4, 1))
-
-    def create(setup, mem: int):
-        """Create an echo image of `mem` pages through the setup's driver."""
-        setup[1].create(image_for_pages("echo", mem, 1))
-
-    table = [
-        ("duplicate", main, lambda: donate((40,) + free), InvalidDonation),
-        ("unmapped", main, lambda: donate(
-            (rng.choice(victim.primary_private_pages()),) + free),
-         PageNotMapped),
-        ("too-small", main, lambda: donate(free[:2]), TooSmall),
-        ("unknown-image", main, lambda: donate(free + (44,)), InvalidDonation),
-        ("donate-channel", main, lambda: donate(
-            (victim.primary_channel_pages()[0],) + free), InvalidDonation),
-        ("not-writable", main, lambda: donate((60,) + free), InvalidDonation),
-        ("no-memory", main, lambda: create(main, 200), NoMemory),
-        ("vm-limit", limit, lambda: create(limit, 4), Exhausted),
-        ("fd-full", fds_full, lambda: create(fds_full, 3), Exhausted),
-    ]
-
-    for i in range(cases):
-        kind, (on_sim, on_driver, _), thunk, expected = rng.choice(table)
-        before = _full_state(on_sim, on_driver)
-        try:
-            thunk()
-            report.failures.append((i, "%s: create unexpectedly succeeded"
-                                    % kind))
-        except expected:
-            pass
-        except Exception as err:
-            report.failures.append((i, "%s: raised %s instead of %s"
-                                    % (kind, type(err).__name__,
-                                       expected.__name__)))
-        after = _full_state(on_sim, on_driver)
-        if after != before:
-            report.failures.append((i, "%s: state changed across a failed "
-                                    "create" % kind))
-        if report.failures:
-            break
     return report
 
 

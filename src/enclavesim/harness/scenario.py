@@ -8,7 +8,7 @@ outcomes.  The same script always produces the same trace.
 
 Format, one statement per line, `#` starts a comment:
 
-    machine frames=512 pcpus=1 max_vms=8 reserved=64
+    machine frames=512 pcpus=2 max_vms=8 reserved=64
     seed 7
 
     create w wallet                 # fd bound to variable `w`
@@ -41,6 +41,10 @@ Format, one statement per line, `#` starts a comment:
     expect outcome unwound
     schedule a1
     yield                           # pop the running vcpu
+    aux b pcpu=1                    # a vcpu pinned to pcpu 1 ...
+    schedule b
+    interrupt primary pcpu=1        # ... unwound by pcpu 1's primary
+    expect outcome unwound
 
 `expect` always refers to the immediately preceding action.  Every
 action's outcome is recorded, never raised, so containment is scriptable:
@@ -58,11 +62,14 @@ frame (`all`) or in the frames the primary can map (`primary`).  `aux
 <var>` binds a variable, as `create` does, to a new vCPU whose VM the
 hypervisor names `aux<vmid>`; binding it again makes another vCPU.
 `primary` names the primary's vCPU, so it is no aux variable.  A `timer`
-delay is 0 to 2**32 - 1 cost units.
+delay is 0 to 2**32 - 1 cost units.  `timer`, `aux` and `yield` act on pCPU
+0 unless given `pcpu=N`.  `interrupt <var> pcpu=N` delivers on pCPU N, and
+there `primary` names pCPU N's primary vCPU; without `pcpu=` the interrupt
+goes to the pCPU the vCPU is pinned to.
 
 The interpreter is the one way the harness acts on a simulation: the
-lifecycle and mixed fuzz profiles feed it their statements one at a time,
-and the statements they ran replay with `enclavesim run`.  The attack
+stack, lifecycle and mixed fuzz profiles feed it their statements one at a
+time, and the statements they ran replay with `enclavesim run`.  The attack
 playbook is five scripts in `playbook/`, run by `run_attacks`.
 """
 from __future__ import annotations
@@ -418,10 +425,17 @@ class _Runner:
         self.sim.hv.yield_vcpu(self._pcpu(step, step.args))
 
     def _op_interrupt(self, step: Step) -> None:
+        """Deliver on pCPU N for `pcpu=N`, where `primary` is that pCPU's
+        primary vCPU; otherwise on the pCPU the vCPU is pinned to."""
         if not step.args:
             raise step.fail("interrupt needs a vcpu name")
         vcpu = self._resolve_vcpu(step, step.args[0])
-        outcome = self.sim.hv.deliver_interrupt(vcpu.pcpu, vcpu)
+        pcpu = vcpu.pcpu
+        if len(step.args) > 1:
+            pcpu = self._pcpu(step, step.args[1:])
+            if step.args[0] == "primary":
+                vcpu = self.sim.primary_vcpu(pcpu)
+        outcome = self.sim.hv.deliver_interrupt(pcpu, vcpu)
         self.last["outcome"] = outcome
         self._say(step, "interrupt %s -> %s" % (step.args[0], outcome))
 

@@ -190,7 +190,8 @@ def guest_access(
     order.  A fault stops the access at the faulting page: chunks on earlier
     pages have already landed (writes) or are discarded (reads), nothing on
     the faulting page onward is touched, and the fault is traced by `by`.
-    A negative length raises OutOfRange.
+    A negative length, a write without data or a read with data raises
+    OutOfRange.
 
     Returns ``(result, touched)`` where result is the read bytes (``b""``
     for a successful write) or the fault, and touched lists the
@@ -198,10 +199,10 @@ def guest_access(
     """
     if access is Access.WRITE:
         if data is None:
-            raise ValueError("write access requires data")
+            raise OutOfRange("write access requires data")
         length = len(data)
     elif data is not None:
-        raise ValueError("data only valid for write access")
+        raise OutOfRange("data only valid for write access")
     if length < 0:
         raise OutOfRange("negative length %d" % length)
 

@@ -1,0 +1,59 @@
+"""Work per operation stays flat: the Python bytecodes an echo lifecycle
+or invoke executes do not grow with run history, machine size, the number
+of other enclaves held or the payload size.  Each test compares two counts
+taken in one run, so host speed cannot move the verdict."""
+from enclavesim.guest_os import EnclaveDriver
+from enclavesim.machine import MachineConfig
+from enclavesim.sim import Simulation
+from enclavesim.ta_runtime import image_for_pages
+
+from bytecodes import count_bytecodes
+
+ECHO = image_for_pages("echo", 3, 1)
+
+
+def _driver(frames=256):
+    return EnclaveDriver(Simulation(MachineConfig(frames=frames)))
+
+
+def _lifecycle(driver):
+    fd = driver.create(ECHO)
+    driver.invoke(fd, 0, bytes(64))
+    driver.destroy(fd)
+
+
+def _warm_enclave(driver):
+    """A live echo enclave past its first invoke, which alone sets up the
+    program's state."""
+    fd = driver.create(ECHO)
+    driver.invoke(fd, 0, b"")
+    return fd
+
+
+def test_lifecycle_count_does_not_grow_with_history():
+    driver = _driver()
+    first = count_bytecodes(_lifecycle, driver)
+    for _ in range(2000):
+        _lifecycle(driver)
+    assert count_bytecodes(_lifecycle, driver) == first
+
+
+def test_lifecycle_count_does_not_grow_with_frames():
+    small = count_bytecodes(_lifecycle, _driver(256))
+    assert count_bytecodes(_lifecycle, _driver(65536)) == small
+
+
+def test_invoke_count_does_not_grow_with_held_enclaves():
+    driver = _driver()
+    fd = _warm_enclave(driver)
+    alone = count_bytecodes(driver.invoke, fd, 0, bytes(64))
+    for _ in range(12):
+        driver.create(ECHO)
+    assert count_bytecodes(driver.invoke, fd, 0, bytes(64)) == alone
+
+
+def test_invoke_count_does_not_grow_with_payload():
+    driver = _driver()
+    fd = _warm_enclave(driver)
+    one = count_bytecodes(driver.invoke, fd, 0, bytes(1))
+    assert count_bytecodes(driver.invoke, fd, 0, bytes(4000)) == one

@@ -17,6 +17,8 @@ from enclavesim.machine import MachineConfig
 from enclavesim.sim import Simulation
 from enclavesim.ta_runtime import image_for_pages
 
+from snapshots import full_state
+
 
 def make_driver(frames=256, max_vms=16):
     sim = Simulation(MachineConfig(frames=frames, max_vms=max_vms))
@@ -245,7 +247,14 @@ def test_bad_magic_refuses_invoke_before_any_hypercall():
      "^cmd_id 1099511627776 is not a u32$"),
     (lambda sim, driver, fd: sim.vm_read(sim.hv.primary, 0, -1), OutOfRange,
      "^negative length -1$"),
-], ids=["cmd-id-negative", "cmd-id-over-u32", "vm-read-negative-length"])
+    (lambda sim, driver, fd: driver.invoke(fd, 0, [1, 2]), ChannelError,
+     "^payload must be bytes-like, not list$"),
+    (lambda sim, driver, fd: driver.invoke(fd, 0, "str"), ChannelError,
+     "^payload must be bytes-like, not str$"),
+    (lambda sim, driver, fd: sim.vm_write(sim.hv.primary, 0, None),
+     OutOfRange, "^write access requires data$"),
+], ids=["cmd-id-negative", "cmd-id-over-u32", "vm-read-negative-length",
+        "payload-list", "payload-str", "vm-write-no-data"])
 def test_malformed_api_call_is_refused_before_any_access(call, error,
                                                          message):
     """A typed error before any frame is read or written, with no event and
@@ -279,12 +288,10 @@ def test_destroy_returns_allocator_to_prior_state():
 def test_failed_create_rolls_back_allocator():
     sim, driver = make_driver(max_vms=2)
     driver.create(image_for_pages("echo", 3, 1))
-    snap = driver.allocator.snapshot()
-    open_before = driver.open_fds()
+    before = full_state(sim, driver)
     with pytest.raises(Exhausted):
         driver.create(image_for_pages("echo", 3, 1))
-    assert driver.allocator.snapshot() == snap
-    assert driver.open_fds() == open_before
+    assert full_state(sim, driver) == before
 
 
 def test_standard_checks_flag_an_allocation_no_fd_holds():
@@ -304,10 +311,10 @@ def test_standard_checks_flag_an_allocation_no_fd_holds():
 
 def test_create_with_no_memory_rolls_back():
     sim, driver = make_driver(frames=96)
-    snap = driver.allocator.snapshot()
+    before = full_state(sim, driver)
     with pytest.raises(NoMemory):
         driver.create(image_for_pages("echo", 500, 1))
-    assert driver.allocator.snapshot() == snap
+    assert full_state(sim, driver) == before
 
 
 def test_bad_fd_everywhere():
@@ -330,8 +337,10 @@ def test_fd_table_fills_up():
     sim, driver = make_driver(frames=192, max_vms=20)
     for _ in range(FD_CAPACITY):
         driver.create(image_for_pages("echo", 3, 1))
+    before = full_state(sim, driver)
     with pytest.raises(Exhausted):
         driver.create(image_for_pages("echo", 3, 1))
+    assert full_state(sim, driver) == before
 
 
 def test_channel_pages_are_contiguous():

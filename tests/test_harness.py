@@ -9,11 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from enclavesim.errors import (
-    HypercallError,
-    ScenarioParseError,
-    SimulationError,
-)
+from enclavesim.errors import ScenarioParseError, SimulationError
 from enclavesim.guest_os import EnclaveDriver
 from enclavesim.harness import (
     ExpectationFailed,
@@ -25,8 +21,6 @@ from enclavesim.harness import (
     check_frame_exclusivity,
     check_stack_integrity,
     check_trace_completeness,
-    fuzz_failed_creates,
-    fuzz_lifecycles,
     fuzz_mixed,
     fuzz_stack_ops,
     parse_scenario,
@@ -37,8 +31,8 @@ from enclavesim.harness import (
     standard_checks,
     verify_oracle_sensitivity,
 )
-from enclavesim.harness import fuzz as fuzz_module
 from enclavesim.harness import scenario as scenario_module
+from enclavesim.harness.cli import FUZZ_PROFILES
 from enclavesim.harness.cli import main as cli_main
 from enclavesim.hypervisor import Hypervisor, ImageMeta
 from enclavesim.machine import (
@@ -431,6 +425,24 @@ def test_scenario_adversary_and_interrupts():
     assert result.ok
 
 
+def test_scenario_interrupt_on_a_named_pcpu():
+    """`pcpu=N` delivers on pCPU N, where `primary` is that pCPU's primary
+    vCPU; without it the interrupt goes to the vCPU's own pCPU."""
+    result = run_scenario_text("""
+        machine frames=96 pcpus=2
+        aux a pcpu=1
+        schedule a
+        interrupt primary pcpu=1
+        expect outcome unwound
+        interrupt a pcpu=0
+        expect error WrongPcpu
+        interrupt a
+        expect outcome pending
+    """)
+    assert result.ok, result.violations
+    assert result.sim.hv.stack_of(1) == [result.sim.primary_vcpu(1)]
+
+
 def test_scenario_adversary_reads_are_payloads_and_outlive_destroy():
     """A read leaves its bytes as the payload.  After destroy the adversary
     probes the variable's former pages: reclaimed ones read as zeros, a page
@@ -643,6 +655,7 @@ def test_scenario_rejects_malformed_scripts(bad):
     ("timer 5 pcpu=3", 1),
     ("yield pcpu=4", 1),
     ("aux a pcpu=5\nschedule a", 1),
+    ("interrupt primary pcpu=2", 1),
     ("machine pcpus=0", 1),
 ])
 def test_scenario_bad_values_name_their_line(bad, lineno, tmp_path, capsys):
@@ -784,9 +797,12 @@ def test_cli_trace_wants_one_scenario(capsys):
     ["bench", "--pages", "x"],
     ["bench", "--reps", "0"],
     ["fuzz", "--profile", "stack", "--ops", "-3"],
+    ["fuzz", "--profile", "sensitivity", "--ops", "0"],
+    ["fuzz", "--profile", "sensitivity", "--ops", "7"],
     ["run", "no-such-scenario.txt"],
 ], ids=["one-size", "same-size", "small-size", "not-a-number", "no-reps",
-        "negative-ops", "missing-file"])
+        "negative-ops", "sensitivity-zero-ops", "sensitivity-ops",
+        "missing-file"])
 def test_cli_rejects_malformed_arguments(argv, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     assert cli_main(argv) == 2
@@ -925,7 +941,6 @@ def test_cli_bench_small(capsys):
 
 def test_cli_fuzz_profiles(capsys):
     assert cli_main(["fuzz", "--profile", "stack", "--ops", "400"]) == 0
-    assert cli_main(["fuzz", "--profile", "create-fail", "--ops", "60"]) == 0
     assert cli_main(["fuzz", "--profile", "sensitivity"]) == 0
     capsys.readouterr()
 
@@ -940,11 +955,14 @@ def test_cli_fuzz_scripted_profiles(profile, ops, capsys):
 # -- scripted fuzz profiles ------------------------------------------------------
 
 
-@pytest.mark.parametrize("fuzz,cases", [(fuzz_lifecycles, 60),
-                                        (fuzz_mixed, 300)],
-                         ids=["lifecycle", "mixed"])
-def test_fuzz_script_replays_to_the_same_trace(fuzz, cases, monkeypatch,
+_REPLAY_CASES = {"lifecycle": 60, "mixed": 300, "stack": 200}
+
+
+@pytest.mark.parametrize("profile", sorted(FUZZ_PROFILES))
+def test_fuzz_script_replays_to_the_same_trace(profile, monkeypatch,
                                                tmp_path, capsys):
+    """Every count-taking profile the CLI offers runs as a script, and the
+    script replays to the same trace."""
     sims = []
 
     class Recorded(Simulation):
@@ -953,10 +971,10 @@ def test_fuzz_script_replays_to_the_same_trace(fuzz, cases, monkeypatch,
             sims.append(self)
 
     monkeypatch.setattr(scenario_module, "Simulation", Recorded)
-    report = fuzz(cases, seed=4)
+    report = FUZZ_PROFILES[profile](_REPLAY_CASES[profile], seed=4)
     assert report.ok, report.format()
-    assert report.script[:2] == [
-        "machine frames=%d" % sims[0].machine.config.frames, "seed 4"]
+    assert parse_scenario(report.script[0]).config == sims[0].machine.config
+    assert report.script[1] == "seed 4"
     text = "\n".join(report.script) + "\n"
     result = run_scenario_text(text)
     assert result.ok, result.violations
@@ -977,7 +995,7 @@ def test_stack_profile_trace_and_ledger_are_pinned(monkeypatch):
             super().__init__(*args, **kwargs)
             sims.append(self)
 
-    monkeypatch.setattr(fuzz_module, "Simulation", Recorded)
+    monkeypatch.setattr(scenario_module, "Simulation", Recorded)
     report = fuzz_stack_ops(2000, seed=2)
     assert report.ok, report.format()
     (sim,) = sims
@@ -1029,24 +1047,6 @@ def test_failed_case_prints_its_statements_from_its_create(monkeypatch):
     assert report.script[int(lineno) - 1] == first
     var = first.split()[1]
     assert report.case_script[-1].split(": ", 1)[1] == "destroy " + var
-
-
-def test_create_fail_profile_catches_a_leaked_channel(monkeypatch):
-    create = EnclaveDriver.create
-
-    def leaky_create(self, image):
-        try:
-            return create(self, image)
-        except HypercallError:
-            # the rollback freed the channel pages; taking them again and
-            # dropping the allocation id is a leak
-            self.allocator.allocate_contiguous(image.channel_size_pages)
-            raise
-
-    monkeypatch.setattr(EnclaveDriver, "create", leaky_create)
-    report = fuzz_failed_creates(60)
-    assert not report.ok
-    assert "state changed across a failed create" in report.format()
 
 
 def test_cli_pack_image(tmp_path, capsys):

@@ -33,6 +33,8 @@ from enclavesim.guest_os import EnclaveDriver
 from enclavesim.harness import check_stack_integrity, sabotage_teardown
 from enclavesim.ta_runtime import image_for_pages, load_program
 
+from snapshots import full_state
+
 
 def boot(frames=256, pcpus=1, max_vms=16):
     return Simulation(MachineConfig(frames=frames, pcpus=pcpus,
@@ -195,17 +197,11 @@ def test_sabotage_switches_flip_teardown():
 # -- create failure modes ------------------------------------------------------
 
 
-def full_state(sim):
-    hv = sim.hv
-    return (hv.primary.table.snapshot(), sorted(hv.vms), sorted(hv.enclaves),
-            hv._next_vmid, hv._next_handle)
-
-
 def test_failed_create_changes_nothing():
     sim = boot()
+    driver = EnclaveDriver(sim)
     hv = sim.hv
-    victim = hand_create(sim, [100, 101, 102, 103], mem=3, chan=1)
-    vrec = hv.enclaves[victim]
+    victim = driver.record_of(driver.create(image_for_pages("echo", 4, 1)))
     caller = sim.primary_vcpu(0)
     meta = ImageMeta(3, 1)
     attempts = [
@@ -215,38 +211,41 @@ def test_failed_create_changes_nothing():
         ((110, 111), meta, TooSmall),
         # degenerate geometry
         ((110, 111, 112, 113), ImageMeta(3, 0), TooSmall),
-        # page currently unmapped (it belongs to the live enclave)
-        ((vrec.primary_private_pages()[1], 110, 111, 112), meta,
-         PageNotMapped),
         # another enclave's channel page cannot be donated
-        ((vrec.primary_channel_pages()[0], 110, 111, 112), meta,
+        ((victim.primary_channel_pages()[0], 110, 111, 112), meta,
          InvalidDonation),
         # first page holds no recognizable image
         ((120, 121, 122, 123), meta, InvalidDonation),
+    ] + [
+        # each page the live enclave holds is unmapped from the primary
+        ((page, 110, 111, 112), meta, PageNotMapped)
+        for page in victim.primary_private_pages()
     ]
     for pages, m, err in attempts:
-        before = full_state(sim)
+        before = full_state(sim, driver)
         with pytest.raises(err):
             hv.create_enclave(caller, pages, m)
-        assert full_state(sim) == before
+        assert full_state(sim, driver) == before
 
 
 def test_unwritable_page_cannot_be_donated():
     sim = boot()
+    driver = EnclaveDriver(sim)
     sim.hv.primary.table.protect(110, PERM_RO)
-    before = full_state(sim)
+    before = full_state(sim, driver)
     with pytest.raises(InvalidDonation):
         hand_create(sim, [111, 112, 113, 110], mem=3, chan=1)
-    assert full_state(sim) == before
+    assert full_state(sim, driver) == before
 
 
 def test_vm_limit():
     sim = boot(max_vms=2)
+    driver = EnclaveDriver(sim)
     hand_create(sim, [100, 101, 102, 103], mem=3, chan=1)
-    before = full_state(sim)
+    before = full_state(sim, driver)
     with pytest.raises(Exhausted):
         hand_create(sim, [110, 111, 112, 113], mem=3, chan=1)
-    assert full_state(sim) == before
+    assert full_state(sim, driver) == before
 
 
 def test_destroy_frees_vm_slot():

@@ -205,10 +205,10 @@ def _reference_guest_access(machine, table, ipa, access, data=None,
     the reference its faster form must agree with."""
     if access is Access.WRITE:
         if data is None:
-            raise ValueError("write access requires data")
+            raise OutOfRange("write access requires data")
         length = len(data)
     elif data is not None:
-        raise ValueError("data only valid for write access")
+        raise OutOfRange("data only valid for write access")
     if length < 0:
         raise OutOfRange("negative length %d" % length)
 
