@@ -16,7 +16,7 @@ class ConfigError(SimulationError):
 class OutOfRange(SimulationError):
     """Frame index or offset outside physical memory bounds, or a guest
     access with a negative length, a write without data or a read with
-    data."""
+    data, or a ``Simulation.vm_write`` of data that is not bytes-like."""
 
 
 # -- stage-2 table manipulation ----------------------------------------------

@@ -19,7 +19,7 @@ import heapq
 import random
 from typing import List, Optional, Tuple, Union
 
-from .errors import SimulationError
+from .errors import OutOfRange, SimulationError
 from .hypervisor import Hypervisor, Vcpu, Vm
 from .machine import MachineConfig, Observer, PhysicalMachine
 from .stage2 import Access, AccessFault, Perms, guest_access
@@ -109,6 +109,10 @@ class Simulation:
         return out
 
     def vm_write(self, vm: Vm, ipa: int, data: bytes) -> Union[bytes, AccessFault]:
+        # None goes on to guest_access, which refuses a write without data
+        if not isinstance(data, (bytes, bytearray, memoryview, type(None))):
+            raise OutOfRange("write data must be bytes-like, not %s"
+                             % type(data).__name__)
         out, _ = guest_access(self.machine, vm.table, ipa, Access.WRITE,
                               data=data, by=vm.vcpus[0])
         return out

@@ -45,13 +45,6 @@ class Perms:
     write: bool = False
     execute: bool = False
 
-    def allows(self, access: Access) -> bool:
-        if access is Access.READ:
-            return self.read
-        if access is Access.WRITE:
-            return self.write
-        return self.execute
-
     def tag(self) -> str:
         return ("r" if self.read else "-") + ("w" if self.write else "-") + (
             "x" if self.execute else "-")
@@ -98,12 +91,6 @@ class Stage2Table:
         excepted = sum(1 for p in self.entries if 0 <= p < self.identity_pages)
         mapped = sum(1 for e in self.entries.values() if e is not None)
         return self.identity_pages - excepted + mapped
-
-    def _default(self, ipa_page: int) -> Optional[Tuple[int, Perms]]:
-        """The entry of a page with no exception stored."""
-        if 0 <= ipa_page < self.identity_pages:
-            return ipa_page, PERM_RWX
-        return None
 
     def map(self, ipa_page: int, frame: int, perms: Perms) -> None:
         entries = self.entries
@@ -159,12 +146,17 @@ class Stage2Table:
         return old
 
     def lookup(self, ipa_page: int) -> Optional[Tuple[int, Perms]]:
+        """The page's ``(frame, perms)``, or None if unmapped: its stored
+        exception, else the default (identity, RWX, below identity_pages)."""
         entry = self.entries.get(ipa_page, _MISS)
-        return self._default(ipa_page) if entry is _MISS else entry
+        if entry is _MISS and 0 <= ipa_page < self.identity_pages:
+            return ipa_page, PERM_RWX
+        return None if entry is _MISS else entry
 
     def translate(self, ipa: int, access: Access) -> Union[int, AccessFault]:
         entry = self.lookup(ipa >> PAGE_SHIFT)
-        if entry is None or not entry[1].allows(access):
+        # an Access's value names the Perms bit it needs
+        if entry is None or not getattr(entry[1], access.value):
             return _fault(self.owner_vm, ipa, entry)
         return (entry[0] << PAGE_SHIFT) | (ipa & OFFSET_MASK)
 
@@ -193,9 +185,15 @@ def guest_access(
     A negative length, a write without data or a read with data raises
     OutOfRange.
 
+    An access that fits in one page, as nearly all do, is picked out by
+    its size, a test cheaper than the loop's set-up, and takes a short
+    path: one probe of the table's exceptions, the identity default
+    inline, one frame call.  Spanning accesses and faults take the page
+    loop, so faults are traced in one place.
+
     Returns ``(result, touched)`` where result is the read bytes (``b""``
     for a successful write) or the fault, and touched lists the
-    ``(ipa_page, frame)`` pairs actually accessed.
+    ``(ipa_page, frame)`` pairs actually accessed, on either path.
     """
     if access is Access.WRITE:
         if data is None:
@@ -203,8 +201,25 @@ def guest_access(
         length = len(data)
     elif data is not None:
         raise OutOfRange("data only valid for write access")
-    if length < 0:
+    elif length < 0:
         raise OutOfRange("negative length %d" % length)
+
+    offset = ipa & OFFSET_MASK
+    if length and length <= PAGE_SIZE - offset:     # one page (length >= 0)
+        page = ipa >> PAGE_SHIFT
+        entry = table.entries.get(page, _MISS)
+        if entry is _MISS:
+            entry = (page, PERM_RWX) if 0 <= page < table.identity_pages \
+                else None
+        if entry is not None:
+            frame, perms = entry
+            if data is not None:                        # a write
+                if perms.write:
+                    machine.write_frame(frame, offset, data)
+                    return b"", [(page, frame)]
+            elif perms.read if access is Access.READ else perms.execute:
+                return machine.read_frame(frame, offset, length), \
+                    [(page, frame)]
 
     write = access is Access.WRITE
     read = access is Access.READ
@@ -223,7 +238,7 @@ def guest_access(
         if entry is None:
             # no entry stored (the default applies) or a hole
             entry = table.lookup(page)
-        # Perms.allows, with no call per page
+        # the Perms bit the access needs, with no call per page
         if entry is None or not (entry[1].write if write else (
                 entry[1].read if read else entry[1].execute)):
             fault = _fault(table.owner_vm, cur, entry)
@@ -239,8 +254,4 @@ def guest_access(
         else:
             parts.append(machine.read_frame(frame, offset, chunk))
         pos += chunk
-    if write:
-        return b"", touched
-    if len(parts) == 1:
-        return parts[0], touched
-    return b"".join(parts), touched
+    return (b"" if write else b"".join(parts)), touched

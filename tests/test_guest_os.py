@@ -13,7 +13,7 @@ from enclavesim.harness import (
     check_allocator_conservation,
     standard_checks,
 )
-from enclavesim.machine import MachineConfig
+from enclavesim.machine import MachineConfig, Observer
 from enclavesim.sim import Simulation
 from enclavesim.ta_runtime import image_for_pages
 
@@ -274,6 +274,32 @@ def test_malformed_api_call_is_refused_before_any_access(call, error,
     assert sim.machine.ledger.snapshot() == ledger
     assert driver.invoke(fd, 0, b"ok") == (ChannelStatus.DONE, b"ok")
     assert accesses     # the counters do see a real access
+
+
+@pytest.mark.parametrize("data,kind", [
+    ("abc", "str"), ([1, 2, 300], "list"), ([1, 2], "list"),
+], ids=["str", "list-not-bytes", "list-of-bytes"])
+def test_vm_write_refuses_data_that_is_not_bytes_like(data, kind):
+    """A typed error before any access: no frame buffer is made, no hook
+    fires, nothing is traced or charged."""
+    sim = Simulation(MachineConfig(frames=128))
+    machine = sim.machine
+    frames = {f: bytes(buf) for f, buf in machine.frames.items()}
+    events, ledger = len(sim.trace.events), machine.ledger.snapshot()
+    hooks, log = [], Observer()
+    for hook in ("on_write", "on_zero", "on_map", "on_unmap", "on_protect"):
+        setattr(log, hook, lambda *a, _hook=hook: hooks.append((_hook,) + a))
+    machine.observers.append(log)
+    with pytest.raises(OutOfRange,
+                       match="^write data must be bytes-like, not %s$" % kind):
+        sim.vm_write(sim.hv.primary, 0, data)
+    assert {f: bytes(buf) for f, buf in machine.frames.items()} == frames
+    assert hooks == []
+    assert len(sim.trace.events) == events
+    assert machine.ledger.snapshot() == ledger
+    # the same write as bytes goes through, and the hooks see it
+    sim.vm_write(sim.hv.primary, 0, b"abc")
+    assert hooks == [("on_write", 0, 0, b"abc")]
 
 
 def test_destroy_returns_allocator_to_prior_state():

@@ -148,26 +148,42 @@ def test_snapshot_is_a_copy(machine, table):
 def test_identity_table_stores_only_its_exceptions(machine):
     table = Stage2Table(0, machine, identity=True)
     assert table.snapshot() == {} and len(table) == 16
+    assert table.lookup(0) == (0, PERM_RWX)
     assert table.lookup(15) == (15, PERM_RWX)
     assert table.lookup(16) is None
+    assert table.lookup(-1) is None
     assert table.translate((3 << PAGE_SHIFT) + 9, Access.WRITE) \
         == (3 << PAGE_SHIFT) + 9
     with pytest.raises(AlreadyMapped):
         table.map(3, 3, PERM_RWX)
     assert table.unmap(3) == 3
     assert table.protect(5, PERM_RW) == PERM_RWX
+    assert table.protect(6, PERM_RO) == PERM_RWX
+    assert table.unmap(7) == 7
+    table.map(7, 9, PERM_RW)
     table.map(20, 7, PERM_RO)
-    assert table.snapshot() == {3: None, 5: (5, PERM_RW), 20: (7, PERM_RO)}
+    assert table.snapshot() == {3: None, 5: (5, PERM_RW), 6: (6, PERM_RO),
+                                7: (9, PERM_RW), 20: (7, PERM_RO)}
     assert len(table) == 16
+    # each kind of exception replaces the default: unmapped, read-only,
+    # remapped, and mapped past the identity range
     assert table.lookup(3) is None
+    assert table.lookup(6) == (6, PERM_RO)
+    assert table.lookup(7) == (9, PERM_RW)
+    assert table.lookup(20) == (7, PERM_RO)
+    assert table.lookup(4) == (4, PERM_RWX)
+    assert table.lookup(-1) is None
     with pytest.raises(NotMapped):
         table.unmap(3)
     # an entry equal to the default is no exception
     table.map(3, 3, PERM_RWX)
     table.protect(5, PERM_RWX)
+    table.protect(6, PERM_RWX)
+    table.unmap(7)
+    table.map(7, 7, PERM_RWX)
     table.unmap(20)
     assert table.snapshot() == {} and len(table) == 16
-    assert machine.ledger.pt_ops == 6
+    assert machine.ledger.pt_ops == 12
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,26 +265,42 @@ class _CallLog(Observer):
 # offsets within a page, weighted towards its edges
 _OFFSETS = st.one_of(st.sampled_from([0, 1, PAGE_SIZE - 2, PAGE_SIZE - 1]),
                      st.integers(min_value=0, max_value=PAGE_SIZE - 1))
+# how an identity table's page differs from its default, if it does
+_DEFAULT, _PROTECT_RO = "default", "protect-ro"
 
 
 @st.composite
 def _accesses(draw):
-    """A 6-page table over shuffled frames mixing unmapped, r--, rw- and
-    rwx pages, and one access into (or just past) it, of up to three pages
-    and possibly empty."""
-    perms = draw(st.lists(st.sampled_from([None, PERM_RO, PERM_RW, PERM_RWX]),
-                          min_size=6, max_size=6))
+    """A table over 8 shuffled frames and one access into (or around) it,
+    of up to three pages, possibly empty or ending exactly at a page end.
+
+    An enclave table maps 6 pages, each unmapped, r--, rw- or rwx.  An
+    identity table (8 identity pages) leaves each of its pages at the
+    default, unmaps it, makes it read-only or remaps it, and may map the
+    2 pages past its identity range.  The access starts anywhere from page
+    -1 to one page past the mapped ones; write data is bytes, a bytearray
+    or a memoryview."""
+    identity = draw(st.booleans())
+    kinds = [None, PERM_RO, PERM_RW, PERM_RWX]
+    if identity:
+        perms = draw(st.lists(st.sampled_from([_DEFAULT, _PROTECT_RO] + kinds),
+                              min_size=8, max_size=8)) \
+            + draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=2))
+    else:
+        perms = draw(st.lists(st.sampled_from(kinds), min_size=6, max_size=6))
     frames = draw(st.permutations(range(8)))
     access = draw(st.sampled_from(list(Access)))
-    ipa = draw(st.integers(min_value=0, max_value=5)) * PAGE_SIZE \
+    ipa = draw(st.integers(min_value=-1, max_value=len(perms))) * PAGE_SIZE \
         + draw(_OFFSETS)
     end = (ipa >> PAGE_SHIFT) * PAGE_SIZE \
         + draw(st.integers(min_value=0, max_value=2)) * PAGE_SIZE \
-        + draw(_OFFSETS)
+        + draw(st.one_of(st.just(PAGE_SIZE), _OFFSETS))
     length = max(0, end - ipa)
-    data = draw(st.binary(min_size=length, max_size=length)) \
-        if access is Access.WRITE else None
-    return perms, frames, access, ipa, length, data
+    data = None
+    if access is Access.WRITE:
+        data = draw(st.sampled_from([bytes, bytearray, memoryview]))(
+            draw(st.binary(min_size=length, max_size=length)))
+    return identity, perms, frames, access, ipa, length, data
 
 
 # distinct content per frame and offset, so a read from the wrong place shows
@@ -276,14 +308,21 @@ _FILL = [bytes((i * 31 + frame * 17) & 0xFF for i in range(PAGE_SIZE))
          for frame in range(8)]
 
 
-def _run_access(impl, perms, frames, access, ipa, length, data):
+def _run_access(impl, identity, perms, frames, access, ipa, length, data):
     machine = PhysicalMachine(MachineConfig(frames=8, os_reserved_pages=0))
     for frame, fill in enumerate(_FILL):
         machine.write_frame(frame, 0, fill)   # before any observer
-    table = Stage2Table(3, machine)
+    table = Stage2Table(3, machine, identity=identity)
     for ipa_page, p in enumerate(perms):
+        if p is _DEFAULT:
+            continue
+        if p is _PROTECT_RO:
+            table.protect(ipa_page, PERM_RO)
+            continue
+        if ipa_page < table.identity_pages:
+            table.unmap(ipa_page)
         if p is not None:
-            table.map(ipa_page, frames[ipa_page], p)
+            table.map(ipa_page, frames[ipa_page % 8], p)
     log = _CallLog()
     machine.observers.append(log)
     out, touched = impl(machine, table, ipa, access, data=data,
@@ -294,7 +333,7 @@ def _run_access(impl, perms, frames, access, ipa, length, data):
         [machine.read_frame(f, 0, PAGE_SIZE) for f in range(8)]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(_accesses())
 def test_guest_access_matches_reference_loop(case):
     """Same result, pages touched, fault count, observer calls, traced
