@@ -106,13 +106,9 @@ class ChannelView:
         return out
 
     def _write(self, offset: int, data: bytes) -> None:
-        self.machine.channel_op_depth += 1
-        try:
-            out, _ = guest_access(self.machine, self.table,
-                                  self.base_ipa + offset, Access.WRITE,
-                                  data=data, by=self.vcpu)
-        finally:
-            self.machine.channel_op_depth -= 1
+        out, _ = guest_access(self.machine, self.table, self.base_ipa + offset,
+                              Access.WRITE, data=data, by=self.vcpu,
+                              channel=True)
         if isinstance(out, AccessFault):
             raise ChannelError("channel write fault: %s" % (out.describe(),))
 

@@ -23,7 +23,7 @@ from .hypervisor import EnclaveRecord, ImageMeta, Resumption, Vcpu
 from .image import EnclaveImage
 from .machine import PAGE_SHIFT, PAGE_SIZE
 from .sim import Simulation
-from .stage2 import AccessFault
+from .stage2 import Access, AccessFault, guest_access
 
 FD_BASE = 3
 FD_CAPACITY = 16
@@ -134,16 +134,18 @@ class EnclaveDriver:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def _load_blob(self, image: EnclaveImage, pages: List[int]) -> None:
+    def _load_blob(self, image: EnclaveImage, pages: List[int],
+                   caller: Vcpu) -> None:
         """Copy the code blob into the first pages and zero-fill the rest of
-        the private region, all through the primary's own mappings."""
+        the private region as `caller`, through the primary's mappings."""
         blob = image.code_blob
-        primary = self.hv.primary
+        machine, table = self.sim.machine, self.hv.primary.table
         for i, page in enumerate(pages):
             chunk = blob[i * PAGE_SIZE:(i + 1) * PAGE_SIZE]
             if len(chunk) < PAGE_SIZE:
                 chunk = chunk + bytes(PAGE_SIZE - len(chunk))
-            out = self.sim.vm_write(primary, page << PAGE_SHIFT, chunk)
+            out, _ = guest_access(machine, table, page << PAGE_SHIFT,
+                                  Access.WRITE, data=chunk, by=caller)
             if isinstance(out, AccessFault):
                 raise DriverError("faulted writing own page %#x" % page)
 
@@ -159,7 +161,7 @@ class EnclaveDriver:
             self.allocator.free(priv_aid)
             raise
         try:
-            self._load_blob(image, priv)
+            self._load_blob(image, priv, caller)
             meta = ImageMeta(image.mem_size_pages, image.channel_size_pages)
             handle = self.hv.create_enclave(caller, priv + chan, meta)
         except (HypercallError, DriverError):

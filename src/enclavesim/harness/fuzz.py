@@ -328,10 +328,10 @@ def sabotage_teardown(hv: Hypervisor, defect: str) -> None:
     back.  Used to prove the zeroization watchdog bites."""
     remap = hv._teardown_remap
 
-    def remap_then_zeroize(rec) -> None:
-        remap(rec)
+    def remap_then_zeroize(rec, by) -> None:
+        remap(rec, by)
         for frame in rec.frames():
-            hv.machine.zero_frame(frame)
+            hv.machine.zero_frame(frame, by)
 
     hv._teardown = {"skip_zeroize": remap,
                     "remap_before_zeroize": remap_then_zeroize}[defect]

@@ -38,10 +38,11 @@ class MemoryOracle(Observer):
             self._shadow[frame] = buf
         return buf
 
-    def on_write(self, frame: int, offset: int, data: bytes) -> None:
+    def on_write(self, frame: int, offset: int, data: bytes, by,
+                 channel: bool) -> None:
         self._frame(frame)[offset:offset + len(data)] = data
 
-    def on_zero(self, frame: int) -> None:
+    def on_zero(self, frame: int, by) -> None:
         self._shadow.pop(frame, None)
 
     def verify(self) -> List[str]:
@@ -276,11 +277,11 @@ class ZeroizeWatch(Observer):
         self._last_zero: Dict[int, int] = {}
         self.violations: List[str] = []
 
-    def on_zero(self, frame: int) -> None:
+    def on_zero(self, frame: int, by) -> None:
         self._op += 1
         self._last_zero[frame] = self._op
 
-    def on_unmap(self, vm: int, ipa_page: int, frame: int) -> None:
+    def on_unmap(self, vm: int, ipa_page: int, frame: int, by) -> None:
         self._op += 1
         if vm == self._primary_vmid:
             self._out_of_primary.add(frame)
@@ -295,7 +296,7 @@ class ZeroizeWatch(Observer):
                 self.violations.append(
                     "channel frame %d unshared while dirty" % frame)
 
-    def on_map(self, vm: int, ipa_page: int, frame: int, perms) -> None:
+    def on_map(self, vm: int, ipa_page: int, frame: int, perms, by) -> None:
         self._op += 1
         if vm != self._primary_vmid:
             if frame not in self._out_of_primary:
@@ -316,12 +317,12 @@ class ZeroizeWatch(Observer):
 # -- write confinement --------------------------------------------------------
 
 class WriteConfinementOracle(Observer):
-    """Every physical write must land in a frame some running VM may write,
-    and writes into shared (channel) frames must come from inside a channel
-    protocol operation.
+    """Every physical write must be made by a vCPU running on its pCPU,
+    into a frame that vCPU's VM may write, and a write into a shared
+    (channel) frame must be a channel protocol step.
 
     Mapping state is mirrored from map/unmap/protect events into shadow
-    tables plus per-frame counters, so the per-write check is O(pCPUs) and
+    tables plus per-frame counters, so the per-write check is O(1) and
     never consults the hypervisor's own tables after installation.  The
     primary's identity default (page p maps frame p, RWX) is mirrored the
     way its table stores it: the shadow keeps the primary's identity pages
@@ -330,7 +331,7 @@ class WriteConfinementOracle(Observer):
     """
 
     def __init__(self, hv: Hypervisor):
-        self.machine = hv.machine
+        self._pcpus = hv.machine.pcpus
         self._primary = hv.primary.vmid
         self._tables: Dict[int, Dict[int, Tuple[int, Perms]]] = {}
         self._map_count: Dict[int, int] = {}
@@ -376,32 +377,29 @@ class WriteConfinementOracle(Observer):
                 if not per:
                     del self._writable[vm]
 
-    def on_map(self, vm: int, ipa_page: int, frame: int, perms) -> None:
+    def on_map(self, vm: int, ipa_page: int, frame: int, perms, by) -> None:
         self._enter(vm, ipa_page, frame, perms)
 
-    def on_unmap(self, vm: int, ipa_page: int, frame: int) -> None:
+    def on_unmap(self, vm: int, ipa_page: int, frame: int, by) -> None:
         self._leave(vm, ipa_page)
 
-    def on_protect(self, vm: int, ipa_page: int, frame: int, old, new) -> None:
+    def on_protect(self, vm: int, ipa_page: int, frame: int, old, new,
+                   by) -> None:
         self._leave(vm, ipa_page)
         self._enter(vm, ipa_page, frame, new)
 
-    def on_write(self, frame: int, offset: int, data: bytes) -> None:
+    def on_write(self, frame: int, offset: int, data: bytes, by,
+                 channel: bool) -> None:
         # frame n is page n's, so the primary's default maps it unless excepted
         identity = frame not in self._excepted
-        allowed = False
-        for pcpu in self.machine.pcpus:
-            vmid = pcpu.stack[-1].vm.vmid
-            if self._writable.get(vmid, {}).get(frame, 0) > 0 \
-                    or (identity and vmid == self._primary):
-                allowed = True
-                break
-        if not allowed:
-            self.violations.append(
-                "write to frame %d not writable by any running vcpu" % frame)
+        vmid, running = by.vm.vmid, self._pcpus[by.pcpu].stack[-1] is by
+        if not (running and (self._writable.get(vmid, {}).get(frame, 0) > 0
+                             or (identity and vmid == self._primary))):
+            self.violations.append("write to frame %d by %s, %s" % (
+                frame, by.name,
+                "which may not write it" if running else "not running"))
             return
-        if self._map_count.get(frame, 0) + identity > 1 \
-                and self.machine.channel_op_depth == 0:
+        if not channel and self._map_count.get(frame, 0) + identity > 1:
             self.violations.append(
                 "raw write into shared frame %d outside channel protocol"
                 % frame)

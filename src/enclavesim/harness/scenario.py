@@ -12,7 +12,7 @@ Format, one statement per line, `#` starts a comment:
     seed 7
 
     create w wallet                 # fd bound to variable `w`
-    create e echo mem=16 chan=2     # override image geometry
+    create e echo mem=16 chan=2 pcpu=1  # image geometry, pinned to pcpu 1
     create s spinner
     invoke w 1 str:master seed      # payload: str:, hex:, rand:N, zero:N
     expect status done
@@ -62,10 +62,10 @@ frame (`all`) or in the frames the primary can map (`primary`).  `aux
 <var>` binds a variable, as `create` does, to a new vCPU whose VM the
 hypervisor names `aux<vmid>`; binding it again makes another vCPU.
 `primary` names the primary's vCPU, so it is no aux variable.  A `timer`
-delay is 0 to 2**32 - 1 cost units.  `timer`, `aux` and `yield` act on pCPU
-0 unless given `pcpu=N`.  `interrupt <var> pcpu=N` delivers on pCPU N, and
-there `primary` names pCPU N's primary vCPU; without `pcpu=` the interrupt
-goes to the pCPU the vCPU is pinned to.
+delay is 0 to 2**32 - 1 cost units.  `create`, `timer`, `aux` and `yield`
+act on pCPU 0 unless given `pcpu=N`.  `interrupt <var> pcpu=N` delivers on
+pCPU N, and there `primary` names pCPU N's primary vCPU; without `pcpu=`
+the interrupt goes to the pCPU the vCPU is pinned to.
 
 The interpreter is the one way the harness acts on a simulation: the
 stack, lifecycle and mixed fuzz profiles feed it their statements one at a
@@ -289,14 +289,15 @@ class _Runner:
         image = image_for(ta_name)
         # a custom mem must still hold the program's code
         geom = step.options(step.args[2:],
-                            {"mem": "mem", "chan": "chan"},
+                            {"mem": "mem", "chan": "chan", "pcpu": "pcpu"},
                             {"mem": range(image.code_pages, _U32),
-                             "chan": range(1, _U32)})
+                             "chan": range(1, _U32), "pcpu": self.pcpus})
+        pcpu = geom.pop("pcpu", 0)
         if geom:
             image = image_for_pages(ta_name,
                                     geom.get("mem", image.mem_size_pages),
                                     geom.get("chan", 1))
-        fd = self.driver.create(image)
+        fd = self.driver.create(image, pcpu)
         rec = self.driver.record_of(fd)
         self.fds[var] = fd
         self.pages[var] = (rec.primary_private_pages(),

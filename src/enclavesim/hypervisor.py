@@ -417,12 +417,12 @@ class Hypervisor:
         donated: List[DonatedPage] = []
         for i, (p, frame, perms) in enumerate(staged):
             if i < n_priv:
-                ptab.unmap(p)
-                vm.table.map(i, frame, PERM_RWX)
+                ptab.unmap(p, caller)
+                vm.table.map(i, frame, PERM_RWX, caller)
             else:
                 # channel stays mapped in the primary, data only, no exec
-                ptab.protect(p, PERM_RW)
-                vm.table.map(i, frame, PERM_RW)
+                ptab.protect(p, PERM_RW, caller)
+                vm.table.map(i, frame, PERM_RW, caller)
                 self._shared_frames.add(frame)
             donated.append(DonatedPage(p, frame, perms, i >= n_priv))
         rec = EnclaveRecord(handle, vm, donated, channel_pages)
@@ -441,7 +441,7 @@ class Hypervisor:
         if self._is_scheduled(vcpu):
             raise EnclaveActive("enclave %d is scheduled on pcpu %d"
                                 % (rec.handle, vcpu.pcpu))
-        self._teardown(rec)
+        self._teardown(rec, caller)
         # last chance to see a leftover mapping: nothing holds the VM after
         if len(vm.table) != 0:
             raise SimulationError("destroyed vm%d still maps %d pages"
@@ -455,21 +455,21 @@ class Hypervisor:
         vcpu.saved_context.close()
         vcpu.saved_context = None
 
-    def _teardown(self, rec: EnclaveRecord) -> None:
-        """Zero every donated frame, then hand the pages back."""
+    def _teardown(self, rec: EnclaveRecord, by: Vcpu) -> None:
+        """Zero every donated frame, then hand the pages back, for `by`."""
         for dp in rec.pages:
-            self.machine.zero_frame(dp.frame)
-        self._teardown_remap(rec)
+            self.machine.zero_frame(dp.frame, by)
+        self._teardown_remap(rec, by)
 
-    def _teardown_remap(self, rec: EnclaveRecord) -> None:
+    def _teardown_remap(self, rec: EnclaveRecord, by: Vcpu) -> None:
         for i in range(len(rec.pages)):
-            rec.vm.table.unmap(i)
+            rec.vm.table.unmap(i, by)
         ptab = self.primary.table
         for dp in rec.pages:
             if dp.is_channel:
-                ptab.protect(dp.primary_ipa_page, dp.orig_perms)
+                ptab.protect(dp.primary_ipa_page, dp.orig_perms, by)
             else:
-                ptab.map(dp.primary_ipa_page, dp.frame, dp.orig_perms)
+                ptab.map(dp.primary_ipa_page, dp.frame, dp.orig_perms, by)
 
     # -- invoke / exit ------------------------------------------------------
 

@@ -27,24 +27,28 @@ class Observer:
     Subclasses override what they care about.  Hooks fire synchronously at
     the primitive that performs the action (frame writes and zeroing here,
     mapping changes in the stage-2 code), so an oracle sees the true
-    operation order, not a reconstruction.  Every hook has an oracle; an
-    event only the trace consumes (scheduling, faults, channel steps) is
-    recorded in ``PhysicalMachine.trace`` by the code that causes it.
+    operation order, not a reconstruction.  `by` is the vCPU an action is
+    done for, and `channel` marks a channel protocol step's write.  Every
+    hook has an oracle; an event only the trace consumes (scheduling,
+    faults, channel steps) is recorded in ``PhysicalMachine.trace`` by the
+    code that causes it.
     """
 
-    def on_write(self, frame: int, offset: int, data: bytes) -> None:
+    def on_write(self, frame: int, offset: int, data: bytes, by,
+                 channel: bool) -> None:
         pass
 
-    def on_zero(self, frame: int) -> None:
+    def on_zero(self, frame: int, by) -> None:
         pass
 
-    def on_map(self, vm: int, ipa_page: int, frame: int, perms) -> None:
+    def on_map(self, vm: int, ipa_page: int, frame: int, perms, by) -> None:
         pass
 
-    def on_unmap(self, vm: int, ipa_page: int, frame: int) -> None:
+    def on_unmap(self, vm: int, ipa_page: int, frame: int, by) -> None:
         pass
 
-    def on_protect(self, vm: int, ipa_page: int, frame: int, old, new) -> None:
+    def on_protect(self, vm: int, ipa_page: int, frame: int, old, new,
+                   by) -> None:
         pass
 
 
@@ -123,10 +127,6 @@ class PhysicalMachine:
         self.ledger = CostLedger()
         self.trace = TraceRecorder(self.ledger.units)
         self.observers: List[Observer] = []
-        # >0 while a ChannelView performs a sanctioned protocol write; lets
-        # the write-confinement oracle tell protocol traffic from stray
-        # guest writes into channel frames
-        self.channel_op_depth = 0
         # translation faults served so far (not a cost, a cross-check
         # against the trace)
         self.fault_count = 0
@@ -146,7 +146,8 @@ class PhysicalMachine:
             return bytes(length)
         return bytes(buf[offset:offset + length])
 
-    def write_frame(self, frame: int, offset: int, data: bytes) -> None:
+    def write_frame(self, frame: int, offset: int, data: bytes, by,
+                    channel: bool) -> None:
         # _check_frame's test, with no call: every guest access comes here
         if not 0 <= frame < self.n_frames:
             raise OutOfRange(f"frame {frame} outside [0, {self.n_frames})")
@@ -157,14 +158,14 @@ class PhysicalMachine:
             buf = self.frames[frame] = bytearray(PAGE_SIZE)
         buf[offset:offset + len(data)] = data
         for obs in self.observers:
-            obs.on_write(frame, offset, data)
+            obs.on_write(frame, offset, data, by, channel)
 
-    def zero_frame(self, frame: int) -> None:
+    def zero_frame(self, frame: int, by) -> None:
         self._check_frame(frame)
         self.frames.pop(frame, None)
         self.ledger.zero_bytes += PAGE_SIZE
         for obs in self.observers:
-            obs.on_zero(frame)
+            obs.on_zero(frame, by)
 
     def frame_is_zero(self, frame: int) -> bool:
         self._check_frame(frame)

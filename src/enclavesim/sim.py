@@ -6,7 +6,8 @@ trace, so identical (config, seed, operations) always serialize to
 byte-identical JSON lines.  An event only the trace consumes is emitted by
 the vCPU or code that causes it (scheduling, faults, channel steps, and boot
 and timers here); the mapping and zeroing events reach the trace through
-``TraceObserver``, on the hook points the oracles watch.
+``TraceObserver``, on the hook points the oracles watch, named by the
+hook's `by`: the caller of the hypercall that maps or zeroes.
 
 Simulated time is the cost ledger's unit sum: one unit per charged event,
 per work unit and per zeroed page.  The trace stamps every event with it,
@@ -30,27 +31,25 @@ class TraceObserver(Observer):
 
     def __init__(self, sim: "Simulation"):
         self.trace = sim.trace
-        # pCPU 0's stack, whoever maps or zeroes: ROADMAP item 2's open bug
-        self.stack0 = sim.machine.pcpus[0].stack
 
-    def on_map(self, vm: int, ipa_page: int, frame: int, perms: Perms) -> None:
-        self.trace.emit("s2_map", 0, self.stack0[-1].name,
+    def on_map(self, vm: int, ipa_page: int, frame: int, perms: Perms,
+               by: Vcpu) -> None:
+        self.trace.emit("s2_map", by.pcpu, by.name,
                         {"vm": vm, "ipa_page": ipa_page, "frame": frame,
                          "perms": perms.tag()})
 
-    def on_unmap(self, vm: int, ipa_page: int, frame: int) -> None:
-        self.trace.emit("s2_unmap", 0, self.stack0[-1].name,
+    def on_unmap(self, vm: int, ipa_page: int, frame: int, by: Vcpu) -> None:
+        self.trace.emit("s2_unmap", by.pcpu, by.name,
                         {"vm": vm, "ipa_page": ipa_page, "frame": frame})
 
     def on_protect(self, vm: int, ipa_page: int, frame: int,
-                   old: Perms, new: Perms) -> None:
-        self.trace.emit("s2_protect", 0, self.stack0[-1].name,
+                   old: Perms, new: Perms, by: Vcpu) -> None:
+        self.trace.emit("s2_protect", by.pcpu, by.name,
                         {"vm": vm, "ipa_page": ipa_page, "frame": frame,
                          "old": old.tag(), "new": new.tag()})
 
-    def on_zero(self, frame: int) -> None:
-        self.trace.emit("zero_frame", 0, self.stack0[-1].name,
-                        {"frame": frame})
+    def on_zero(self, frame: int, by: Vcpu) -> None:
+        self.trace.emit("zero_frame", by.pcpu, by.name, {"frame": frame})
 
 
 class Simulation:

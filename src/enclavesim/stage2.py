@@ -14,9 +14,9 @@ it no longer maps, or the entry that replaces the default.  An exception
 equal to the default is dropped, so the stored state, ``snapshot()`` and
 equality between snapshots all follow what the table maps.
 
-Page-table maintenance (map / unmap / permission change) charges one
-``pt_ops`` ledger unit per entry update.  Translation itself is free and
-pure.
+Page-table maintenance (map / unmap / permission change) is done for a
+vCPU, `by`, which the hooks name, and charges one ``pt_ops`` ledger unit
+per entry update.  Translation itself is free and pure.
 """
 from __future__ import annotations
 
@@ -92,7 +92,7 @@ class Stage2Table:
         mapped = sum(1 for e in self.entries.values() if e is not None)
         return self.identity_pages - excepted + mapped
 
-    def map(self, ipa_page: int, frame: int, perms: Perms) -> None:
+    def map(self, ipa_page: int, frame: int, perms: Perms, by) -> None:
         entries = self.entries
         entry = entries.get(ipa_page, _MISS)
         identity = 0 <= ipa_page < self.identity_pages
@@ -108,9 +108,9 @@ class Stage2Table:
             entries[ipa_page] = frame, perms
         self.machine.ledger.pt_ops += 1
         for obs in self.machine.observers:
-            obs.on_map(self.owner_vm, ipa_page, frame, perms)
+            obs.on_map(self.owner_vm, ipa_page, frame, perms, by)
 
-    def unmap(self, ipa_page: int) -> int:
+    def unmap(self, ipa_page: int, by) -> int:
         entries = self.entries
         entry = entries.get(ipa_page, _MISS)
         identity = 0 <= ipa_page < self.identity_pages
@@ -123,10 +123,10 @@ class Stage2Table:
             del entries[ipa_page]
         self.machine.ledger.pt_ops += 1
         for obs in self.machine.observers:
-            obs.on_unmap(self.owner_vm, ipa_page, frame)
+            obs.on_unmap(self.owner_vm, ipa_page, frame, by)
         return frame
 
-    def protect(self, ipa_page: int, perms: Perms) -> Perms:
+    def protect(self, ipa_page: int, perms: Perms, by) -> Perms:
         """Update the permissions of an installed entry; returns the old ones."""
         entries = self.entries
         entry = entries.get(ipa_page, _MISS)
@@ -142,7 +142,7 @@ class Stage2Table:
             entries[ipa_page] = frame, perms
         self.machine.ledger.pt_ops += 1
         for obs in self.machine.observers:
-            obs.on_protect(self.owner_vm, ipa_page, frame, old, perms)
+            obs.on_protect(self.owner_vm, ipa_page, frame, old, perms, by)
         return old
 
     def lookup(self, ipa_page: int) -> Optional[Tuple[int, Perms]]:
@@ -175,6 +175,7 @@ def guest_access(
     length: int = 0,
     *,
     by,
+    channel: bool = False,
 ) -> Tuple[Union[bytes, AccessFault], List[Tuple[int, int]]]:
     """Perform a guest memory access by the vCPU `by` through a stage-2 table.
 
@@ -182,8 +183,9 @@ def guest_access(
     order.  A fault stops the access at the faulting page: chunks on earlier
     pages have already landed (writes) or are discarded (reads), nothing on
     the faulting page onward is touched, and the fault is traced by `by`.
-    A negative length, a write without data or a read with data raises
-    OutOfRange.
+    Frame writes pass `by` and `channel`, true for a channel protocol
+    step's write, on to the write hooks.  A negative length, a write
+    without data or a read with data raises OutOfRange.
 
     An access that fits in one page, as nearly all do, is picked out by
     its size, a test cheaper than the loop's set-up, and takes a short
@@ -215,7 +217,7 @@ def guest_access(
             frame, perms = entry
             if data is not None:                        # a write
                 if perms.write:
-                    machine.write_frame(frame, offset, data)
+                    machine.write_frame(frame, offset, data, by, channel)
                     return b"", [(page, frame)]
             elif perms.read if access is Access.READ else perms.execute:
                 return machine.read_frame(frame, offset, length), \
@@ -250,7 +252,8 @@ def guest_access(
         frame = entry[0]
         touched.append((page, frame))
         if write:
-            machine.write_frame(frame, offset, data[pos:pos + chunk])
+            machine.write_frame(frame, offset, data[pos:pos + chunk], by,
+                                channel)
         else:
             parts.append(machine.read_frame(frame, offset, chunk))
         pos += chunk

@@ -1,6 +1,7 @@
 """Channel protocol: header discipline, transitions, payload round trips."""
 import itertools
 import struct
+import sys
 import zlib
 
 import pytest
@@ -48,11 +49,11 @@ def make_channel(pages=1):
     machine = PhysicalMachine(MachineConfig(frames=4, os_reserved_pages=0))
     t_primary = Stage2Table(0, machine)
     t_enclave = Stage2Table(1, machine)
+    v_primary = _vcpu(0, VmKind.PRIMARY, "primary", t_primary)
     for i in range(pages):
-        t_primary.map(i, i, PERM_RW)
-        t_enclave.map(8 + i, i, PERM_RW)
-    primary = ChannelView(_vcpu(0, VmKind.PRIMARY, "primary", t_primary), 0,
-                          pages)
+        t_primary.map(i, i, PERM_RW, v_primary)
+        t_enclave.map(8 + i, i, PERM_RW, v_primary)
+    primary = ChannelView(v_primary, 0, pages)
     enclave = ChannelView(_vcpu(1, VmKind.ENCLAVE, "enclave1", t_enclave),
                           8 << 12, pages)
     primary.init()
@@ -223,7 +224,7 @@ def test_transition_legality_exhaustive():
         seen = []
 
         class Spy(Observer):
-            def on_write(self, frame, offset, data):
+            def on_write(self, frame, offset, data, by, channel):
                 seen.append(("write", frame, offset))
 
         machine.observers.append(Spy())
@@ -281,7 +282,7 @@ def test_status_written_after_payload():
     order = []
 
     class Spy(Observer):
-        def on_write(self, frame, offset, data):
+        def on_write(self, frame, offset, data, by, channel):
             # a write made before the channel event sees a shorter trace
             order.append(("write", offset, bytes(data),
                           len(machine.trace.events)))
@@ -327,7 +328,7 @@ def test_refused_reply_leaves_channel_untouched(word, reply):
     writes = []
 
     class Spy(Observer):
-        def on_write(self, frame, offset, data):
+        def on_write(self, frame, offset, data, by, channel):
             writes.append((frame, offset))
 
     machine.observers.append(Spy())
@@ -386,26 +387,39 @@ def test_guest_accesses_per_step(monkeypatch, payload, want):
 
 def test_lost_write_mapping_faults():
     machine, primary, enclave = make_channel()
-    primary.table.protect(0, PERM_RO)
+    primary.table.protect(0, PERM_RO, primary.vcpu)
     with pytest.raises(ChannelError):
         primary.write_request(1, b"")
     assert machine.fault_count == 1
 
 
-def test_channel_writes_are_marked(monkeypatch):
-    """During protocol writes the machine-wide marker is raised, so the
-    confinement oracle can tell them from stray stores."""
-    machine, primary, enclave = make_channel()
-    depths = []
+def test_channel_writes_are_marked():
+    """A write is tagged `channel` exactly when a ChannelView makes it, so
+    the confinement oracle can tell protocol writes from stray stores: the
+    channel steps of both sides are, the driver's code blob, the TA's
+    state and the adversary's store are not."""
+    sim = Simulation(MachineConfig(frames=256))
+    driver = EnclaveDriver(sim)
+    seen = []
 
     class Spy(Observer):
-        def on_write(self, frame, offset, data):
-            depths.append(machine.channel_op_depth)
+        def on_write(self, frame, offset, data, by, channel):
+            codes, caller = set(), sys._getframe(1)
+            while caller is not None:
+                codes.add(caller.f_code)
+                caller = caller.f_back
+            seen.append((channel, ChannelView._write.__code__ in codes,
+                         by.name))
 
-    machine.observers.append(Spy())
-    primary.write_request(1, b"hi")
-    assert depths and all(d > 0 for d in depths)
-    assert machine.channel_op_depth == 0
+    sim.machine.observers.append(Spy())
+    fd = driver.create(image_for_pages("counter", 4, 1))
+    driver.invoke(fd, 1, b"")
+    sim.vm_write(sim.hv.primary, 0, b"stray")
+    assert [tagged for tagged, _, _ in seen] == [
+        made for _, made, _ in seen]
+    assert {(tagged, by) for tagged, _, by in seen} == {
+        (False, "primary.v0"), (True, "primary.v0"),
+        (False, "enclave1.v0"), (True, "enclave1.v0")}
 
 
 class FrameCheck(Observer):
@@ -437,7 +451,7 @@ class FrameCheck(Observer):
                   ChannelStatus.ERROR: ret_len}.get(status, 0)
         return header, self._frames(table, base + HEADER_LEN, active)
 
-    def on_write(self, frame, offset, data):
+    def on_write(self, frame, offset, data, by, channel):
         if frame == self.status_frame and offset == 4:
             [stored] = {self._stored(*view) for view in self.views.values()}
             self.stored.append((len(self.machine.trace.events),) + stored)

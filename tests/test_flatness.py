@@ -1,8 +1,10 @@
 """Work per operation stays flat: the Python bytecodes an echo lifecycle
 or invoke executes do not grow with run history, machine size, the number
-of other enclaves held or the payload size.  Each test compares two counts
-taken in one run, so host speed cannot move the verdict."""
+of other enclaves held or the payload size, and do not depend on the pCPU
+it runs on.  Each test compares two counts taken in one run, so host speed
+cannot move the verdict."""
 from enclavesim.guest_os import EnclaveDriver
+from enclavesim.harness import WriteConfinementOracle
 from enclavesim.machine import MachineConfig
 from enclavesim.sim import Simulation
 from enclavesim.ta_runtime import image_for_pages
@@ -22,10 +24,10 @@ def _lifecycle(driver):
     driver.destroy(fd)
 
 
-def _warm_enclave(driver):
-    """A live echo enclave past its first invoke, which alone sets up the
-    program's state."""
-    fd = driver.create(ECHO)
+def _warm_enclave(driver, pcpu=0):
+    """A live echo enclave on `pcpu` past its first invoke, which alone
+    sets up the program's state."""
+    fd = driver.create(ECHO, pcpu)
     driver.invoke(fd, 0, b"")
     return fd
 
@@ -57,3 +59,18 @@ def test_invoke_count_does_not_grow_with_payload():
     fd = _warm_enclave(driver)
     one = count_bytecodes(driver.invoke, fd, 0, bytes(1))
     assert count_bytecodes(driver.invoke, fd, 0, bytes(4000)) == one
+
+
+def test_invoke_count_does_not_depend_on_the_pcpu():
+    """A warm echo invoke on pCPU 1 runs what the same invoke runs on
+    pCPU 0, with the write-confinement oracle armed and the other pCPU
+    busy with an aux vCPU: each write is judged for its own vCPU alone."""
+    counts = []
+    for pcpu in (0, 1):
+        sim = Simulation(MachineConfig(frames=256, pcpus=2))
+        sim.machine.observers.append(WriteConfinementOracle(sim.hv))
+        driver = EnclaveDriver(sim)
+        fd = _warm_enclave(driver, pcpu)
+        sim.hv.schedule_vcpu(1 - pcpu, sim.hv.make_aux_vcpu(1 - pcpu))
+        counts.append(count_bytecodes(driver.invoke, fd, 0, bytes(64)))
+    assert counts[1] == counts[0]

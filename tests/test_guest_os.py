@@ -299,7 +299,7 @@ def test_vm_write_refuses_data_that_is_not_bytes_like(data, kind):
     assert machine.ledger.snapshot() == ledger
     # the same write as bytes goes through, and the hooks see it
     sim.vm_write(sim.hv.primary, 0, b"abc")
-    assert hooks == [("on_write", 0, 0, b"abc")]
+    assert hooks == [("on_write", 0, 0, b"abc", sim.primary_vcpu(0), False)]
 
 
 def test_destroy_returns_allocator_to_prior_state():
@@ -410,10 +410,33 @@ def test_one_driver_serves_both_pcpus():
     assert not sim.hv.enclaves and driver.open_fds() == []
     assert standard_checks(sim, driver) == []
     assert zerowatch.violations == [] and confinement.violations == []
-    # each event a vCPU causes names the pCPU that vCPU is pinned to; the
-    # memory-level events (channel, s2_*) do not yet
-    caused = [ev for ev in sim.trace.events
-              if ev.kind in ("hypercall", "push", "ctx_switch")]
-    assert [ev.pcpu for ev in caused] == [pinned[ev.vcpu] for ev in caused]
-    assert {ev.vcpu for ev in caused if ev.pcpu == 1} == {
+    # every event names the pCPU its vCPU is pinned to, and on pCPU 1 only
+    # that pCPU's primary vCPU and its enclaves act
+    events = sim.trace.events
+    assert [ev.pcpu for ev in events] == [pinned[ev.vcpu] for ev in events]
+    assert {ev.vcpu for ev in events if ev.pcpu == 1} == {
         "primary.v1", "enclave3.v0", "enclave4.v0"}
+
+
+def test_create_on_pcpu_1_loads_its_blob_as_that_pcpus_primary():
+    """The driver copies the code blob as the primary vCPU that issues the
+    create, so a create on pCPU 1 stays confined while an aux vCPU runs on
+    pCPU 0, and every write of its lifecycle names pCPU 1's vCPUs."""
+    sim = Simulation(MachineConfig(frames=256, pcpus=2))
+    driver = EnclaveDriver(sim)
+    confinement = WriteConfinementOracle(sim.hv)
+    writers = []
+
+    class Spy(Observer):
+        def on_write(self, frame, offset, data, by, channel):
+            writers.append(by.name)
+
+    sim.machine.observers += [confinement, Spy()]
+    sim.hv.schedule_vcpu(0, sim.hv.make_aux_vcpu(0))
+    fd = driver.create(image_for_pages("counter", 4, 1), pcpu=1)
+    assert driver.invoke(fd, 1, b"") == (ChannelStatus.DONE,
+                                         (1).to_bytes(4, "little"))
+    driver.destroy(fd)
+    assert confinement.violations == []
+    assert writers[0] == "primary.v1"
+    assert set(writers) == {"primary.v1", "enclave1.v0"}

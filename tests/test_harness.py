@@ -74,7 +74,7 @@ def test_memory_oracle_catches_silent_poke():
     sim, driver = make_sim()
     oracle = MemoryOracle(sim.machine)
     sim.machine.observers.append(oracle)
-    sim.machine.write_frame(97, 0, b"\x01")
+    sim.machine.write_frame(97, 0, b"\x01", sim.primary_vcpu(0), False)
     assert oracle.verify() == []
     sim.machine.frames[97][0] = 0x5A  # behind the observers' backs
     problems = oracle.verify()
@@ -164,9 +164,12 @@ def test_confinement_flags_write_to_unreachable_frame():
     rec = driver.record_of(fd)
     oracle = WriteConfinementOracle(sim.hv)
     sim.machine.observers.append(oracle)
-    # device-style DMA into enclave memory; no running vcpu maps this frame
-    sim.machine.write_frame(rec.private_frames()[0], 0, b"\xee")
-    assert any("not writable" in v for v in oracle.violations)
+    # a store into enclave memory by the running primary, which no longer
+    # maps this frame
+    frame = rec.private_frames()[0]
+    sim.machine.write_frame(frame, 0, b"\xee", sim.primary_vcpu(0), False)
+    assert oracle.violations == [
+        "write to frame %d by primary.v0, which may not write it" % frame]
 
 
 def test_confinement_flags_raw_write_to_shared_frame():
@@ -176,8 +179,41 @@ def test_confinement_flags_raw_write_to_shared_frame():
     oracle = WriteConfinementOracle(sim.hv)
     sim.machine.observers.append(oracle)
     # primary may write its channel page, but only via the protocol
-    sim.machine.write_frame(rec.channel_frames()[0], 64, b"\xee")
+    sim.machine.write_frame(rec.channel_frames()[0], 64, b"\xee",
+                            sim.primary_vcpu(0), False)
     assert any("outside channel protocol" in v for v in oracle.violations)
+
+
+def test_confinement_judges_the_writer_not_any_running_vcpu():
+    """An aux vCPU running on pCPU 1 maps nothing, so its store into frame
+    100 is flagged although the primary, running on pCPU 0, could make the
+    same store."""
+    sim, driver = make_sim(pcpus=2)
+    oracle = WriteConfinementOracle(sim.hv)
+    sim.machine.observers.append(oracle)
+    aux = sim.hv.make_aux_vcpu(1)
+    sim.hv.schedule_vcpu(1, aux)
+    assert sim.hv.stack_of(0)[-1] is sim.primary_vcpu(0)
+    sim.machine.write_frame(100, 0, b"\xee", aux, False)
+    assert oracle.violations == [
+        "write to frame 100 by aux1.v0, which may not write it"]
+
+
+def test_confinement_flags_a_write_by_a_vcpu_that_is_not_running():
+    """An enclave may write its own private frame, but only while its vCPU
+    runs; the same holds for the primary under a scheduled aux vCPU."""
+    sim, driver = make_sim()
+    fd = driver.create(image_for_pages("echo", 3, 1))
+    rec = driver.record_of(fd)
+    oracle = WriteConfinementOracle(sim.hv)
+    sim.machine.observers.append(oracle)
+    frame, enclave = rec.private_frames()[0], rec.vm.vcpus[0]
+    sim.machine.write_frame(frame, 0, b"\xee", enclave, False)
+    sim.hv.schedule_vcpu(0, sim.hv.make_aux_vcpu(0))
+    sim.machine.write_frame(100, 0, b"\xee", sim.primary_vcpu(0), False)
+    assert oracle.violations == [
+        "write to frame %d by enclave1.v0, not running" % frame,
+        "write to frame 100 by primary.v0, not running"]
 
 
 # -- structural checks -----------------------------------------------------------
@@ -191,8 +227,9 @@ def test_exclusivity_blesses_channels_and_flags_extras():
     assert check_frame_exclusivity(sim.hv, shared) == []
     # sneak a second primary mapping of a private frame, data-only so it
     # pattern-matches legal channel sharing
-    sim.hv.primary.table.map(300, rec.private_frames()[0], PERM_RW)
-    rec.vm.table.protect(0, PERM_RW)
+    caller = sim.primary_vcpu(0)
+    sim.hv.primary.table.map(300, rec.private_frames()[0], PERM_RW, caller)
+    rec.vm.table.protect(0, PERM_RW, caller)
     problems = check_frame_exclusivity(sim.hv, shared)
     assert any("not a known channel" in p for p in problems)
 
@@ -200,7 +237,8 @@ def test_exclusivity_blesses_channels_and_flags_extras():
 def test_exclusivity_flags_a_donated_page_left_in_the_primary(monkeypatch):
     sim, driver = make_sim()
     # a create whose unmap from the primary does nothing
-    monkeypatch.setattr(sim.hv.primary.table, "unmap", lambda page: page)
+    monkeypatch.setattr(sim.hv.primary.table, "unmap",
+                        lambda page, by: page)
     fd = driver.create(image_for_pages("echo", 3, 1))
     rec = driver.record_of(fd)
     leaked = rec.private_frames()
@@ -229,7 +267,7 @@ def test_exclusivity_flags_executable_sharing():
     fd = driver.create(image_for_pages("echo", 3, 1))
     rec = driver.record_of(fd)
     page = rec.primary_channel_pages()[0]
-    sim.hv.primary.table.protect(page, PERM_RWX)
+    sim.hv.primary.table.protect(page, PERM_RWX, sim.primary_vcpu(0))
     problems = check_frame_exclusivity(sim.hv, set(rec.channel_frames()))
     assert any("perms" in p for p in problems)
 
@@ -240,7 +278,7 @@ def test_retirement_refuses_vm_with_leftover_mappings():
     sim, driver = make_sim()
     fd = driver.create(image_for_pages("echo", 3, 1))
     rec = driver.record_of(fd)
-    rec.vm.table.map(rec.total_pages, 250, PERM_RO)
+    rec.vm.table.map(rec.total_pages, 250, PERM_RO, sim.primary_vcpu(0))
     with pytest.raises(SimulationError, match="destroyed vm%d still maps 1 "
                        "pages" % rec.vm.vmid):
         sim.hv.destroy_enclave(sim.primary_vcpu(0), rec.handle)
@@ -317,7 +355,7 @@ def test_trace_completeness_detects_tampering():
 def test_secret_scanner_finds_planted_bytes():
     sim, driver = make_sim()
     needle = bytes.fromhex("feedfacecafebeef")
-    sim.machine.write_frame(123, 700, needle)
+    sim.machine.write_frame(123, 700, needle, sim.primary_vcpu(0), False)
     hits = SecretScanner(sim.machine).scan_frames([needle])
     assert hits == [(123, 700, 0)]
     reachable = SecretScanner(sim.machine).scan_vm_reachable(
@@ -343,7 +381,7 @@ def test_secret_scanner_finds_zero_patterns_in_untouched_frames():
     hits = scanner.scan_frames(zeros)
     assert len(hits) == 64 * (PAGE_SIZE - 7) == 261_696
     assert hits == _scan_every_frame(machine, zeros)
-    machine.write_frame(9, 100, b"\x01")
+    machine.write_frame(9, 100, b"\x01", None, False)   # no vCPU exists
     patterns = [b"\x00\x01", bytes(8), b"\x01"]
     assert scanner.scan_frames(patterns) \
         == _scan_every_frame(machine, patterns)
@@ -441,6 +479,63 @@ def test_scenario_interrupt_on_a_named_pcpu():
     """)
     assert result.ok, result.violations
     assert result.sim.hv.stack_of(1) == [result.sim.primary_vcpu(1)]
+
+
+def test_scenario_creates_on_both_pcpus_run_clean():
+    """`create ... pcpu=N` pins the enclave to pCPU N, and its invokes and
+    destroy issue from pCPU N's primary vCPU: a script whose creates
+    alternate between two pCPUs, with invokes, a preemption, destroys and
+    adversary reads, passes the whole end battery and the memory oracle,
+    and every event names the pCPU its vCPU is pinned to."""
+    runner = scenario_module._Runner(parse_scenario("""
+        machine frames=192 pcpus=2
+        create a echo pcpu=1
+        create b counter
+        create c wallet mem=6 pcpu=1
+        create d spinner
+        invoke a 0 str:one
+        expect payload str:one
+        invoke b 1
+        invoke c 1 str:seed
+        expect status done
+        timer 5 pcpu=1
+        aux x pcpu=0
+        schedule x
+        create e spinner pcpu=1
+        invoke e 1 hex:0600000004000000
+        expect status preempted
+        yield
+        resume e
+        expect payload str:spun
+        adversary read c private all
+        expect fault unmapped
+        adversary read a channel 0
+        destroy a
+        destroy d
+        adversary read a private 0
+        expect payload hex:00000000000000000000000000000000
+        create f echo
+        invoke f 0 str:two
+        expect payload str:two
+        destroy c
+        destroy e
+        secret k wallet str:seed
+        scan all k
+        expect hits 0
+    """))
+    memory = MemoryOracle(runner.sim.machine)
+    runner.sim.machine.observers.append(memory)
+    result = runner.run()
+    assert result.ok, result.violations
+    assert memory.verify() == []
+    sim = result.sim
+    pinned = {v.name: v.pcpu for vm in sim.hv.vms.values() for v in vm.vcpus}
+    pinned.update({"enclave1.v0": 1, "enclave3.v0": 1, "enclave5.v0": 1,
+                   "enclave2.v0": 0, "enclave4.v0": 0})
+    assert all(ev.pcpu == pinned[ev.vcpu] for ev in sim.trace.events)
+    assert {ev.vcpu for ev in sim.trace.events
+            if ev.kind in ("s2_map", "zero_frame") and ev.pcpu == 1} == {
+        "primary.v1"}
 
 
 def test_scenario_adversary_reads_are_payloads_and_outlive_destroy():
@@ -656,6 +751,8 @@ def test_scenario_rejects_malformed_scripts(bad):
     ("yield pcpu=4", 1),
     ("aux a pcpu=5\nschedule a", 1),
     ("interrupt primary pcpu=2", 1),
+    ("create e echo pcpu=1", 1),
+    ("machine pcpus=2\ncreate e echo mem=3 pcpu=2", 2),
     ("machine pcpus=0", 1),
 ])
 def test_scenario_bad_values_name_their_line(bad, lineno, tmp_path, capsys):
@@ -892,7 +989,7 @@ def test_attack_breaches_on_a_donated_page_left_in_the_primary(monkeypatch,
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             # a create whose unmap from the primary does nothing
-            self.hv.primary.table.unmap = lambda page: page
+            self.hv.primary.table.unmap = lambda page, by: page
 
     monkeypatch.setattr(scenario_module, "Simulation", Leaky)
     status, verdicts = _attack_verdicts(capsys)
@@ -922,10 +1019,10 @@ def test_attack_breaches_on_residue_behind_a_reported_zeroing(monkeypatch,
     """A zeroing that tells its observers the frame is clear but leaves
     bytes in it: ZeroizeWatch sees a clean zeroing, so the whole-page reads
     of the reclaimed pages are what catch it."""
-    def zero_frame(machine, frame):
+    def zero_frame(machine, frame, by):
         clear(machine, frame)
         for obs in machine.observers:
-            obs.on_zero(frame)
+            obs.on_zero(frame, by)
 
     monkeypatch.setattr(PhysicalMachine, "zero_frame", zero_frame)
     result = scenario_module.run_attack("scavenge-after-destroy")

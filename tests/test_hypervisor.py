@@ -59,16 +59,16 @@ class EventSpy(Observer):
     def __init__(self):
         self.events = []
 
-    def on_zero(self, frame):
+    def on_zero(self, frame, by):
         self.events.append(("zero", frame))
 
-    def on_map(self, vm, ipa_page, frame, perms):
+    def on_map(self, vm, ipa_page, frame, perms, by):
         self.events.append(("map", vm, ipa_page, frame))
 
-    def on_unmap(self, vm, ipa_page, frame):
+    def on_unmap(self, vm, ipa_page, frame, by):
         self.events.append(("unmap", vm, ipa_page, frame))
 
-    def on_protect(self, vm, ipa_page, frame, old, new):
+    def on_protect(self, vm, ipa_page, frame, old, new, by):
         self.events.append(("protect", vm, ipa_page, frame))
 
 
@@ -231,7 +231,7 @@ def test_failed_create_changes_nothing():
 def test_unwritable_page_cannot_be_donated():
     sim = boot()
     driver = EnclaveDriver(sim)
-    sim.hv.primary.table.protect(110, PERM_RO)
+    sim.hv.primary.table.protect(110, PERM_RO, sim.primary_vcpu(0))
     before = full_state(sim, driver)
     with pytest.raises(InvalidDonation):
         hand_create(sim, [111, 112, 113, 110], mem=3, chan=1)

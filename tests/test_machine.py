@@ -11,6 +11,9 @@ from enclavesim.machine import (
 )
 from enclavesim.sim import Simulation
 
+# the acting vCPU, which the machine only hands on to its observers
+BY = object()
+
 
 @pytest.fixture
 def machine():
@@ -26,15 +29,15 @@ def test_boot_state(machine):
 
 
 def test_read_write_roundtrip(machine):
-    machine.write_frame(3, 100, b"hello")
+    machine.write_frame(3, 100, b"hello", BY, False)
     assert machine.read_frame(3, 100, 5) == b"hello"
     assert machine.read_frame(3, 99, 7) == b"\x00hello\x00"
     assert not machine.frame_is_zero(3)
 
 
 def test_zero_frame(machine):
-    machine.write_frame(2, 0, b"\xff" * PAGE_SIZE)
-    machine.zero_frame(2)
+    machine.write_frame(2, 0, b"\xff" * PAGE_SIZE, BY, False)
+    machine.zero_frame(2, BY)
     assert machine.frame_is_zero(2)
     assert machine.ledger.zero_bytes == PAGE_SIZE
 
@@ -45,7 +48,7 @@ def test_bounds_checking(machine):
     with pytest.raises(OutOfRange):
         machine.read_frame(-1, 0, 1)
     with pytest.raises(OutOfRange):
-        machine.write_frame(0, PAGE_SIZE - 2, b"abc")
+        machine.write_frame(0, PAGE_SIZE - 2, b"abc", BY, False)
     with pytest.raises(OutOfRange):
         machine.read_frame(0, PAGE_SIZE, 1)
 
@@ -54,16 +57,18 @@ def test_write_observer_carries_data(machine):
     seen = []
 
     class Spy(Observer):
-        def on_write(self, frame, offset, data):
-            seen.append((frame, offset, bytes(data)))
+        def on_write(self, frame, offset, data, by, channel):
+            seen.append((frame, offset, bytes(data), by, channel))
 
-        def on_zero(self, frame):
-            seen.append(("zero", frame))
+        def on_zero(self, frame, by):
+            seen.append(("zero", frame, by))
 
     machine.observers.append(Spy())
-    machine.write_frame(1, 7, b"xyz")
-    machine.zero_frame(1)
-    assert seen == [(1, 7, b"xyz"), ("zero", 1)]
+    machine.write_frame(1, 7, b"xyz", BY, False)
+    machine.write_frame(2, 0, b"c", BY, True)
+    machine.zero_frame(1, BY)
+    assert seen == [(1, 7, b"xyz", BY, False), (2, 0, b"c", BY, True),
+                    ("zero", 1, BY)]
 
 
 def test_ledger_units_weighted():
@@ -86,7 +91,7 @@ def test_ledger_snapshot_and_reset():
 
 def test_now_is_ledger_units(machine):
     before = machine.now()
-    machine.zero_frame(0)
+    machine.zero_frame(0, BY)
     assert machine.now() == before + 1  # one unit per zeroed page
 
 
@@ -107,9 +112,9 @@ def test_bad_config_is_a_config_error(config):
 def test_frames_hold_buffers_only_between_write_and_zero(machine):
     assert machine.frames == {}
     assert machine.read_frame(5, 10, 3) == bytes(3)
-    machine.write_frame(5, 10, b"abc")
+    machine.write_frame(5, 10, b"abc", BY, False)
     assert set(machine.frames) == {5}
-    machine.zero_frame(5)
-    machine.zero_frame(6)
+    machine.zero_frame(5, BY)
+    machine.zero_frame(6, BY)
     assert machine.frames == {}
     assert machine.ledger.zero_bytes == 2 * PAGE_SIZE

@@ -42,6 +42,10 @@ def table(machine):
     return Stage2Table(0, machine)
 
 
+# the acting vCPU of a table op, which the table only hands on to its hooks
+BY = object()
+
+
 def _vcpu(table, pcpu=0):
     """The one vCPU of an enclave VM on `table`, pinned to `pcpu`."""
     vm = Vm(table.owner_vm, VmKind.ENCLAVE, "enclave%d" % table.owner_vm,
@@ -51,34 +55,34 @@ def _vcpu(table, pcpu=0):
 
 
 def test_map_translate_unmap(machine, table):
-    table.map(2, 5, PERM_RW)
+    table.map(2, 5, PERM_RW, BY)
     assert table.lookup(2) == (5, PERM_RW)
     phys = table.translate((2 << 12) + 17, Access.READ)
     assert phys == (5 << 12) + 17
-    table.unmap(2)
+    table.unmap(2, BY)
     assert table.lookup(2) is None
 
 
 def test_mapping_errors(machine, table):
-    table.map(0, 0, PERM_RWX)
+    table.map(0, 0, PERM_RWX, BY)
     with pytest.raises(AlreadyMapped):
-        table.map(0, 1, PERM_RW)
+        table.map(0, 1, PERM_RW, BY)
     with pytest.raises(NotMapped):
-        table.unmap(9)
+        table.unmap(9, BY)
     with pytest.raises(NotMapped):
-        table.protect(9, PERM_RO)
+        table.protect(9, PERM_RO, BY)
     with pytest.raises(BadFrame):
-        table.map(1, 16, PERM_RW)
+        table.map(1, 16, PERM_RW, BY)
     with pytest.raises(BadFrame):
-        table.map(1, -1, PERM_RW)
+        table.map(1, -1, PERM_RW, BY)
     with pytest.raises(InvalidPerms):
-        table.map(1, 1, Perms())
+        table.map(1, 1, Perms(), BY)
     with pytest.raises(InvalidPerms):
-        table.protect(0, Perms())
+        table.protect(0, Perms(), BY)
 
 
 def test_translate_returns_fault_values(machine, table):
-    table.map(0, 3, PERM_RO)
+    table.map(0, 3, PERM_RO, BY)
     fault = table.translate(1 << 12, Access.READ)
     assert isinstance(fault, AccessFault)
     assert fault.kind is FaultKind.UNMAPPED
@@ -90,15 +94,15 @@ def test_translate_returns_fault_values(machine, table):
 
 
 def test_each_table_op_costs_one(machine, table):
-    table.map(0, 1, PERM_RW)
-    table.protect(0, PERM_RO)
-    table.unmap(0)
+    table.map(0, 1, PERM_RW, BY)
+    table.protect(0, PERM_RO, BY)
+    table.unmap(0, BY)
     assert machine.ledger.pt_ops == 3
 
 
 def test_protect_returns_old_perms(machine, table):
-    table.map(4, 4, PERM_RWX)
-    old = table.protect(4, PERM_RW)
+    table.map(4, 4, PERM_RWX, BY)
+    old = table.protect(4, PERM_RW, BY)
     assert old == PERM_RWX
     assert table.lookup(4) == (4, PERM_RW)
 
@@ -120,7 +124,7 @@ def test_guest_access_faults_count_and_notify(machine, table):
 def test_guest_write_is_per_page_atomic(machine, table):
     """A write that crosses into an unmapped page faults there, but the
     earlier pages keep the bytes that already landed."""
-    table.map(0, 7, PERM_RW)
+    table.map(0, 7, PERM_RW, BY)
     data = bytes(range(1, 9))
     out, touched = guest_access(machine, table, PAGE_SIZE - 4, Access.WRITE,
                                 data=data, by=_vcpu(table))
@@ -138,9 +142,9 @@ def test_perms_tag():
 
 
 def test_snapshot_is_a_copy(machine, table):
-    table.map(1, 1, PERM_RW)
+    table.map(1, 1, PERM_RW, BY)
     snap = table.snapshot()
-    table.unmap(1)
+    table.unmap(1, BY)
     assert snap == {1: (1, PERM_RW)}
     assert table.snapshot() == {}
 
@@ -155,13 +159,13 @@ def test_identity_table_stores_only_its_exceptions(machine):
     assert table.translate((3 << PAGE_SHIFT) + 9, Access.WRITE) \
         == (3 << PAGE_SHIFT) + 9
     with pytest.raises(AlreadyMapped):
-        table.map(3, 3, PERM_RWX)
-    assert table.unmap(3) == 3
-    assert table.protect(5, PERM_RW) == PERM_RWX
-    assert table.protect(6, PERM_RO) == PERM_RWX
-    assert table.unmap(7) == 7
-    table.map(7, 9, PERM_RW)
-    table.map(20, 7, PERM_RO)
+        table.map(3, 3, PERM_RWX, BY)
+    assert table.unmap(3, BY) == 3
+    assert table.protect(5, PERM_RW, BY) == PERM_RWX
+    assert table.protect(6, PERM_RO, BY) == PERM_RWX
+    assert table.unmap(7, BY) == 7
+    table.map(7, 9, PERM_RW, BY)
+    table.map(20, 7, PERM_RO, BY)
     assert table.snapshot() == {3: None, 5: (5, PERM_RW), 6: (6, PERM_RO),
                                 7: (9, PERM_RW), 20: (7, PERM_RO)}
     assert len(table) == 16
@@ -174,14 +178,14 @@ def test_identity_table_stores_only_its_exceptions(machine):
     assert table.lookup(4) == (4, PERM_RWX)
     assert table.lookup(-1) is None
     with pytest.raises(NotMapped):
-        table.unmap(3)
+        table.unmap(3, BY)
     # an entry equal to the default is no exception
-    table.map(3, 3, PERM_RWX)
-    table.protect(5, PERM_RWX)
-    table.protect(6, PERM_RWX)
-    table.unmap(7)
-    table.map(7, 7, PERM_RWX)
-    table.unmap(20)
+    table.map(3, 3, PERM_RWX, BY)
+    table.protect(5, PERM_RWX, BY)
+    table.protect(6, PERM_RWX, BY)
+    table.unmap(7, BY)
+    table.map(7, 7, PERM_RWX, BY)
+    table.unmap(20, BY)
     assert table.snapshot() == {} and len(table) == 16
     assert machine.ledger.pt_ops == 12
 
@@ -198,7 +202,7 @@ def test_split_write_matches_flat_buffer(start, payload):
     table = Stage2Table(0, machine)
     # a shuffled but contiguous IPA window of 8 pages
     for ipa_page, frame in enumerate([3, 0, 6, 2, 7, 1, 4, 5]):
-        table.map(ipa_page, frame, PERM_RW)
+        table.map(ipa_page, frame, PERM_RW, BY)
     flat = bytearray(8 * PAGE_SIZE)
     end = min(start + len(payload), 8 * PAGE_SIZE)
     chunk = payload[:end - start]
@@ -216,7 +220,7 @@ def test_split_write_matches_flat_buffer(start, payload):
 
 
 def _reference_guest_access(machine, table, ipa, access, data=None,
-                            length=0, *, by):
+                            length=0, *, by, channel=False):
     """The page loop `guest_access` replaced: one `translate` per page, as
     the reference its faster form must agree with."""
     if access is Access.WRITE:
@@ -245,7 +249,8 @@ def _reference_guest_access(machine, table, ipa, access, data=None,
         frame = phys >> PAGE_SHIFT
         touched.append((cur >> PAGE_SHIFT, frame))
         if access is Access.WRITE:
-            machine.write_frame(frame, offset, data[pos:pos + chunk])
+            machine.write_frame(frame, offset, data[pos:pos + chunk], by,
+                                channel)
         else:
             parts.append(machine.read_frame(frame, offset, chunk))
         pos += chunk
@@ -258,8 +263,9 @@ class _CallLog(Observer):
     def __init__(self):
         self.calls = []
 
-    def on_write(self, frame, offset, data):
-        self.calls.append(("on_write", frame, offset, bytes(data)))
+    def on_write(self, frame, offset, data, by, channel):
+        self.calls.append(("on_write", frame, offset, bytes(data), by.name,
+                           channel))
 
 
 # offsets within a page, weighted towards its edges
@@ -279,7 +285,7 @@ def _accesses(draw):
     default, unmaps it, makes it read-only or remaps it, and may map the
     2 pages past its identity range.  The access starts anywhere from page
     -1 to one page past the mapped ones; write data is bytes, a bytearray
-    or a memoryview."""
+    or a memoryview, and the access may be tagged a channel step."""
     identity = draw(st.booleans())
     kinds = [None, PERM_RO, PERM_RW, PERM_RWX]
     if identity:
@@ -300,7 +306,8 @@ def _accesses(draw):
     if access is Access.WRITE:
         data = draw(st.sampled_from([bytes, bytearray, memoryview]))(
             draw(st.binary(min_size=length, max_size=length)))
-    return identity, perms, frames, access, ipa, length, data
+    return identity, perms, frames, access, ipa, length, data, \
+        draw(st.booleans())
 
 
 # distinct content per frame and offset, so a read from the wrong place shows
@@ -308,26 +315,27 @@ _FILL = [bytes((i * 31 + frame * 17) & 0xFF for i in range(PAGE_SIZE))
          for frame in range(8)]
 
 
-def _run_access(impl, identity, perms, frames, access, ipa, length, data):
+def _run_access(impl, identity, perms, frames, access, ipa, length, data,
+                channel):
     machine = PhysicalMachine(MachineConfig(frames=8, os_reserved_pages=0))
     for frame, fill in enumerate(_FILL):
-        machine.write_frame(frame, 0, fill)   # before any observer
+        machine.write_frame(frame, 0, fill, BY, False)   # before any observer
     table = Stage2Table(3, machine, identity=identity)
     for ipa_page, p in enumerate(perms):
         if p is _DEFAULT:
             continue
         if p is _PROTECT_RO:
-            table.protect(ipa_page, PERM_RO)
+            table.protect(ipa_page, PERM_RO, BY)
             continue
         if ipa_page < table.identity_pages:
-            table.unmap(ipa_page)
+            table.unmap(ipa_page, BY)
         if p is not None:
-            table.map(ipa_page, frames[ipa_page % 8], p)
+            table.map(ipa_page, frames[ipa_page % 8], p, BY)
     log = _CallLog()
     machine.observers.append(log)
     out, touched = impl(machine, table, ipa, access, data=data,
                         length=0 if access is Access.WRITE else length,
-                        by=_vcpu(table, pcpu=1))
+                        by=_vcpu(table, pcpu=1), channel=channel)
     return out, touched, machine.fault_count, log.calls, \
         machine.trace.events, \
         [machine.read_frame(f, 0, PAGE_SIZE) for f in range(8)]
@@ -336,9 +344,9 @@ def _run_access(impl, identity, perms, frames, access, ipa, length, data):
 @settings(max_examples=500, deadline=None)
 @given(_accesses())
 def test_guest_access_matches_reference_loop(case):
-    """Same result, pages touched, fault count, observer calls, traced
-    fault events and frame contents as the reference loop, for any table
-    and access."""
+    """Same result, pages touched, fault count, observer calls (with the
+    accessor and the channel tag), traced fault events and frame contents
+    as the reference loop, for any table and access."""
     got = _run_access(guest_access, *case)
     want = _run_access(_reference_guest_access, *case)
     assert got == want

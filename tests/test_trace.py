@@ -182,7 +182,7 @@ class ChannelRecorder(Observer):
             offset, length = offset + chunk, length - chunk
         return out
 
-    def on_write(self, frame, offset, data):
+    def on_write(self, frame, offset, data, by, channel):
         if frame == self.frames[0] and offset == 4:
             header = self._read(0, HEADER_LEN)
             _, status, _, arg_len, ret_len = CHANNEL_HEADER.unpack(header)
@@ -245,6 +245,29 @@ def test_two_pcpu_invoke_names_the_enclaves_pcpu_on_every_event():
     [fault] = [ev for ev in sim.trace.events if ev.kind == "fault"]
     assert (fault.pcpu, fault.vcpu, fault.detail) == (
         1, "enclave1.v0", {"vm": 1, "ipa": 0x100000, "fault": "unmapped"})
+
+
+def test_two_pcpu_lifecycle_names_the_enclaves_pcpu_on_every_event():
+    """A create on pCPU 1, an invoke and a destroy: each of their 11, 9
+    and 16 events names pCPU 1 and pCPU 1's primary vCPU or the enclave's,
+    the mapping and zeroing events in the name of the hypercall's caller."""
+    sim = Simulation(MachineConfig(frames=256, pcpus=2))
+    driver = EnclaveDriver(sim)
+    marks = [len(sim.trace.events)]
+    fd = driver.create(image_for("echo"), pcpu=1)
+    marks.append(len(sim.trace.events))
+    assert driver.invoke(fd, 0, b"hi") == (ChannelStatus.DONE, b"hi")
+    marks.append(len(sim.trace.events))
+    driver.destroy(fd)
+    marks.append(len(sim.trace.events))
+    events = sim.trace.events
+    spans = [events[a:b] for a, b in zip(marks, marks[1:])]
+    assert [len(span) for span in spans] == [11, 9, 16]
+    assert {(ev.pcpu, ev.vcpu) for ev in events[marks[0]:]} == {
+        (1, "primary.v1"), (1, "enclave1.v0")}
+    assert {ev.vcpu for ev in events[marks[0]:]
+            if ev.kind in ("s2_map", "s2_unmap", "s2_protect",
+                           "zero_frame")} == {"primary.v1"}
 
 
 def test_one_payload_byte_changes_only_channel_events():
