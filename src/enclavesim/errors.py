@@ -83,6 +83,11 @@ class WrongPcpu(HypercallError):
     pass
 
 
+class NotRunning(HypercallError):
+    """A create, destroy or invoke from a vCPU that is not running: another
+    vCPU is on top of its pCPU's stack."""
+
+
 class NoParent(SimulationError):
     """Exit from a vCPU with no parent: corrupt stack, deliberately fatal."""
 

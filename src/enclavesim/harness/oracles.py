@@ -435,7 +435,8 @@ def check_trace_completeness(sim) -> List[str]:
     reproduce the cost ledger: steps are dense, each event's `t` is the
     running sum of event costs (one unit per charged event, per work unit
     and per zeroed page; a fault costs nothing), and the per-counter totals
-    equal the ledger's (and the machine's fault count)."""
+    equal the ledger's (and the machine's fault count).  A trace without
+    one detail per event cannot be folded, and is reported as that."""
     # event kind -> the ledger counter it charges
     charges = {"s2_map": "pt_ops", "s2_unmap": "pt_ops",
                "s2_protect": "pt_ops", "zero_frame": "zero_bytes",
@@ -444,9 +445,13 @@ def check_trace_completeness(sim) -> List[str]:
     expected = dict(sim.machine.ledger.snapshot(),
                     faults=sim.machine.fault_count)
     folded = dict.fromkeys(expected, 0)
+    events, details = sim.trace.events, sim.trace.details
+    if len(details) != len(events):
+        return ["%d details for %d events" % (len(details), len(events))]
     problems = []
     t = 0
-    for index, (step, kind, _, _, detail, ev_t) in enumerate(sim.trace.events):
+    for index, ((step, kind, _, _, ev_t), detail) in enumerate(
+            zip(events, details)):
         if kind in charges:
             n = detail["units"] if kind == "work" else 1
             folded[charges[kind]] += n

@@ -50,6 +50,7 @@ from .errors import (
     HypercallError,
     InvalidDonation,
     NoParent,
+    NotRunning,
     PageNotMapped,
     PrivilegeViolation,
     SimulationError,
@@ -357,6 +358,15 @@ class Hypervisor:
     def invoke_enclave(self, caller: Vcpu, handle: int) -> Resumption:
         return self.dispatch(caller, InvokeEnclave(handle))
 
+    def _running_pcpu(self, caller: Vcpu, call: str) -> Pcpu:
+        """The caller's pCPU; NotRunning unless the caller is on top of its
+        stack, since only a running vCPU can issue a hypercall."""
+        pcpu = self.machine.pcpus[caller.pcpu]
+        if pcpu.stack[-1] is not caller:
+            raise NotRunning("%s from %s, which is not running"
+                             % (call, caller.name))
+        return pcpu
+
     def _lookup(self, handle: int) -> EnclaveRecord:
         rec = self.enclaves.get(handle)
         if rec is None:
@@ -377,6 +387,7 @@ class Hypervisor:
         first mutation, so any error leaves the primary's table, the enclave
         list and all frame contents exactly as they were.
         """
+        self._running_pcpu(caller, "create")
         pages, meta = hc.pages, hc.meta
         channel_pages = meta.channel_size_pages
         if channel_pages < 1 or meta.mem_size_pages < 1:
@@ -441,6 +452,7 @@ class Hypervisor:
         if self._is_scheduled(vcpu):
             raise EnclaveActive("enclave %d is scheduled on pcpu %d"
                                 % (rec.handle, vcpu.pcpu))
+        self._running_pcpu(caller, "destroy")
         self._teardown(rec, caller)
         # last chance to see a leftover mapping: nothing holds the VM after
         if len(vm.table) != 0:
@@ -479,9 +491,7 @@ class Hypervisor:
         if target.pcpu != caller.pcpu:
             raise WrongPcpu("enclave %d pinned to pcpu %d, invoked from %d"
                             % (rec.handle, target.pcpu, caller.pcpu))
-        pcpu = self.machine.pcpus[caller.pcpu]
-        if pcpu.stack[-1] is not caller:
-            raise SimulationError("invoke from a vcpu that is not running")
+        pcpu = self._running_pcpu(caller, "invoke")
         if self._is_scheduled(target):
             raise EnclaveActive("enclave %d already scheduled" % rec.handle)
         self._push(pcpu, target, "invoke")

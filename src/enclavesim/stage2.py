@@ -16,7 +16,7 @@ equality between snapshots all follow what the table maps.
 
 Page-table maintenance (map / unmap / permission change) is done for a
 vCPU, `by`, which the hooks name, and charges one ``pt_ops`` ledger unit
-per entry update.  Translation itself is free and pure.
+per entry update.  A lookup is free and pure.
 """
 from __future__ import annotations
 
@@ -46,8 +46,14 @@ class Perms:
     execute: bool = False
 
     def tag(self) -> str:
-        return ("r" if self.read else "-") + ("w" if self.write else "-") + (
-            "x" if self.execute else "-")
+        """``rwx`` with ``-`` for each bit not granted: one shared string
+        per permission set, not a new one per call."""
+        return _TAGS[self.read, self.write, self.execute]
+
+
+_TAGS = {(r, w, x): ("r" if r else "-") + ("w" if w else "-") + (
+    "x" if x else "-") for r in (False, True) for w in (False, True)
+    for x in (False, True)}
 
 
 PERM_RWX = Perms(True, True, True)
@@ -152,13 +158,6 @@ class Stage2Table:
         if entry is _MISS and 0 <= ipa_page < self.identity_pages:
             return ipa_page, PERM_RWX
         return None if entry is _MISS else entry
-
-    def translate(self, ipa: int, access: Access) -> Union[int, AccessFault]:
-        entry = self.lookup(ipa >> PAGE_SHIFT)
-        # an Access's value names the Perms bit it needs
-        if entry is None or not getattr(entry[1], access.value):
-            return _fault(self.owner_vm, ipa, entry)
-        return (entry[0] << PAGE_SHIFT) | (ipa & OFFSET_MASK)
 
     def snapshot(self) -> Dict[int, Optional[Tuple[int, Perms]]]:
         """Copy of the exceptions, for before/after equality checks; the

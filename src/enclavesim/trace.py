@@ -6,10 +6,24 @@ its step, which is its index in the trace, and the simulated time ``t``
 right after the event's own cost was charged.  The trace is the one record
 of a run: the cost ledger is a fold over its events.  Two runs of the same
 scenario must serialize byte-for-byte identically, so details contain only
-ints, strings, bools, None and nested dicts/lists/tuples of those.  An event
-is an immutable named tuple of its six fields; a recorded event is never
-changed.  ``TraceRecorder.emit`` keeps the detail dict it is given without a
-copy, so every caller passes a fresh dict built for that one event.
+ints, strings, bools, None and nested dicts/lists/tuples of those.  A
+recorded event is an immutable tuple and is never changed.
+``TraceRecorder.emit`` keeps the detail dict it is given without a copy,
+so every caller passes a fresh dict built for that one event.
+
+Stored layout: ``TraceRecorder.events[i]`` is the exact tuple
+``(step, kind, pcpu, vcpu, t)`` and ``TraceRecorder.details[step]`` is that
+event's detail dict.  An event holds no container on purpose.  CPython's
+cyclic garbage collector tracks every tuple it creates, and untracks one at
+its first young collection only if it is an exact ``tuple`` whose items are
+all atoms (ints, strings, None) or untracked exact tuples.  A named tuple
+subclass, or a tuple holding a dict, stays tracked for its whole life, so a
+long trace would be walked again by every older-generation collection, and
+those collections land on the same operations in every run.  A stored event
+therefore leaves the collector at the first young collection after it is
+recorded.  A detail dict whose values are all atoms is never tracked.  The
+details sit in their own list, indexed by absolute step, so a slice of
+``events`` still serializes with its own details.
 
 The trace records events, not copies of guest data.  A ``channel`` event's
 detail is ``side``, ``old`` and ``new`` (status words), ``header`` (the
@@ -47,46 +61,39 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 _LINE = '{"detail":%s,"event":%s,"pcpu":%d,"step":%d,"t":%d,"vcpu":%s}\n'
 _encode_detail = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 BLOCK = 256     # events serialized per encoder call
 
 
-class TraceEvent(NamedTuple):
-    step: int
-    kind: str
-    pcpu: int
-    vcpu: Optional[str]
-    detail: Dict[str, Any]
-    t: int
-
-
-_new = tuple.__new__    # skips the named tuple's generated Python __new__
+# (step, kind, pcpu, vcpu, t): atoms only, so the collector untracks it
+TraceEvent = Tuple[int, str, int, Optional[str], int]
 
 
 @dataclass
 class TraceRecorder:
     clock: Callable[[], int]    # simulated time, read once per event
     events: List[TraceEvent] = field(default_factory=list)
+    details: List[Dict[str, Any]] = field(default_factory=list)  # by step
 
     def emit(self, kind: str, pcpu: int, vcpu: Optional[str],
              detail: Dict[str, Any]) -> None:
         """Record one event; `detail` is stored as given, not copied."""
-        events = self.events
-        events.append(_new(TraceEvent, (len(events), kind, pcpu, vcpu,
-                                        detail, self.clock())))
+        details = self.details
+        self.events.append((len(details), kind, pcpu, vcpu, self.clock()))
+        details.append(detail)
 
     def count(self, kind: str) -> int:
-        return sum(1 for ev in self.events if ev.kind == kind)
+        return sum(1 for ev in self.events if ev[1] == kind)
 
     def _blocks(self) -> Iterator[str]:
         """The JSONL text of each block of `BLOCK` events, in order."""
-        events = self.events
+        events, all_details = self.events, self.details
         for i in range(0, len(events), BLOCK):
             block = events[i:i + BLOCK]
-            details = [ev[4] for ev in block]
+            details = [all_details[ev[0]] for ev in block]
             pieces = _encode_detail(details)[1:-1].replace(
                 "},{", "}\n{").split("\n")
             if len(pieces) != len(block):   # a "},{" inside some detail
@@ -94,7 +101,7 @@ class TraceRecorder:
             yield "".join([
                 _LINE % (text, _quote(kind), pcpu, step, t,
                          "null" if vcpu is None else _quote(vcpu))
-                for text, (step, kind, pcpu, vcpu, _, t) in zip(pieces, block)
+                for text, (step, kind, pcpu, vcpu, t) in zip(pieces, block)
             ])
 
     def to_jsonl(self) -> str:

@@ -61,8 +61,12 @@ def make_channel(pages=1):
 
 
 def _channel_events(machine, since=0):
-    """The channel events traced from step `since` on."""
-    return [ev for ev in machine.trace.events[since:] if ev.kind == "channel"]
+    """The channel events traced from step `since` on, each as its step,
+    its vCPU and its detail."""
+    trace = machine.trace
+    return [(step, vcpu, trace.details[step])
+            for step, kind, _, vcpu, _ in trace.events[since:]
+            if kind == "channel"]
 
 
 def test_views_take_their_table_side_and_trace_from_their_vcpu():
@@ -73,8 +77,8 @@ def test_views_take_their_table_side_and_trace_from_their_vcpu():
     primary.write_request(1, b"hi")
     enclave.serve()
     enclave.complete(b"yo")
-    assert [(ev.vcpu, ev.detail["side"], ev.detail["new"])
-            for ev in _channel_events(machine)] == [
+    assert [(vcpu, detail["side"], detail["new"])
+            for _, vcpu, detail in _channel_events(machine)] == [
         ("primary.v0", "primary", ChannelStatus.REQUEST),
         ("enclave1.v0", "enclave", ChannelStatus.DONE)]
 
@@ -233,8 +237,8 @@ def test_transition_legality_exhaustive():
             _run_step(primary, enclave, name)
         except ChannelError as err:
             got = (type(err), str(err))
-            seen += [("channel", ev.detail["old"], ev.detail["new"])
-                     for ev in _channel_events(machine, since)]
+            seen += [("channel", detail["old"], detail["new"])
+                     for _, _, detail in _channel_events(machine, since)]
             if got != want or seen or _frame_bytes(machine) != before:
                 mismatches.append((name, start, got, seen))
             continue
@@ -296,11 +300,11 @@ def test_status_written_after_payload():
         order.clear()
         since = len(machine.trace.events)
         step()
-        [status] = _channel_events(machine, since)
+        [(at, _, status)] = _channel_events(machine, since)
         payload_write = next(ev for ev in order
                              if ev[0] == "write" and ev[2] == payload)
-        assert payload_write[3] <= status.step
-        assert (status.detail["new"], status.detail["payload_crc32"]) \
+        assert payload_write[3] <= at
+        assert (status["new"], status["payload_crc32"]) \
             == (new, zlib.crc32(payload))
         header_writes = [ev[1:3] for ev in order
                          if ev[0] == "write" and ev[1] < HEADER_LEN]
@@ -459,17 +463,17 @@ class FrameCheck(Observer):
     def check(self):
         """Each channel event against the bytes stored when it was
         published; returns (side, status, payload length) per event."""
-        events = [ev for ev in self.machine.trace.events
-                  if ev.kind == "channel"]
+        events = _channel_events(self.machine)
         assert len(events) == len(self.stored)
         seen = []
-        for ev, (step, header, payload) in zip(events, self.stored):
+        for (at, _, detail), (step, header, payload) in zip(events,
+                                                            self.stored):
             new = CHANNEL_HEADER.unpack(header)[1]
-            assert ev.step == step
-            assert ev.detail["new"] == new
-            assert ev.detail["header"] == header.hex()
-            assert ev.detail["payload_crc32"] == zlib.crc32(payload)
-            seen.append((ev.detail["side"], ChannelStatus(new).name,
+            assert at == step
+            assert detail["new"] == new
+            assert detail["header"] == header.hex()
+            assert detail["payload_crc32"] == zlib.crc32(payload)
+            seen.append((detail["side"], ChannelStatus(new).name,
                          len(payload)))
         return seen
 

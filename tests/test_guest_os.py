@@ -413,8 +413,9 @@ def test_one_driver_serves_both_pcpus():
     # every event names the pCPU its vCPU is pinned to, and on pCPU 1 only
     # that pCPU's primary vCPU and its enclaves act
     events = sim.trace.events
-    assert [ev.pcpu for ev in events] == [pinned[ev.vcpu] for ev in events]
-    assert {ev.vcpu for ev in events if ev.pcpu == 1} == {
+    assert [pcpu for _, _, pcpu, _, _ in events] == [
+        pinned[vcpu] for _, _, _, vcpu, _ in events]
+    assert {vcpu for _, _, pcpu, vcpu, _ in events if pcpu == 1} == {
         "primary.v1", "enclave3.v0", "enclave4.v0"}
 
 

@@ -343,12 +343,21 @@ def test_trace_completeness_detects_tampering():
     sim.machine.ledger.hypercalls += 1
     assert any("hypercall" in p for p in check_trace_completeness(sim))
     sim.machine.ledger.hypercalls -= 1
-    events = sim.trace.events
-    events[5] = events[5]._replace(t=events[5].t + 1)
+    events, details = sim.trace.events, sim.trace.details
+    step, kind, pcpu, vcpu, t = events[5]
+    events[5] = (step, kind, pcpu, vcpu, t + 1)
     assert any("step 5 has t=" in p for p in check_trace_completeness(sim))
-    events[5] = events[5]._replace(t=events[5].t - 1)
+    events[5] = (step, kind, pcpu, vcpu, t)
+    assert check_trace_completeness(sim) == []
+    detail = details.pop()
+    assert check_trace_completeness(sim) == [
+        "%d details for %d events" % (len(events) - 1, len(events))]
+    details.append(detail)
     assert check_trace_completeness(sim) == []
     del events[3]
+    assert check_trace_completeness(sim) == [
+        "%d details for %d events" % (len(events) + 1, len(events))]
+    del details[3]
     assert any("dense" in p for p in check_trace_completeness(sim))
 
 
@@ -532,9 +541,10 @@ def test_scenario_creates_on_both_pcpus_run_clean():
     pinned = {v.name: v.pcpu for vm in sim.hv.vms.values() for v in vm.vcpus}
     pinned.update({"enclave1.v0": 1, "enclave3.v0": 1, "enclave5.v0": 1,
                    "enclave2.v0": 0, "enclave4.v0": 0})
-    assert all(ev.pcpu == pinned[ev.vcpu] for ev in sim.trace.events)
-    assert {ev.vcpu for ev in sim.trace.events
-            if ev.kind in ("s2_map", "zero_frame") and ev.pcpu == 1} == {
+    assert all(pcpu == pinned[vcpu]
+               for _, _, pcpu, vcpu, _ in sim.trace.events)
+    assert {vcpu for _, kind, pcpu, vcpu, _ in sim.trace.events
+            if kind in ("s2_map", "zero_frame") and pcpu == 1} == {
         "primary.v1"}
 
 
@@ -677,8 +687,8 @@ def test_scenario_aux_and_enclave_vms_never_share_a_name():
     assert result.ok, result.violations
     names = [vm.name for vm in result.sim.hv.vms.values()]
     assert sorted(names) == ["aux1", "enclave1", "primary"]
-    pushed = [ev.vcpu for ev in result.sim.trace.events
-              if ev.kind in ("push", "pop")]
+    pushed = [vcpu for _, kind, _, vcpu, _ in result.sim.trace.events
+              if kind in ("push", "pop")]
     assert sorted(set(pushed)) == ["aux1.v0", "enclave1.v0"]
 
 

@@ -9,6 +9,7 @@ from enclavesim.errors import (
     Exhausted,
     InvalidDonation,
     NoParent,
+    NotRunning,
     PageNotMapped,
     PrivilegeViolation,
     SimulationError,
@@ -30,7 +31,12 @@ from enclavesim.machine import PAGE_SHIFT, PAGE_SIZE, MachineConfig, Observer
 from enclavesim.sim import Simulation
 from enclavesim.stage2 import PERM_RO, PERM_RW, PERM_RWX
 from enclavesim.guest_os import EnclaveDriver
-from enclavesim.harness import check_stack_integrity, sabotage_teardown
+from enclavesim.harness import (
+    MemoryOracle,
+    WriteConfinementOracle,
+    check_stack_integrity,
+    sabotage_teardown,
+)
 from enclavesim.ta_runtime import image_for_pages, load_program
 
 from snapshots import full_state
@@ -41,9 +47,9 @@ def boot(frames=256, pcpus=1, max_vms=16):
                                     max_vms=max_vms))
 
 
-def hand_create(sim, pages, mem=None, chan=1, name="echo"):
-    """Issue the create hypercall directly, loading the blob first the way
-    the driver would."""
+def load_blob(sim, pages, mem=None, chan=1, name="echo"):
+    """Load the blob into the private pages the way the driver would;
+    returns the image's meta for the create hypercall."""
     mem = len(pages) - chan if mem is None else mem
     image = image_for_pages(name, mem, chan)
     blob = image.code_blob
@@ -51,7 +57,12 @@ def hand_create(sim, pages, mem=None, chan=1, name="echo"):
         chunk = blob[i * PAGE_SIZE:(i + 1) * PAGE_SIZE]
         chunk = chunk + bytes(PAGE_SIZE - len(chunk))
         sim.vm_write(sim.hv.primary, pages[i] << PAGE_SHIFT, chunk)
-    meta = ImageMeta(image.mem_size_pages, image.channel_size_pages)
+    return ImageMeta(image.mem_size_pages, image.channel_size_pages)
+
+
+def hand_create(sim, pages, mem=None, chan=1, name="echo"):
+    """Issue the create hypercall directly, loading the blob first."""
+    meta = load_blob(sim, pages, mem, chan, name)
     return sim.hv.create_enclave(sim.primary_vcpu(0), tuple(pages), meta)
 
 
@@ -328,6 +339,69 @@ def test_destroy_refused_while_scheduled():
     sim.hv.destroy_enclave(sim.primary_vcpu(0), handle)
 
 
+def _watched_state(sim, watchers):
+    """Every VM's table, the live enclaves, the shared frames, every
+    frame's bytes and what the watching oracles have found."""
+    memory, confinement = watchers
+    return ({vmid: vm.table.snapshot() for vmid, vm in sim.hv.vms.items()},
+            sorted(sim.hv.enclaves), set(sim.hv._shared_frames),
+            {f: bytes(buf) for f, buf in sim.machine.frames.items()},
+            memory.verify(), list(confinement.violations))
+
+
+def _watch(sim):
+    watchers = (MemoryOracle(sim.machine), WriteConfinementOracle(sim.hv))
+    sim.machine.observers.extend(watchers)
+    return watchers
+
+
+def test_create_and_destroy_refused_from_a_vcpu_that_is_not_running():
+    """With an aux vCPU on top of the pCPU, the primary vCPU under it can
+    neither create nor destroy: each hypercall is refused with NotRunning
+    before any mapping change, and tables, frames and oracles are as they
+    were.  Once the aux vCPU yields, both go through."""
+    sim = boot()
+    watchers = _watch(sim)
+    handle = hand_create(sim, [100, 101, 102, 103])
+    pages = (110, 111, 112, 113)
+    meta = load_blob(sim, pages)
+    sim.hv.schedule_vcpu(0, sim.hv.make_aux_vcpu(0))
+    before, events = _watched_state(sim, watchers), len(sim.trace.events)
+    primary = sim.primary_vcpu(0)
+    with pytest.raises(NotRunning, match="^create from primary.v0, which "
+                       "is not running$"):
+        sim.hv.create_enclave(primary, pages, meta)
+    with pytest.raises(NotRunning, match="^destroy from primary.v0"):
+        sim.hv.destroy_enclave(primary, handle)
+    assert _watched_state(sim, watchers) == before
+    assert [kind for _, kind, _, _, _ in sim.trace.events[events:]] == [
+        "hypercall", "hypercall_error"] * 2
+    sim.hv.yield_vcpu(0)
+    sim.hv.destroy_enclave(primary, handle)
+    sim.hv.create_enclave(primary, pages, meta)
+    assert watchers[0].verify() == [] and watchers[1].violations == []
+
+
+def test_driver_create_from_a_vcpu_that_is_not_running_rolls_back():
+    """The driver's create for a primary vCPU that is not running gets
+    NotRunning back from the hypervisor and frees both its allocations:
+    tables, allocator and fds are as before, the memory mirror agrees, and
+    the only writes flagged are the blob pages it loaded before asking."""
+    sim = boot()
+    driver = EnclaveDriver(sim)
+    memory, confinement = _watch(sim)
+    sim.hv.schedule_vcpu(0, sim.hv.make_aux_vcpu(0))
+    before, shared = full_state(sim, driver), set(sim.hv._shared_frames)
+    with pytest.raises(NotRunning):
+        driver.create(image_for_pages("echo", 3, 1))
+    assert full_state(sim, driver) == before
+    assert sim.hv._shared_frames == shared
+    assert memory.verify() == []
+    assert len(confinement.violations) == 3     # one per private page
+    assert all(v.endswith(" by primary.v0, not running")
+               for v in confinement.violations)
+
+
 def test_invoke_respects_pcpu_pinning():
     sim = boot(pcpus=2)
     handle = hand_create(sim, [100, 101, 102, 103], mem=3, chan=1)
@@ -341,7 +415,7 @@ def test_invoke_while_enclave_holds_the_pcpu_refused():
     vcpu = sim.hv.enclaves[handle].vm.vcpus[0]
     sim.hv.schedule_vcpu(0, vcpu)
     # the primary is no longer the running vcpu, so it cannot trap in
-    with pytest.raises(SimulationError):
+    with pytest.raises(NotRunning):
         sim.hv.invoke_enclave(sim.primary_vcpu(0), handle)
     with pytest.raises(EnclaveActive):
         sim.hv.schedule_vcpu(0, vcpu)
@@ -403,9 +477,10 @@ def test_interrupt_for_idle_vcpu_goes_pending_then_fires_on_entry():
     a = hv.make_aux_vcpu(0)
     assert hv.deliver_interrupt(0, a) == "pending"
     hv.schedule_vcpu(0, a)
+    details = sim.trace.details
     switch, taken = sim.trace.events[-2:]
-    assert switch.kind == "ctx_switch" and switch.detail["to"] == "aux1.v0"
-    assert (taken.kind, taken.pcpu, taken.vcpu, taken.detail) == (
+    assert switch[1] == "ctx_switch" and details[switch[0]]["to"] == "aux1.v0"
+    assert taken[1:4] + (details[taken[0]],) == (
         "interrupt", 0, "aux1.v0",
         {"target": "aux1.v0", "outcome": "taken_on_entry"})
     assert not a.pending_irq
@@ -515,8 +590,9 @@ def test_program_falling_off_the_end_pops_without_exit_call():
     assert ledger.hypercalls - before["hypercalls"] == 1  # invoke, no exit
     assert ledger.ctx_switches - before["ctx_switches"] == 2
     assert ledger.work_units - before["work_units"] == 2
-    last = sim.trace.events[-1]
-    assert last.kind == "ctx_switch" and last.detail["reason"] == "finish"
+    step, kind, _, _, _ = sim.trace.events[-1]
+    assert kind == "ctx_switch" \
+        and sim.trace.details[step]["reason"] == "finish"
 
 
 def test_program_that_raises_leaves_through_the_finish_unwind():
@@ -556,8 +632,9 @@ def test_program_that_raises_leaves_through_the_finish_unwind():
         with pytest.raises(SimulationError, match=error):
             driver.invoke(faulty, 1, b"")
         assert sim.hv.stack_of(0) == [sim.primary_vcpu(0)]
-        last = sim.trace.events[-1]
-        assert last.kind == "ctx_switch" and last.detail["reason"] == "finish"
+        step, kind, _, _, _ = sim.trace.events[-1]
+        assert kind == "ctx_switch" \
+            and sim.trace.details[step]["reason"] == "finish"
         assert check_stack_integrity(sim.hv) == []
         assert driver.invoke(echo, 0, b"still here") == (ChannelStatus.DONE,
                                                          b"still here")

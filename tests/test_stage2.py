@@ -57,8 +57,10 @@ def _vcpu(table, pcpu=0):
 def test_map_translate_unmap(machine, table):
     table.map(2, 5, PERM_RW, BY)
     assert table.lookup(2) == (5, PERM_RW)
-    phys = table.translate((2 << 12) + 17, Access.READ)
-    assert phys == (5 << 12) + 17
+    machine.write_frame(5, 17, b"five", BY, False)
+    out, touched = guest_access(machine, table, (2 << 12) + 17, Access.READ,
+                                length=4, by=_vcpu(table))
+    assert (out, touched) == (b"five", [(2, 5)])
     table.unmap(2, BY)
     assert table.lookup(2) is None
 
@@ -82,15 +84,25 @@ def test_mapping_errors(machine, table):
 
 
 def test_translate_returns_fault_values(machine, table):
+    """A failed translation is a fault value, not an exception: an unmapped
+    page, or a mapped one without the bit the access needs.  Each fault is
+    counted; a lookup, and so a translation, charges no table op."""
     table.map(0, 3, PERM_RO, BY)
-    fault = table.translate(1 << 12, Access.READ)
-    assert isinstance(fault, AccessFault)
-    assert fault.kind is FaultKind.UNMAPPED
-    fault = table.translate(10, Access.WRITE)
-    assert fault.kind is FaultKind.PERMISSION_DENIED
-    # translate is pure: no cost, no fault accounting
+    vcpu = _vcpu(table)
+    fault, touched = guest_access(machine, table, 1 << 12, Access.READ,
+                                  length=1, by=vcpu)
+    assert isinstance(fault, AccessFault) and touched == []
+    assert (fault.ipa, fault.kind) == (1 << 12, FaultKind.UNMAPPED)
+    for access, data, length in ((Access.WRITE, b"w", 0),
+                                 (Access.EXECUTE, None, 1)):
+        fault, _ = guest_access(machine, table, 10, access, data=data,
+                                length=length, by=vcpu)
+        assert (fault.ipa, fault.kind) == (10, FaultKind.PERMISSION_DENIED)
+    assert guest_access(machine, table, 10, Access.READ, length=1,
+                        by=vcpu) == (bytes(1), [(0, 3)])
+    assert table.lookup(1) is None and table.lookup(0) == (3, PERM_RO)
     assert machine.ledger.pt_ops == 1
-    assert machine.fault_count == 0
+    assert machine.fault_count == 3
 
 
 def test_each_table_op_costs_one(machine, table):
@@ -115,8 +127,8 @@ def test_guest_access_faults_count_and_notify(machine, table):
     assert isinstance(out, AccessFault)
     assert touched == []
     assert machine.fault_count == 1
-    [event] = machine.trace.events
-    assert (event.kind, event.pcpu, event.vcpu, event.detail) == (
+    [(step, kind, pcpu, vcpu, _)] = machine.trace.events
+    assert (kind, pcpu, vcpu, machine.trace.details[step]) == (
         "fault", 3, "enclave0.v0",
         {"vm": 0, "ipa": 5 << 12, "fault": "unmapped"})
 
@@ -139,6 +151,13 @@ def test_perms_tag():
     assert PERM_RWX.tag() == "rwx"
     assert PERM_RW.tag() == "rw-"
     assert PERM_RO.tag() == "r--"
+    tags = {Perms(r, w, x): ("r" if r else "-") + ("w" if w else "-")
+            + ("x" if x else "-")
+            for r in (False, True) for w in (False, True)
+            for x in (False, True)}
+    assert {perms: perms.tag() for perms in tags} == tags
+    # one string per permission set, however many equal sets ask for it
+    assert Perms(True, True, False).tag() is PERM_RW.tag()
 
 
 def test_snapshot_is_a_copy(machine, table):
@@ -156,8 +175,9 @@ def test_identity_table_stores_only_its_exceptions(machine):
     assert table.lookup(15) == (15, PERM_RWX)
     assert table.lookup(16) is None
     assert table.lookup(-1) is None
-    assert table.translate((3 << PAGE_SHIFT) + 9, Access.WRITE) \
-        == (3 << PAGE_SHIFT) + 9
+    assert guest_access(machine, table, (3 << PAGE_SHIFT) + 9, Access.WRITE,
+                        data=b"id", by=_vcpu(table)) == (b"", [(3, 3)])
+    assert machine.read_frame(3, 9, 2) == b"id"
     with pytest.raises(AlreadyMapped):
         table.map(3, 3, PERM_RWX, BY)
     assert table.unmap(3, BY) == 3
@@ -221,8 +241,9 @@ def test_split_write_matches_flat_buffer(start, payload):
 
 def _reference_guest_access(machine, table, ipa, access, data=None,
                             length=0, *, by, channel=False):
-    """The page loop `guest_access` replaced: one `translate` per page, as
-    the reference its faster form must agree with."""
+    """The page loop `guest_access` replaced: one `lookup` per page and the
+    permission bit the access names, as the reference its faster form must
+    agree with."""
     if access is Access.WRITE:
         if data is None:
             raise OutOfRange("write access requires data")
@@ -239,14 +260,18 @@ def _reference_guest_access(machine, table, ipa, access, data=None,
         cur = ipa + pos
         offset = cur & OFFSET_MASK
         chunk = min(length - pos, PAGE_SIZE - offset)
-        phys = table.translate(cur, access)
-        if isinstance(phys, AccessFault):
+        entry = table.lookup(cur >> PAGE_SHIFT)
+        # an Access's value names the Perms bit it needs
+        if entry is None or not getattr(entry[1], access.value):
+            fault = AccessFault(table.owner_vm, cur, FaultKind.UNMAPPED
+                                if entry is None
+                                else FaultKind.PERMISSION_DENIED)
             machine.fault_count += 1
             machine.trace.emit("fault", by.pcpu, by.name,
-                               {"vm": phys.vm, "ipa": phys.ipa,
-                                "fault": phys.kind.value})
-            return phys, touched
-        frame = phys >> PAGE_SHIFT
+                               {"vm": fault.vm, "ipa": fault.ipa,
+                                "fault": fault.kind.value})
+            return fault, touched
+        frame = entry[0]
         touched.append((cur >> PAGE_SHIFT, frame))
         if access is Access.WRITE:
             machine.write_frame(frame, offset, data[pos:pos + chunk], by,
@@ -337,7 +362,7 @@ def _run_access(impl, identity, perms, frames, access, ipa, length, data,
                         length=0 if access is Access.WRITE else length,
                         by=_vcpu(table, pcpu=1), channel=channel)
     return out, touched, machine.fault_count, log.calls, \
-        machine.trace.events, \
+        list(zip(machine.trace.events, machine.trace.details)), \
         [machine.read_frame(f, 0, PAGE_SIZE) for f in range(8)]
 
 

@@ -1,7 +1,9 @@
 """Trace serialization: every line equals compact, sorted-key json.dumps of
-the event's record.  Events are immutable, and what goes into them (hypercall
-details, vCPU names) is what the record says it is."""
+the event's record.  Events are immutable tuples of atoms that the garbage
+collector stops tracking, and what goes into them (hypercall details, vCPU
+names) is what the record says it is."""
 import dataclasses
+import gc
 import hashlib
 import json
 import zlib
@@ -38,8 +40,9 @@ def _recorder(*events):
 def _create_enclave():
     sim = Simulation(MachineConfig(frames=256))
     EnclaveDriver(sim).create(image_for("echo"))
-    assert any(ev.kind == "hypercall" and ev.detail["call"] == "CreateEnclave"
-               for ev in sim.trace.events)
+    assert any(kind == "hypercall"
+               and sim.trace.details[step]["call"] == "CreateEnclave"
+               for step, kind, _, _, _ in sim.trace.events)
     return sim.trace
 
 
@@ -75,10 +78,10 @@ CASES = {
 def test_to_jsonl_equals_sorted_compact_json_dumps(build):
     trace = build()
     want = "".join(
-        json.dumps({"step": ev.step, "event": ev.kind, "pcpu": ev.pcpu,
-                    "vcpu": ev.vcpu, "detail": ev.detail, "t": ev.t},
+        json.dumps({"step": step, "event": kind, "pcpu": pcpu,
+                    "vcpu": vcpu, "detail": trace.details[step], "t": t},
                    sort_keys=True, separators=(",", ":")) + "\n"
-        for ev in trace.events)
+        for step, kind, pcpu, vcpu, t in trace.events)
     got = trace.to_jsonl()
     assert got == want
     if not trace.events:
@@ -107,8 +110,39 @@ def test_call_detail_equals_asdict_for_every_hypercall():
 
 def test_trace_events_are_immutable():
     ev = _recorder(("work", 0, "primary.v0", {"units": 2})).events[0]
-    with pytest.raises(AttributeError):
-        ev.t = ev.t + 1
+    assert type(ev) is tuple
+    with pytest.raises(TypeError):
+        ev[4] = ev[4] + 1
+
+
+def test_stored_events_leave_the_collector_and_details_align():
+    """After a create, an invoke and a destroy and one full collection, no
+    stored event is tracked by the cyclic garbage collector, and the detail
+    of each event sits in `details` at its step."""
+    sim = Simulation(MachineConfig(frames=256))
+    driver = EnclaveDriver(sim)
+    fd = driver.create(image_for("echo"))
+    assert driver.invoke(fd, 0, b"hi") == (ChannelStatus.DONE, b"hi")
+    driver.destroy(fd)
+    gc.collect()
+    trace = sim.trace
+    assert len(trace.events) == len(trace.details) > 30
+    assert [ev for ev in trace.events if gc.is_tracked(ev)] == []
+    assert [ev[0] for ev in trace.events] == list(range(len(trace.events)))
+    assert all(type(ev) is tuple and len(ev) == 5 for ev in trace.events)
+    # a key only the details of its own kind carry
+    marks = {"boot": "seed", "hypercall": "call", "s2_map": "perms",
+             "channel": "side", "ctx_switch": "to", "work": "units",
+             "pop": "resumption"}
+    for step, kind, _, _, _ in trace.events:
+        assert [k for k, key in marks.items()
+                if key in trace.details[step]] == (
+            [kind] if kind in marks else []), (step, kind)
+    hypercalls = [trace.details[step]["call"]
+                  for step, kind, _, _, _ in trace.events
+                  if kind == "hypercall"]
+    assert hypercalls == ["CreateEnclave", "InvokeEnclave", "Exit",
+                          "DestroyEnclave"]
 
 
 def test_vcpu_name_is_vm_name_and_index():
@@ -148,7 +182,7 @@ ALL_KINDS_SHA256 = \
 def test_every_event_kind_has_pinned_bytes():
     result = run_scenario_text(ALL_KINDS_SCENARIO)
     assert result.ok, result.violations
-    kinds = {ev.kind for ev in result.sim.trace.events}
+    kinds = {kind for _, kind, _, _, _ in result.sim.trace.events}
     assert kinds == {
         "boot", "s2_map", "s2_unmap", "s2_protect", "zero_frame", "fault",
         "push", "pop", "ctx_switch", "hypercall", "hypercall_error", "work",
@@ -211,7 +245,8 @@ def test_channel_event_crc_is_of_the_bytes_the_observers_were_handed():
     observer reads back from the frames when the step publishes."""
     rec = ChannelRecorder()
     sim = _echo_run(b"", b"x", bytes(range(256)) * 3, recorder=rec)
-    details = [ev.detail for ev in sim.trace.events if ev.kind == "channel"]
+    details = [sim.trace.details[step]
+               for step, kind, _, _, _ in sim.trace.events if kind == "channel"]
     assert len(details) == len(rec.calls) == 8
     for detail, (header, payload) in zip(details, rec.calls):
         assert detail["new"] == CHANNEL_HEADER.unpack(header)[1]
@@ -230,11 +265,11 @@ def test_two_pcpu_invoke_names_the_enclaves_pcpu_on_every_event():
     since = len(sim.trace.events)
     assert driver.invoke(fd, 0, b"hi") == (ChannelStatus.DONE, b"hi")
     events = sim.trace.events[since:]
-    assert [(ev.kind, ev.pcpu) for ev in events] == [
+    assert [(kind, pcpu) for _, kind, pcpu, _, _ in events] == [
         (kind, 1) for kind in ("channel", "hypercall", "push", "ctx_switch",
                                "work", "channel", "hypercall", "pop",
                                "ctx_switch")]
-    assert [ev.vcpu for ev in events if ev.kind == "channel"] == [
+    assert [vcpu for _, kind, _, vcpu, _ in events if kind == "channel"] == [
         "primary.v1", "enclave1.v0"]
 
     sim = Simulation(MachineConfig(frames=256, pcpus=2))
@@ -242,8 +277,9 @@ def test_two_pcpu_invoke_names_the_enclaves_pcpu_on_every_event():
     fd = driver.create(image_for("probe"), pcpu=1)
     assert driver.invoke(fd, 1, (0x100000).to_bytes(8, "little")) == (
         ChannelStatus.DONE, b"fault:unmapped")
-    [fault] = [ev for ev in sim.trace.events if ev.kind == "fault"]
-    assert (fault.pcpu, fault.vcpu, fault.detail) == (
+    [(step, pcpu, vcpu)] = [(step, pcpu, vcpu) for step, kind, pcpu, vcpu, _
+                            in sim.trace.events if kind == "fault"]
+    assert (pcpu, vcpu, sim.trace.details[step]) == (
         1, "enclave1.v0", {"vm": 1, "ipa": 0x100000, "fault": "unmapped"})
 
 
@@ -263,20 +299,21 @@ def test_two_pcpu_lifecycle_names_the_enclaves_pcpu_on_every_event():
     events = sim.trace.events
     spans = [events[a:b] for a, b in zip(marks, marks[1:])]
     assert [len(span) for span in spans] == [11, 9, 16]
-    assert {(ev.pcpu, ev.vcpu) for ev in events[marks[0]:]} == {
+    assert {(pcpu, vcpu) for _, _, pcpu, vcpu, _ in events[marks[0]:]} == {
         (1, "primary.v1"), (1, "enclave1.v0")}
-    assert {ev.vcpu for ev in events[marks[0]:]
-            if ev.kind in ("s2_map", "s2_unmap", "s2_protect",
-                           "zero_frame")} == {"primary.v1"}
+    assert {vcpu for _, kind, _, vcpu, _ in events[marks[0]:]
+            if kind in ("s2_map", "s2_unmap", "s2_protect",
+                        "zero_frame")} == {"primary.v1"}
 
 
 def test_one_payload_byte_changes_only_channel_events():
     payload = bytes(range(1, 200))
     flipped = payload[:77] + b"\xff" + payload[78:]
-    a = _echo_run(payload).trace.events
-    b = _echo_run(flipped).trace.events
-    assert len(a) == len(b)
-    differ = [x.kind for x, y in zip(a, b) if x != y]
+    a, b = _echo_run(payload).trace, _echo_run(flipped).trace
+    assert len(a.events) == len(b.events)
+    differ = [x[1] for x, dx, y, dy in zip(a.events, a.details,
+                                           b.events, b.details)
+              if (x, dx) != (y, dy)]
     # the request and the reply carry the changed byte
     assert differ == ["channel", "channel"]
 
