@@ -91,10 +91,8 @@ class ChannelView:
         self.base_ipa = base_ipa
         self.size_pages = size_pages
         self.side = vcpu.vm.kind.value
-
-    @property
-    def capacity(self) -> int:
-        return self.size_pages * PAGE_SIZE - HEADER_LEN
+        # payload bytes the region holds; an attribute, read on every step
+        self.capacity = size_pages * PAGE_SIZE - HEADER_LEN
 
     # -- raw access helpers -------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Cost measurements over the simulated clock.
 
-The simulated clock is the cost ledger's unit sum, so timings are exact
+The simulated clock is the trace's running total, so timings are exact
 integers and rerunning an operation must reproduce them to the unit.  The
 benchmark measures the three lifecycle operations across donation sizes and
 checks the claims the cost model makes: invoke cost does not depend on
@@ -84,10 +84,9 @@ def _measure_size(size: int, reps: int) -> Dict[str, OpStats]:
     """One simulation per size; each rep is a full create/invoke/destroy
     cycle whose per-phase cost is the ledger delta."""
     config = MachineConfig(frames=64 + size + 8)
+    # the observers stay armed: recording the mapping and zeroing events is
+    # what charges their cost
     sim = Simulation(config)
-    # cost accounting is the ledger's job; this skips the mapping and zeroing
-    # events only: each rep's 9 scheduling and 2 channel events stay, unread
-    sim.machine.observers.clear()
     driver = EnclaveDriver(sim)
     image = image_for_pages("echo", size - 1, 1)
     out = {"create": [], "invoke": [], "destroy": []}

@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..hypervisor import Hypervisor, VmKind
 from ..machine import PAGE_SIZE, Observer, PhysicalMachine
 from ..stage2 import PERM_RWX, Perms, Stage2Table
+from ..trace import COST
 
 
 # -- physical memory shadow ---------------------------------------------------
@@ -431,33 +432,28 @@ def check_allocator_conservation(allocator) -> List[str]:
 # -- trace completeness -------------------------------------------------------
 
 def check_trace_completeness(sim) -> List[str]:
-    """The trace is the one record of a run, so one pass over it must
-    reproduce the cost ledger: steps are dense, each event's `t` is the
-    running sum of event costs (one unit per charged event, per work unit
-    and per zeroed page; a fault costs nothing), and the per-counter totals
-    equal the ledger's (and the machine's fault count).  A trace without
-    one detail per event cannot be folded, and is reported as that."""
-    # event kind -> the ledger counter it charges
-    charges = {"s2_map": "pt_ops", "s2_unmap": "pt_ops",
-               "s2_protect": "pt_ops", "zero_frame": "zero_bytes",
-               "ctx_switch": "ctx_switches", "hypercall": "hypercalls",
-               "work": "work_units"}
-    expected = dict(sim.machine.ledger.snapshot(),
-                    faults=sim.machine.fault_count)
-    folded = dict.fromkeys(expected, 0)
-    events, details = sim.trace.events, sim.trace.details
+    """The trace is the one record of a run, so one pass over its stored
+    events must reproduce what the recorder charged as it recorded them:
+    steps are dense, each event's `t` is the running sum of event costs
+    (``trace.COST``; a fault costs nothing), and the per-kind totals and
+    the clock equal the recorder's (and the faults the machine's fault
+    count).  A trace without one detail per event cannot be folded, and
+    is reported as that."""
+    trace = sim.trace
+    events, details = trace.events, trace.details
     if len(details) != len(events):
         return ["%d details for %d events" % (len(details), len(events))]
+    folded = dict.fromkeys(COST, 0)
     problems = []
-    t = 0
+    t = faults = 0
     for index, ((step, kind, _, _, ev_t), detail) in enumerate(
             zip(events, details)):
-        if kind in charges:
-            n = detail["units"] if kind == "work" else 1
-            folded[charges[kind]] += n
+        if kind in COST:
+            n = COST[kind] or detail["units"]
+            folded[kind] += n
             t += n
         elif kind == "fault":
-            folded["faults"] += 1
+            faults += 1
         # report the first break only; every later event inherits it
         if step != index and not problems:
             problems.append("trace steps not dense from zero (step %d at "
@@ -465,11 +461,12 @@ def check_trace_completeness(sim) -> List[str]:
         if ev_t != t and not problems:
             problems.append("step %d has t=%d, its events fold to %d"
                             % (step, ev_t, t))
-    folded["zero_bytes"] *= PAGE_SIZE
-    for counter, total in expected.items():
-        if folded[counter] != total:
-            problems.append("%s %d in the ledger vs %d folded from the trace"
-                            % (counter, total, folded[counter]))
+    folded.update(faults=faults, t=t)
+    expected = dict(trace.totals, faults=sim.machine.fault_count, t=trace.t)
+    for name, total in expected.items():
+        if folded.get(name) != total:
+            problems.append("%s %d recorded vs %s folded from the trace"
+                            % (name, total, folded.get(name)))
     return problems
 
 

@@ -25,7 +25,7 @@ its vCPU.  Every pop goes through ``_unwind``, which pops down to the lowest
 a yield pop the running vCPU, and an interrupt aimed at a vCPU deeper in the
 stack pops everything above it.  Each scheduling event (push, pop, context
 switch, hypercall and its error, work, interrupt) is recorded right here
-in the machine's trace; no observer hook sees it.
+in the machine's trace, which charges its cost; no observer hook sees it.
 
 Guest execution is cooperative.  An enclave vCPU's saved context is a Python
 generator that yields ``Work(units)`` to burn simulated time and a
@@ -80,14 +80,16 @@ class Resumption(enum.Enum):
 
 # -- guest-visible operation types -------------------------------------------
 
-@dataclass(frozen=True)
+# Plain dataclasses, built per guest step: a frozen one's __init__ calls
+# object.__setattr__ per field.  Nothing mutates or hashes them.
+@dataclass
 class Work:
     """Burn simulated time inside the guest."""
 
     units: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class Hypercall:
     pass
 
@@ -101,23 +103,23 @@ class ImageMeta:
     channel_size_pages: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class CreateEnclave(Hypercall):
     pages: Tuple[int, ...]       # primary IPA page numbers, donation order
     meta: ImageMeta              # trailing meta.channel_size_pages are channel
 
 
-@dataclass(frozen=True)
+@dataclass
 class DestroyEnclave(Hypercall):
     handle: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class InvokeEnclave(Hypercall):
     handle: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class Exit(Hypercall):
     pass
 
@@ -165,7 +167,7 @@ class Vm:
     vcpus: List[Vcpu] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass
 class DonatedPage:
     primary_ipa_page: int
     frame: int
@@ -256,7 +258,6 @@ class Hypervisor:
     # -- stack primitives -------------------------------------------------
 
     def _charge_switch(self, pcpu: Pcpu, frm: Vcpu, to: Vcpu, reason: str) -> None:
-        self.machine.ledger.ctx_switches += 1
         self.emit("ctx_switch", pcpu.id, to.name,
                   {"frm": frm.name, "to": to.name, "reason": reason})
         if to.pending_irq:
@@ -279,11 +280,12 @@ class Hypervisor:
         frm = stack[-1]
         if keep < 1:
             raise NoParent("vcpu %s has nothing underneath it" % frm.name)
+        # the member's own attribute: `value` is an enum property, a slow call
+        tag = resumption._value_
         while len(stack) > keep:
             cur = stack.pop()
             cur.last_leave = resumption
-            self.emit("pop", pcpu.id, cur.name,
-                      {"resumption": resumption.value})
+            self.emit("pop", pcpu.id, cur.name, {"resumption": tag})
         self._charge_switch(pcpu, frm, stack[-1], reason)
         return frm
 
@@ -327,7 +329,6 @@ class Hypervisor:
     # -- hypercall dispatch ---------------------------------------------------
 
     def dispatch(self, caller: Vcpu, hc: Hypercall):
-        self.machine.ledger.hypercalls += 1
         self.emit("hypercall", caller.pcpu, caller.name, _call_detail(hc))
         entry = self._CALLS.get(type(hc))
         if entry is None:
@@ -527,7 +528,6 @@ class Hypervisor:
                 if isinstance(item, Work):
                     if item.units < 0:
                         raise SimulationError("negative work")
-                    self.machine.ledger.work_units += item.units
                     self.emit("work", cur.pcpu, cur.name, {"units": item.units})
                 elif isinstance(item, Hypercall):
                     try:

@@ -4,9 +4,9 @@ All byte content lives here; every other module reads and writes frames
 through this one.  Memory is sparse: a frame holds a buffer only from its
 first write until it is next zeroed, and a frame with no buffer reads as
 zeros, so a machine costs what a run touches, not what it could address.
-Cost accounting is a set of monotonic counters; simulated time is their
-sum, one unit per charged event, per work unit and per zeroed page, so
-identical operation sequences always produce identical timelines.
+Simulated time is the trace's running total (``trace.COST``): ``now()``
+returns its ``t`` and the cost ledger is a read-only view of its per-kind
+totals, so identical operation sequences always produce identical timelines.
 """
 from __future__ import annotations
 
@@ -76,28 +76,31 @@ class MachineConfig:
                 raise ConfigError("%s %r not in %r" % (name, value, valid))
 
 
-@dataclass
+def _total(*kinds: str, scale: int = 1) -> property:
+    """A ledger field: the trace's totals of `kinds`, times `scale`."""
+    return property(lambda self: scale * sum(
+        self._trace.totals[kind] for kind in kinds))
+
+
 class CostLedger:
-    pt_ops: int = 0
-    zero_bytes: int = 0
-    ctx_switches: int = 0
-    hypercalls: int = 0
-    work_units: int = 0
+    """The cost ledger: a read-only view of a trace's per-kind totals, in
+    the five fields the cost model names.  Page-table ops count the
+    ``s2_*`` events and zeroed bytes a page per ``zero_frame`` event."""
+
+    __slots__ = ("_trace",)
+    FIELDS = ("pt_ops", "zero_bytes", "ctx_switches", "hypercalls",
+              "work_units")
+    pt_ops = _total("s2_map", "s2_unmap", "s2_protect")
+    zero_bytes = _total("zero_frame", scale=PAGE_SIZE)
+    ctx_switches = _total("ctx_switch")
+    hypercalls = _total("hypercall")
+    work_units = _total("work")
+
+    def __init__(self, trace: TraceRecorder):
+        self._trace = trace
 
     def snapshot(self) -> dict:
-        return {
-            "pt_ops": self.pt_ops,
-            "zero_bytes": self.zero_bytes,
-            "ctx_switches": self.ctx_switches,
-            "hypercalls": self.hypercalls,
-            "work_units": self.work_units,
-        }
-
-    def units(self) -> int:
-        """Total simulated time in abstract cost units: one per page-table
-        op, context switch, hypercall, work unit and zeroed page."""
-        return (self.pt_ops + self.ctx_switches + self.hypercalls
-                + self.work_units + self.zero_bytes // PAGE_SIZE)
+        return {name: getattr(self, name) for name in self.FIELDS}
 
 
 @dataclass
@@ -113,9 +116,10 @@ class PhysicalMachine:
 
     ``frames`` maps a frame number to its buffer and holds only the frames
     written since their last zeroing; every other frame of [0, n_frames)
-    reads as zeros.  Zeroing drops the buffer, and still charges a page of
-    ``zero_bytes`` and fires ``on_zero``.  ``trace`` is the run's one
-    record, stamped with the ledger's clock.
+    reads as zeros.  Zeroing drops the buffer and fires ``on_zero``, where
+    ``sim.TraceObserver`` records the ``zero_frame`` event that charges
+    the page.  ``trace`` is the run's one record and ``ledger`` a view of
+    its totals.
     """
 
     def __init__(self, config: Optional[MachineConfig] = None):
@@ -124,8 +128,8 @@ class PhysicalMachine:
         self.n_frames = self.config.frames
         self.frames: Dict[int, bytearray] = {}
         self.pcpus = [Pcpu(i) for i in range(self.config.pcpus)]
-        self.ledger = CostLedger()
-        self.trace = TraceRecorder(self.ledger.units)
+        self.trace = TraceRecorder()
+        self.ledger = CostLedger(self.trace)
         self.observers: List[Observer] = []
         # translation faults served so far (not a cost, a cross-check
         # against the trace)
@@ -163,7 +167,6 @@ class PhysicalMachine:
     def zero_frame(self, frame: int, by) -> None:
         self._check_frame(frame)
         self.frames.pop(frame, None)
-        self.ledger.zero_bytes += PAGE_SIZE
         for obs in self.observers:
             obs.on_zero(frame, by)
 
@@ -173,5 +176,5 @@ class PhysicalMachine:
         return buf is None or buf.count(0) == PAGE_SIZE
 
     def now(self) -> int:
-        """Current simulated time, derived from the ledger."""
-        return self.ledger.units()
+        """Current simulated time: the trace's running total."""
+        return self.trace.t

@@ -9,9 +9,10 @@ and timers here); the mapping and zeroing events reach the trace through
 ``TraceObserver``, on the hook points the oracles watch, named by the
 hook's `by`: the caller of the hypercall that maps or zeroes.
 
-Simulated time is the cost ledger's unit sum: one unit per charged event,
-per work unit and per zeroed page.  The trace stamps every event with it,
-and timers fire against that clock from inside the hypervisor's run loop,
+Simulated time is the trace's running total: recording an event charges
+its cost, so ``TraceObserver`` charges the table ops and zeroed pages.  It
+stays an observer while the benchmark builds its span list from its hooks.
+Timers fire against that clock from inside the hypervisor's run loop,
 which is what makes mid-command preemption deterministic.
 """
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .stage2 import Access, AccessFault, Perms, guest_access
 
 
 class TraceObserver(Observer):
-    """Bridges the memory-level hooks into trace events, one `emit` each."""
+    """Bridges the memory-level hooks into trace events, one `emit` each,
+    and so charges each table op and zeroed page."""
 
     def __init__(self, sim: "Simulation"):
         self.trace = sim.trace
@@ -78,8 +80,10 @@ class Simulation:
 
     def arm_timer(self, delay: int, pcpu_id: int = 0) -> int:
         """Schedule an interrupt for the primary vCPU of `pcpu_id` once the
-        ledger clock reaches now()+delay.  Returns the deadline."""
+        clock reaches now()+delay.  Returns the deadline."""
         self.hv.check_pcpu(pcpu_id)
+        if type(delay) is not int:      # a float deadline, or a bool
+            raise SimulationError("timer delay %r is not an int" % (delay,))
         if delay < 0:
             raise SimulationError("negative timer delay %d" % delay)
         deadline = self.now() + delay

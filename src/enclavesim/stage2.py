@@ -15,8 +15,10 @@ equal to the default is dropped, so the stored state, ``snapshot()`` and
 equality between snapshots all follow what the table maps.
 
 Page-table maintenance (map / unmap / permission change) is done for a
-vCPU, `by`, which the hooks name, and charges one ``pt_ops`` ledger unit
-per entry update.  A lookup is free and pure.
+vCPU, `by`, which the hooks name.  Each entry update costs one ``pt_ops``
+unit, charged when its ``s2_*`` event is recorded: ``sim.TraceObserver``
+records it from the hook, so a bare machine's table ops charge nothing.
+A lookup is free and pure.
 """
 from __future__ import annotations
 
@@ -112,7 +114,6 @@ class Stage2Table:
             del entries[ipa_page]       # back to the default
         else:
             entries[ipa_page] = frame, perms
-        self.machine.ledger.pt_ops += 1
         for obs in self.machine.observers:
             obs.on_map(self.owner_vm, ipa_page, frame, perms, by)
 
@@ -127,7 +128,6 @@ class Stage2Table:
             entries[ipa_page] = None    # an exception to the default
         else:
             del entries[ipa_page]
-        self.machine.ledger.pt_ops += 1
         for obs in self.machine.observers:
             obs.on_unmap(self.owner_vm, ipa_page, frame, by)
         return frame
@@ -146,7 +146,6 @@ class Stage2Table:
             entries.pop(ipa_page, None)     # back to the default
         else:
             entries[ipa_page] = frame, perms
-        self.machine.ledger.pt_ops += 1
         for obs in self.machine.observers:
             obs.on_protect(self.owner_vm, ipa_page, frame, old, perms, by)
         return old

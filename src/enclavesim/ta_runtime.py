@@ -106,6 +106,9 @@ class TaContext:
 Handler = Callable[[TaContext, bytes], GuestProgram]
 
 
+_EXIT = Exit()      # one shared step: an Exit carries nothing
+
+
 def standard_loop(ctx: TaContext,
                   handlers: Dict[int, Handler]) -> GuestProgram:
     """Serve forever: take a request, run its handler, publish the reply,
@@ -125,7 +128,7 @@ def standard_loop(ctx: TaContext,
             ctx.channel.complete_error()
         else:
             ctx.channel.complete(ret if ret is not None else b"")
-        yield Exit()
+        yield _EXIT
 
 
 # -- registry -----------------------------------------------------------------

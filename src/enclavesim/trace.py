@@ -4,7 +4,9 @@ Every hypervisor-visible action (mapping changes, zeroing, context switches,
 hypercalls, faults, channel transitions) is recorded as one event carrying
 its step, which is its index in the trace, and the simulated time ``t``
 right after the event's own cost was charged.  The trace is the one record
-of a run: the cost ledger is a fold over its events.  Two runs of the same
+of a run and simulated time is its running total: ``emit`` charges each
+event's ``COST`` to ``t`` and its kind's ``totals`` as it records it, and
+the cost ledger is a view of those totals.  Two runs of the same
 scenario must serialize byte-for-byte identically, so details contain only
 ints, strings, bools, None and nested dicts/lists/tuples of those.  A
 recorded event is an immutable tuple and is never changed.
@@ -61,7 +63,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 _LINE = '{"detail":%s,"event":%s,"pcpu":%d,"step":%d,"t":%d,"vcpu":%s}\n'
 _encode_detail = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -71,18 +73,30 @@ BLOCK = 256     # events serialized per encoder call
 # (step, kind, pcpu, vcpu, t): atoms only, so the collector untracks it
 TraceEvent = Tuple[int, str, int, Optional[str], int]
 
+# simulated cost of each charged event kind, 1 unit or (None) the detail's
+# ``units``; every other kind costs nothing
+COST = {"s2_map": 1, "s2_unmap": 1, "s2_protect": 1, "zero_frame": 1,
+        "ctx_switch": 1, "hypercall": 1, "work": None}
+
 
 @dataclass
 class TraceRecorder:
-    clock: Callable[[], int]    # simulated time, read once per event
     events: List[TraceEvent] = field(default_factory=list)
     details: List[Dict[str, Any]] = field(default_factory=list)  # by step
+    t: int = 0      # simulated time: every cost charged so far
+    totals: Dict[str, int] = field(     # cost charged per kind in COST
+        default_factory=lambda: dict.fromkeys(COST, 0))
 
     def emit(self, kind: str, pcpu: int, vcpu: Optional[str],
              detail: Dict[str, Any]) -> None:
-        """Record one event; `detail` is stored as given, not copied."""
+        """Charge the event's cost and record it; `detail` is stored as
+        given, not copied."""
+        if kind in COST:
+            cost = COST[kind] or detail["units"]
+            self.totals[kind] += cost
+            self.t += cost
         details = self.details
-        self.events.append((len(details), kind, pcpu, vcpu, self.clock()))
+        self.events.append((len(details), kind, pcpu, vcpu, self.t))
         details.append(detail)
 
     def count(self, kind: str) -> int:

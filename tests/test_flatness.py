@@ -1,15 +1,17 @@
 """Work per operation stays flat: the Python bytecodes an echo lifecycle
-or invoke executes do not grow with run history, machine size, the number
-of other enclaves held or the payload size, and do not depend on the pCPU
-it runs on.  Each test compares two counts taken in one run, so host speed
-cannot move the verdict."""
+or invoke executes, and the Python calls an invoke makes, do not grow with
+run history, machine size, the number of other enclaves held or the
+payload size, and do not depend on the pCPU it runs on.  Each test
+compares two counts taken in one run, so host speed cannot move the
+verdict."""
 from enclavesim.guest_os import EnclaveDriver
 from enclavesim.harness import WriteConfinementOracle
+from enclavesim.hypervisor import Hypercall, Work
 from enclavesim.machine import MachineConfig
 from enclavesim.sim import Simulation
 from enclavesim.ta_runtime import image_for_pages
 
-from bytecodes import count_bytecodes
+from bytecodes import count_bytecodes, count_calls
 
 ECHO = image_for_pages("echo", 3, 1)
 
@@ -22,6 +24,11 @@ def _lifecycle(driver):
     fd = driver.create(ECHO)
     driver.invoke(fd, 0, bytes(64))
     driver.destroy(fd)
+
+
+def _counts(fn, *args):
+    """The bytecodes and the Python calls of one call of `fn(*args)`."""
+    return count_bytecodes(fn, *args), count_calls(fn, *args)
 
 
 def _warm_enclave(driver, pcpu=0):
@@ -48,17 +55,17 @@ def test_lifecycle_count_does_not_grow_with_frames():
 def test_invoke_count_does_not_grow_with_held_enclaves():
     driver = _driver()
     fd = _warm_enclave(driver)
-    alone = count_bytecodes(driver.invoke, fd, 0, bytes(64))
+    alone = _counts(driver.invoke, fd, 0, bytes(64))
     for _ in range(12):
         driver.create(ECHO)
-    assert count_bytecodes(driver.invoke, fd, 0, bytes(64)) == alone
+    assert _counts(driver.invoke, fd, 0, bytes(64)) == alone
 
 
 def test_invoke_count_does_not_grow_with_payload():
     driver = _driver()
     fd = _warm_enclave(driver)
-    one = count_bytecodes(driver.invoke, fd, 0, bytes(1))
-    assert count_bytecodes(driver.invoke, fd, 0, bytes(4000)) == one
+    one = _counts(driver.invoke, fd, 0, bytes(1))
+    assert _counts(driver.invoke, fd, 0, bytes(4000)) == one
 
 
 def test_invoke_count_does_not_depend_on_the_pcpu():
@@ -72,5 +79,20 @@ def test_invoke_count_does_not_depend_on_the_pcpu():
         driver = EnclaveDriver(sim)
         fd = _warm_enclave(driver, pcpu)
         sim.hv.schedule_vcpu(1 - pcpu, sim.hv.make_aux_vcpu(1 - pcpu))
-        counts.append(count_bytecodes(driver.invoke, fd, 0, bytes(64)))
+        counts.append(_counts(driver.invoke, fd, 0, bytes(64)))
     assert counts[1] == counts[0]
+
+
+def test_invoke_makes_no_more_python_calls_than_it_needs():
+    """A warm 64 B echo invoke makes 82 Python calls.  Its parent made 98:
+    a ledger sum to stamp each of its 9 events, a property for each of 4
+    capacity checks, an enum property for each of 2 pops and a new Exit.
+    A property that creeps back onto the round trip fails here.  A frozen
+    dataclass's __init__ sets each field through object.__setattr__, a C
+    call no Python count sees, so the step types are checked directly."""
+    driver = _driver()
+    fd = _warm_enclave(driver)
+    calls = count_calls(driver.invoke, fd, 0, bytes(64))
+    assert sum(calls.values()) <= 82, calls
+    assert not [cls for cls in (Work, *Hypercall.__subclasses__())
+                if cls.__dataclass_params__.frozen]

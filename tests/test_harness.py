@@ -25,6 +25,7 @@ from enclavesim.harness import (
     fuzz_stack_ops,
     parse_scenario,
     run_attacks,
+    run_bench,
     run_scenario,
     run_scenario_text,
     sabotage_teardown,
@@ -340,9 +341,14 @@ def test_trace_completeness_detects_tampering():
     fd = driver.create(image_for_pages("echo", 3, 1))
     driver.invoke(fd, 0, b"x")
     assert check_trace_completeness(sim) == []
-    sim.machine.ledger.hypercalls += 1
+    sim.trace.totals["hypercall"] += 1
     assert any("hypercall" in p for p in check_trace_completeness(sim))
-    sim.machine.ledger.hypercalls -= 1
+    sim.trace.totals["hypercall"] -= 1
+    sim.trace.t += 1
+    assert check_trace_completeness(sim) == [
+        "t %d recorded vs %d folded from the trace" % (sim.now(),
+                                                       sim.now() - 1)]
+    sim.trace.t -= 1
     events, details = sim.trace.events, sim.trace.details
     step, kind, pcpu, vcpu, t = events[5]
     events[5] = (step, kind, pcpu, vcpu, t + 1)
@@ -1039,6 +1045,18 @@ def test_attack_breaches_on_residue_behind_a_reported_zeroing(monkeypatch,
     assert not result.ok
     assert result.notes[0].startswith("line 14: 32768 payload bytes "
                                       "!= expected 32768, from byte ")
+
+
+def test_bench_means_are_the_cost_models():
+    """Per size n: create charges its hypercall and two table ops a page,
+    destroy also zeroes each page, and an echo invoke costs 5 units, with
+    the mapping and zeroing events recorded."""
+    report = run_bench(sizes=(16, 64), reps=2)
+    assert {size: {op: stats.mean for op, stats in per.items()}
+            for size, per in report.stats.items()} == {
+        n: {"create": 2 * n + 1, "invoke": 5, "destroy": 3 * n + 1}
+        for n in (16, 64)}
+    assert report.deterministic()
 
 
 def test_cli_bench_small(capsys):

@@ -1,4 +1,6 @@
 """Hypervisor: donation mechanics, privilege split, vCPU stacking, teardown."""
+import re
+
 import pytest
 
 from enclavesim.channel import ChannelStatus
@@ -505,6 +507,21 @@ def test_arm_timer_rejects_a_negative_delay():
     sim.check_timers()
     assert len(sim.trace.events) == events and sim.now() == now
     assert sim.arm_timer(0) == now
+
+
+@pytest.mark.parametrize("delay", [2.5, "3", True], ids=repr)
+def test_arm_timer_rejects_a_delay_that_is_not_an_int(delay):
+    """A deadline is an int in the trace: a float, a string or a bool delay
+    raises the negative delay's error before any event or queued timer."""
+    sim = boot()
+    events, now = len(sim.trace.events), sim.now()
+    with pytest.raises(SimulationError,
+                       match="^timer delay %s is not an int$"
+                       % re.escape(repr(delay))):
+        sim.arm_timer(delay)
+    assert len(sim.trace.events) == events and sim._timers == []
+    sim.check_timers()
+    assert len(sim.trace.events) == events and sim.now() == now
 
 
 def test_aux_vms_are_named_by_vmid():

@@ -10,6 +10,7 @@ from enclavesim.machine import (
     PhysicalMachine,
 )
 from enclavesim.sim import Simulation
+from enclavesim.trace import TraceRecorder
 
 # the acting vCPU, which the machine only hands on to its observers
 BY = object()
@@ -39,7 +40,9 @@ def test_zero_frame(machine):
     machine.write_frame(2, 0, b"\xff" * PAGE_SIZE, BY, False)
     machine.zero_frame(2, BY)
     assert machine.frame_is_zero(2)
-    assert machine.ledger.zero_bytes == PAGE_SIZE
+    # the page is charged when its zero_frame event is recorded, which a
+    # bare machine, without the simulation's TraceObserver, does not do
+    assert machine.ledger.zero_bytes == 0 and machine.trace.events == []
 
 
 def test_bounds_checking(machine):
@@ -71,28 +74,53 @@ def test_write_observer_carries_data(machine):
                     ("zero", 1, BY)]
 
 
+def _charge(trace, counts):
+    """Record `counts[kind]` events of each kind; a work event of 1 unit."""
+    for kind, n in counts.items():
+        for _ in range(n):
+            trace.emit(kind, 0, None, {"units": 1} if kind == "work" else {})
+
+
 def test_ledger_units_weighted():
-    ledger = CostLedger(pt_ops=3, zero_bytes=2 * PAGE_SIZE, ctx_switches=5,
-                        hypercalls=7, work_units=11)
-    assert ledger.units() == 3 + 2 + 5 + 7 + 11
+    """Each field counts a unit per event, and zeroed bytes a page; the
+    clock is the sum of the units."""
+    trace = TraceRecorder()
+    _charge(trace, {"s2_map": 1, "s2_unmap": 1, "s2_protect": 1,
+                    "zero_frame": 2, "ctx_switch": 5, "hypercall": 7,
+                    "work": 11, "fault": 13, "push": 17})
+    assert CostLedger(trace).snapshot() == {
+        "pt_ops": 3, "zero_bytes": 2 * PAGE_SIZE, "ctx_switches": 5,
+        "hypercalls": 7, "work_units": 11}
+    assert trace.t == 3 + 2 + 5 + 7 + 11
 
 
 def test_ledger_snapshot_and_reset():
-    ledger = CostLedger(pt_ops=1, zero_bytes=2, ctx_switches=3, hypercalls=4,
-                        work_units=5)
+    """The ledger is a read-only view: no field can be set, and it follows
+    the trace, while a snapshot is a copy."""
+    trace = TraceRecorder()
+    ledger = CostLedger(trace)
+    _charge(trace, {"s2_map": 1, "zero_frame": 2, "ctx_switch": 3,
+                    "hypercall": 4, "work": 5})
     snap = ledger.snapshot()
-    assert snap == {"pt_ops": 1, "zero_bytes": 2, "ctx_switches": 3,
-                    "hypercalls": 4, "work_units": 5}
-    ledger.pt_ops = 9
-    assert ledger.units() == 21
-    # the snapshot is a copy, not a view
+    assert snap == {"pt_ops": 1, "zero_bytes": 2 * PAGE_SIZE,
+                    "ctx_switches": 3, "hypercalls": 4, "work_units": 5}
+    for name in snap:
+        with pytest.raises(AttributeError):
+            setattr(ledger, name, 9)
+    _charge(trace, {"s2_unmap": 8})
+    assert ledger.pt_ops == 9 and trace.t == 23
     assert snap["pt_ops"] == 1
 
 
-def test_now_is_ledger_units(machine):
+def test_now_is_ledger_units():
+    """The clock is the trace's running total: a simulation's zeroed page
+    costs one unit, charged as its zero_frame event is recorded."""
+    sim = Simulation(MachineConfig(frames=8, os_reserved_pages=0))
+    machine = sim.machine
     before = machine.now()
-    machine.zero_frame(0, BY)
-    assert machine.now() == before + 1  # one unit per zeroed page
+    machine.zero_frame(0, sim.primary_vcpu())
+    assert machine.now() == before + 1 == machine.trace.events[-1][4]
+    assert machine.ledger.zero_bytes == PAGE_SIZE
 
 
 @pytest.mark.parametrize("config", [
@@ -109,12 +137,15 @@ def test_bad_config_is_a_config_error(config):
             build(config)
 
 
-def test_frames_hold_buffers_only_between_write_and_zero(machine):
+def test_frames_hold_buffers_only_between_write_and_zero():
+    sim = Simulation(MachineConfig(frames=8, os_reserved_pages=0))
+    machine, by = sim.machine, sim.primary_vcpu()
     assert machine.frames == {}
     assert machine.read_frame(5, 10, 3) == bytes(3)
-    machine.write_frame(5, 10, b"abc", BY, False)
+    machine.write_frame(5, 10, b"abc", by, False)
     assert set(machine.frames) == {5}
-    machine.zero_frame(5, BY)
-    machine.zero_frame(6, BY)
+    machine.zero_frame(5, by)
+    machine.zero_frame(6, by)
     assert machine.frames == {}
+    # a frame that held no buffer is still zeroed, and charged, as a page
     assert machine.ledger.zero_bytes == 2 * PAGE_SIZE

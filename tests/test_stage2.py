@@ -19,6 +19,7 @@ from enclavesim.machine import (
     Observer,
     PhysicalMachine,
 )
+from enclavesim.sim import Simulation
 from enclavesim.stage2 import (
     PERM_RO,
     PERM_RW,
@@ -40,6 +41,13 @@ def machine():
 @pytest.fixture
 def table(machine):
     return Stage2Table(0, machine)
+
+
+@pytest.fixture
+def traced():
+    """A simulation's machine: its TraceObserver records, and so charges,
+    each table op."""
+    return Simulation(MachineConfig(frames=16, os_reserved_pages=0)).machine
 
 
 # the acting vCPU of a table op, which the table only hands on to its hooks
@@ -83,12 +91,13 @@ def test_mapping_errors(machine, table):
         table.protect(0, Perms(), BY)
 
 
-def test_translate_returns_fault_values(machine, table):
+def test_translate_returns_fault_values(traced):
     """A failed translation is a fault value, not an exception: an unmapped
     page, or a mapped one without the bit the access needs.  Each fault is
     counted; a lookup, and so a translation, charges no table op."""
-    table.map(0, 3, PERM_RO, BY)
+    machine, table = traced, Stage2Table(5, traced)
     vcpu = _vcpu(table)
+    table.map(0, 3, PERM_RO, vcpu)
     fault, touched = guest_access(machine, table, 1 << 12, Access.READ,
                                   length=1, by=vcpu)
     assert isinstance(fault, AccessFault) and touched == []
@@ -105,11 +114,21 @@ def test_translate_returns_fault_values(machine, table):
     assert machine.fault_count == 3
 
 
-def test_each_table_op_costs_one(machine, table):
+def test_each_table_op_costs_one(machine, table, traced):
+    """A table op costs one unit once its event is recorded; a bare
+    machine records none, so its table ops charge nothing."""
     table.map(0, 1, PERM_RW, BY)
     table.protect(0, PERM_RO, BY)
     table.unmap(0, BY)
-    assert machine.ledger.pt_ops == 3
+    assert machine.ledger.pt_ops == 0 and machine.now() == 0
+    table = Stage2Table(5, traced)
+    by = _vcpu(table)
+    table.map(0, 1, PERM_RW, by)
+    table.protect(0, PERM_RO, by)
+    table.unmap(0, by)
+    assert traced.ledger.pt_ops == 3 and traced.now() == 3
+    assert [ev[1] for ev in traced.trace.events[-3:]] == [
+        "s2_map", "s2_protect", "s2_unmap"]
 
 
 def test_protect_returns_old_perms(machine, table):
@@ -168,24 +187,25 @@ def test_snapshot_is_a_copy(machine, table):
     assert table.snapshot() == {}
 
 
-def test_identity_table_stores_only_its_exceptions(machine):
-    table = Stage2Table(0, machine, identity=True)
+def test_identity_table_stores_only_its_exceptions(traced):
+    machine, table = traced, Stage2Table(5, traced, identity=True)
+    by = _vcpu(table)
     assert table.snapshot() == {} and len(table) == 16
     assert table.lookup(0) == (0, PERM_RWX)
     assert table.lookup(15) == (15, PERM_RWX)
     assert table.lookup(16) is None
     assert table.lookup(-1) is None
     assert guest_access(machine, table, (3 << PAGE_SHIFT) + 9, Access.WRITE,
-                        data=b"id", by=_vcpu(table)) == (b"", [(3, 3)])
+                        data=b"id", by=by) == (b"", [(3, 3)])
     assert machine.read_frame(3, 9, 2) == b"id"
     with pytest.raises(AlreadyMapped):
-        table.map(3, 3, PERM_RWX, BY)
-    assert table.unmap(3, BY) == 3
-    assert table.protect(5, PERM_RW, BY) == PERM_RWX
-    assert table.protect(6, PERM_RO, BY) == PERM_RWX
-    assert table.unmap(7, BY) == 7
-    table.map(7, 9, PERM_RW, BY)
-    table.map(20, 7, PERM_RO, BY)
+        table.map(3, 3, PERM_RWX, by)
+    assert table.unmap(3, by) == 3
+    assert table.protect(5, PERM_RW, by) == PERM_RWX
+    assert table.protect(6, PERM_RO, by) == PERM_RWX
+    assert table.unmap(7, by) == 7
+    table.map(7, 9, PERM_RW, by)
+    table.map(20, 7, PERM_RO, by)
     assert table.snapshot() == {3: None, 5: (5, PERM_RW), 6: (6, PERM_RO),
                                 7: (9, PERM_RW), 20: (7, PERM_RO)}
     assert len(table) == 16
@@ -198,14 +218,14 @@ def test_identity_table_stores_only_its_exceptions(machine):
     assert table.lookup(4) == (4, PERM_RWX)
     assert table.lookup(-1) is None
     with pytest.raises(NotMapped):
-        table.unmap(3, BY)
+        table.unmap(3, by)
     # an entry equal to the default is no exception
-    table.map(3, 3, PERM_RWX, BY)
-    table.protect(5, PERM_RWX, BY)
-    table.protect(6, PERM_RWX, BY)
-    table.unmap(7, BY)
-    table.map(7, 7, PERM_RWX, BY)
-    table.unmap(20, BY)
+    table.map(3, 3, PERM_RWX, by)
+    table.protect(5, PERM_RWX, by)
+    table.protect(6, PERM_RWX, by)
+    table.unmap(7, by)
+    table.map(7, 7, PERM_RWX, by)
+    table.unmap(20, by)
     assert table.snapshot() == {} and len(table) == 16
     assert machine.ledger.pt_ops == 12
 

@@ -25,13 +25,12 @@ from enclavesim.hypervisor import (
 from enclavesim.machine import PAGE_SIZE, MachineConfig, Observer
 from enclavesim.sim import Simulation
 from enclavesim.ta_runtime import image_for
-from enclavesim.trace import BLOCK, TraceRecorder
+from enclavesim.trace import BLOCK, COST, TraceRecorder
 
 
 def _recorder(*events):
     """A recorder holding `events`, (kind, pcpu, vcpu, detail) each."""
-    clock = iter(range(0, 10**6, 37))
-    rec = TraceRecorder(lambda: next(clock))
+    rec = TraceRecorder()
     for kind, pcpu, vcpu, detail in events:
         rec.emit(kind, pcpu, vcpu, detail)
     return rec
@@ -54,7 +53,7 @@ CASES = {
         ("push", 0, "café", {}), ("push", 2, "bell\x07", {})),
     "details": lambda: _recorder(
         ("work", 0, "primary.v0", {
-            "nested": {"z": 1, "a": {"y": [1, 2], "b": None}},
+            "units": 37, "nested": {"z": 1, "a": {"y": [1, 2], "b": None}},
             "list": [3, "x", {"k": True}], "tuple": (4, 5), "yes": True,
             "no": False, "none": None, "neg": -17,
             "text": "naïve ☃", "café": "\U0001f600"})),
@@ -62,14 +61,16 @@ CASES = {
     # a "},{" inside a detail makes the block's cut give too many pieces,
     # so these blocks are encoded one detail at a time
     "boundary-in-string": lambda: _recorder(
-        ("work", 0, None, {"a": 1}), ("work", 0, None, {"s": "x},{y"}),
-        ("work", 0, None, {"b": 2})),
+        ("work", 0, None, {"units": 1, "a": 1}),
+        ("work", 0, None, {"units": 2, "s": "x},{y"}),
+        ("work", 0, None, {"units": 3, "b": 2})),
     "nested-list-of-dicts": lambda: _recorder(
-        ("work", 0, None, {"l": [{"a": 1}, {"b": 2}]}),
-        ("work", 0, None, {})),
+        ("work", 0, None, {"units": 4, "l": [{"a": 1}, {"b": 2}]}),
+        ("push", 0, None, {})),
     "three-blocks": lambda: _recorder(*(
         ("work", i % 2, "primary.v0",
-         {"l": [{"a": i}, {}]} if i == BLOCK + BLOCK // 2 else {"units": i})
+         {"units": i, "l": [{"a": i}, {}]} if i == BLOCK + BLOCK // 2
+         else {"units": i})
         for i in range(600))),
 }
 
@@ -113,6 +114,42 @@ def test_trace_events_are_immutable():
     assert type(ev) is tuple
     with pytest.raises(TypeError):
         ev[4] = ev[4] + 1
+
+
+def test_emit_charges_each_kinds_cost():
+    """Recording an event charges its kind's cost to the clock and that
+    kind's total: one unit per table op, zeroed page, context switch and
+    hypercall, the units of a work step, nothing for any other kind."""
+    rec = TraceRecorder()
+    for kind in COST:
+        rec.emit(kind, 0, None, {"units": 4} if kind == "work" else {})
+    for kind in ("fault", "push", "channel"):
+        rec.emit(kind, 0, None, {})
+    assert rec.totals == dict.fromkeys(COST, 1) | {"work": 4}
+    assert rec.t == len(COST) - 1 + 4
+    assert [ev[4] for ev in rec.events] == [1, 2, 3, 4, 5, 6, 10, 10, 10, 10]
+
+
+def test_ledger_is_the_fold_of_the_stored_events():
+    """After a create, an invoke and a destroy, the ledger reads what a fold
+    of the stored events charges, and the clock reads the last event's
+    `t`."""
+    sim = Simulation(MachineConfig(frames=256))
+    driver = EnclaveDriver(sim)
+    fd = driver.create(image_for("echo"))
+    driver.invoke(fd, 0, b"hi")
+    driver.destroy(fd)
+    folded = dict.fromkeys(COST, 0)
+    for step, kind, _, _, _ in sim.trace.events:
+        if kind in COST:
+            folded[kind] += COST[kind] or sim.trace.details[step]["units"]
+    assert sim.machine.ledger.snapshot() == {
+        "pt_ops": folded["s2_map"] + folded["s2_unmap"]
+        + folded["s2_protect"],
+        "zero_bytes": folded["zero_frame"] * PAGE_SIZE,
+        "ctx_switches": folded["ctx_switch"],
+        "hypercalls": folded["hypercall"], "work_units": folded["work"]}
+    assert sim.now() == sim.trace.events[-1][4] == sum(folded.values())
 
 
 def test_stored_events_leave_the_collector_and_details_align():
