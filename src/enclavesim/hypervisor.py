@@ -300,8 +300,9 @@ class Hypervisor:
     # -- interrupts ---------------------------------------------------------
 
     def check_pcpu(self, pcpu_id: int) -> None:
-        if not 0 <= pcpu_id < len(self.machine.pcpus):
-            raise SimulationError("no pcpu %d" % pcpu_id)
+        # an exact int: a float or a bool id would reach the trace
+        if type(pcpu_id) is not int or not 0 <= pcpu_id < len(self.machine.pcpus):
+            raise SimulationError("no pcpu %r" % (pcpu_id,))
 
     def deliver_interrupt(self, pcpu_id: int, target: Vcpu) -> str:
         """Route an interrupt to `target`.  If the target sits below the
@@ -526,6 +527,9 @@ class Hypervisor:
                 item = (gen.throw(value) if isinstance(value, HypercallError)
                         else gen.send(value))
                 if isinstance(item, Work):
+                    if type(item.units) is not int:    # a float, or a bool
+                        raise SimulationError("work units %r are not an int"
+                                              % (item.units,))
                     if item.units < 0:
                         raise SimulationError("negative work")
                     self.emit("work", cur.pcpu, cur.name, {"units": item.units})

@@ -42,21 +42,29 @@ One event is one line, its six keys in sorted order and no spaces:
 
 The line equals ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
 of that record.  Only ``detail`` goes through the JSON encoder; the fixed
-keys are written directly, with strings escaped as ``json.dumps`` escapes
-them (ASCII only) and a missing vCPU written as ``null``.
+keys are written directly by one f-string, kinds and vCPU names escaped as
+``json.dumps`` escapes them (ASCII only), each quoted once per call, and a
+missing vCPU as ``null``.  ``pcpu``, ``step`` and ``t`` are written with
+``str()``, so they are exact ints: ``step`` is an index,
+``Hypervisor.check_pcpu`` refuses a float or bool pCPU id at every entry
+point that takes one (``arm_timer``, ``primary_vcpu`` and so the driver's
+``create``, ``deliver_interrupt``, the raw scheduling calls), and the run
+loop refuses work units that are not an exact int.
 
 The trace is serialized in blocks of ``BLOCK`` events, one encoder call per
-block.  A block's details are encoded together as one JSON array; with its
-outer ``[`` and ``]`` stripped, the text is cut at each ``},{`` into one
-piece per event.  The cut is exact whenever it gives exactly as many pieces
-as the block has events: the encoder escapes to ASCII, so its output holds
-no raw newline to confuse the split, and the n-1 top-level boundaries
-between the n detail dicts are always there, so a ``},{`` inside a detail (a
+block.  A block's details are encoded together as one JSON array; with the
+array's ``[{`` and ``}]`` stripped, the text is cut at each ``},{`` into one
+piece per event, the body of its detail without its braces.  The cut is
+exact whenever it gives exactly as many pieces as the block has events: the
+n-1 top-level boundaries between the n detail dicts are always there, and
+two occurrences of ``},{`` cannot overlap, so a ``},{`` inside a detail (a
 nested list of dicts, or a string holding those three characters) can only
 add pieces.  A block whose piece count differs is encoded one detail at a
-time with the same encoder.  ``to_jsonl`` joins the blocks, and
-``write_jsonl`` writes them to the file one by one, so neither builds a
-list of every line.
+time with the same encoder.  The encoder keeps no record of the containers
+it is inside: details are fresh dicts of atoms and nested containers, so
+they hold no cycle, and a cyclic one would still fail, with
+``RecursionError``.  ``to_jsonl`` joins the blocks, and ``write_jsonl``
+writes them to the file one by one, so neither builds a list of every line.
 """
 from __future__ import annotations
 
@@ -65,9 +73,19 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-_LINE = '{"detail":%s,"event":%s,"pcpu":%d,"step":%d,"t":%d,"vcpu":%s}\n'
-_encode_detail = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_encode_detail = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  check_circular=False).encode
 BLOCK = 256     # events serialized per encoder call
+
+
+class _Quoted(dict):
+    """Event kinds and vCPU names as JSON strings, ``null`` for None, each
+    quoted on first use; one per serialization, so it holds one trace's
+    names."""
+
+    def __missing__(self, name: Optional[str]) -> str:
+        text = self[name] = "null" if name is None else _quote(name)
+        return text
 
 
 # (step, kind, pcpu, vcpu, t): atoms only, so the collector untracks it
@@ -105,16 +123,17 @@ class TraceRecorder:
     def _blocks(self) -> Iterator[str]:
         """The JSONL text of each block of `BLOCK` events, in order."""
         events, all_details = self.events, self.details
+        quoted = _Quoted()
         for i in range(0, len(events), BLOCK):
             block = events[i:i + BLOCK]
             details = [all_details[ev[0]] for ev in block]
-            pieces = _encode_detail(details)[1:-1].replace(
-                "},{", "}\n{").split("\n")
+            pieces = _encode_detail(details)[2:-2].split("},{")
             if len(pieces) != len(block):   # a "},{" inside some detail
-                pieces = [_encode_detail(detail) for detail in details]
+                pieces = [_encode_detail(detail)[1:-1] for detail in details]
             yield "".join([
-                _LINE % (text, _quote(kind), pcpu, step, t,
-                         "null" if vcpu is None else _quote(vcpu))
+                f'{{"detail":{{{text}}},"event":{quoted[kind]},'
+                f'"pcpu":{pcpu},"step":{step},"t":{t},'
+                f'"vcpu":{quoted[vcpu]}}}\n'
                 for text, (step, kind, pcpu, vcpu, t) in zip(pieces, block)
             ])
 

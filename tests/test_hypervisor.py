@@ -558,6 +558,29 @@ def test_arm_timer_rejects_a_missing_pcpu(pcpu):
     assert not sim.hv.enclaves
 
 
+@pytest.mark.parametrize("pcpu", [0.0, True], ids=repr)
+@pytest.mark.parametrize("entry", ["timer", "interrupt", "primary"])
+def test_a_pcpu_id_that_is_not_an_int_is_refused(entry, pcpu):
+    """A float or a bool names no pCPU, even one equal to a pCPU's id: it is
+    refused before any event or queued timer, and a later invoke on the same
+    pCPU runs to the end."""
+    sim = boot(pcpus=2)
+    driver = EnclaveDriver(sim)
+    fd = driver.create(image_for_pages("spinner", 4, 1))
+    target = sim.primary_vcpu(int(pcpu))
+    calls = {"timer": lambda: sim.arm_timer(3, pcpu),
+             "interrupt": lambda: sim.hv.deliver_interrupt(pcpu, target),
+             "primary": lambda: sim.primary_vcpu(pcpu)}
+    events = len(sim.trace.events)
+    with pytest.raises(SimulationError,
+                       match="^no pcpu %s$" % re.escape(repr(pcpu))):
+        calls[entry]()
+    assert len(sim.trace.events) == events and sim._timers == []
+    status, reply = driver.invoke(fd, 1, bytes.fromhex("0200000004000000"))
+    assert (status, reply) == (ChannelStatus.DONE, b"spun")
+    assert {type(pcpu) for _, _, pcpu, _, _ in sim.trace.events} == {int}
+
+
 @pytest.mark.parametrize("pcpu", [-1, 2], ids=["minus-one", "pcpus"])
 def test_driver_rejects_a_missing_pcpu(pcpu):
     sim = boot(pcpus=2)
@@ -610,6 +633,32 @@ def test_program_falling_off_the_end_pops_without_exit_call():
     step, kind, _, _, _ = sim.trace.events[-1]
     assert kind == "ctx_switch" \
         and sim.trace.details[step]["reason"] == "finish"
+
+
+@pytest.mark.parametrize("units", [2.5, True, "3"], ids=repr)
+def test_run_loop_refuses_work_units_that_are_not_an_int(units):
+    """Work units are charged to the clock, which the trace writes as an
+    int: a float, a bool or a string is refused through the finish unwind,
+    before any work event, and the invoker is running again."""
+    def loader(first_page):
+        def factory(rec):
+            def prog():
+                yield Work(units)
+            return prog()
+        return factory
+
+    sim = Simulation(MachineConfig(frames=64), program_loader=loader)
+    primary = sim.primary_vcpu(0)
+    handle = sim.hv.create_enclave(primary, (40, 41), ImageMeta(1, 1))
+    events = len(sim.trace.events)
+    with pytest.raises(SimulationError, match="^work units %s are not an int$"
+                       % re.escape(repr(units))):
+        sim.hv.invoke_enclave(primary, handle)
+    assert sim.hv.stack_of(0) == [primary]
+    kinds = [kind for _, kind, _, _, _ in sim.trace.events[events:]]
+    assert "work" not in kinds and kinds[-1] == "ctx_switch"
+    assert sim.trace.details[-1]["reason"] == "finish"
+    assert type(sim.now()) is int
 
 
 def test_program_that_raises_leaves_through_the_finish_unwind():

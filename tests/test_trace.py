@@ -9,6 +9,8 @@ import json
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enclavesim.channel import CHANNEL_HEADER, HEADER_LEN, ChannelStatus
 from enclavesim.guest_os import EnclaveDriver
@@ -75,18 +77,69 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("build", CASES.values(), ids=CASES.keys())
-def test_to_jsonl_equals_sorted_compact_json_dumps(build):
-    trace = build()
-    want = "".join(
+def _dumps(trace):
+    """The trace's JSONL by compact, sorted-key json.dumps of each record."""
+    return "".join(
         json.dumps({"step": step, "event": kind, "pcpu": pcpu,
                     "vcpu": vcpu, "detail": trace.details[step], "t": t},
                    sort_keys=True, separators=(",", ":")) + "\n"
         for step, kind, pcpu, vcpu, t in trace.events)
+
+
+@pytest.mark.parametrize("build", CASES.values(), ids=CASES.keys())
+def test_to_jsonl_equals_sorted_compact_json_dumps(build):
+    trace = build()
     got = trace.to_jsonl()
-    assert got == want
+    assert got == _dumps(trace)
     if not trace.events:
         assert got == ""
+
+
+# strings that look like the serializer's cut, or need escaping
+_texts = st.sampled_from(["},{", "x},{y", "}", "{", "", 'q"', "naïve ☃",
+                          "\U0001f600", "bell\x07"]) | st.text(max_size=6)
+_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _texts,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(_texts, inner, max_size=3)),
+    max_leaves=8)
+_events = st.tuples(
+    st.sampled_from(["push", "s2_map", "channel"]) | _texts.filter(
+        lambda kind: kind not in COST),
+    st.integers(0, 3), st.none() | _texts,
+    st.dictionaries(_texts, _values, max_size=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pool=st.lists(_events, min_size=1, max_size=6),
+       n=st.integers(0, 2 * BLOCK + 2),
+       empty=st.sets(st.sampled_from([0, BLOCK - 1, BLOCK, 2 * BLOCK])))
+def test_drawn_traces_serialize_as_json_dumps_whole_and_in_slices(
+        pool, n, empty):
+    """Drawn details, kinds and vCPU names, with empty details at the block
+    edges in `empty`, serialize as json.dumps does; serializing 256-event
+    slices of the events, as the benchmark times it, gives the whole."""
+    trace = TraceRecorder()
+    for i in range(n):
+        kind, pcpu, vcpu, detail = pool[i % len(pool)]
+        trace.emit(kind, pcpu, vcpu, {} if i in empty else detail)
+    whole = trace.to_jsonl()
+    assert whole == _dumps(trace)
+    events, parts = trace.events, []
+    for i in range(0, n, 256):
+        trace.events = events[i:i + 256]
+        parts.append(trace.to_jsonl())
+    assert "".join(parts) == whole
+
+
+def test_a_self_containing_detail_makes_to_jsonl_raise():
+    """Details hold no cycles; the encoder does not look for one, and a
+    cyclic detail still fails, in place of recursing without end."""
+    detail = {"units": 1}
+    detail["self"] = [detail]
+    trace = _recorder(("push", 0, None, {}), ("push", 0, None, detail))
+    with pytest.raises(RecursionError):
+        trace.to_jsonl()
 
 
 @pytest.mark.parametrize("build", CASES.values(), ids=CASES.keys())
