@@ -43,11 +43,6 @@ class OsAllocator:
         self.region = (first_page, end_page)
         self.allocations: Dict[int, List[int]] = {}
 
-    @property
-    def free_count(self) -> int:
-        first, end = self.region
-        return end - first - sum(map(len, self.allocations.values()))
-
     def snapshot(self) -> tuple:
         return tuple(sorted((aid, tuple(pages))
                             for aid, pages in self.allocations.items()))
@@ -98,11 +93,6 @@ class EnclaveFd:
     priv_aid: int
     chan_pages: List[int]   # contiguous; the first is the allocation's id
     channel: ChannelView    # `caller`'s view of the channel region
-
-    @property
-    def channel_ipa(self) -> int:
-        """Primary-view byte address of the channel region."""
-        return self.chan_pages[0] << PAGE_SHIFT
 
 
 class EnclaveDriver:

@@ -10,8 +10,9 @@ raw physical inspection.  Its checks also read the hypervisor's own records:
 ``check_frame_exclusivity``, the confinement oracle and the secret scanner
 read the stage-2 tables of ``hv.vms``, ``check_stack_integrity`` reads each
 pCPU's vCPU stack, ``hv.vms`` and ``hv.enclaves``, the stack fuzzer reads
-each pCPU's stack and every vCPU's pending flag, and ``sabotage_teardown``
-replaces ``hv._teardown``.
+each pCPU's stack and every vCPU's pending flag.  ``sabotage_teardown``
+wraps the real ``Hypervisor._teardown`` on one instance and redirects that
+machine's ``zero_frame`` while it runs, so the core has no seam for it.
 """
 from .oracles import (
     MemoryOracle,

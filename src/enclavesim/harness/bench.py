@@ -20,46 +20,34 @@ from ..ta_runtime import image_for_pages
 
 
 @dataclass
-class OpStats:
-    samples: List[int]
-
-    @property
-    def mean(self) -> float:
-        return statistics.fmean(self.samples)
-
-    @property
-    def stdev(self) -> float:
-        return statistics.pstdev(self.samples)
-
-
-@dataclass
 class BenchReport:
     sizes: Tuple[int, ...]
     reps: int
-    stats: Dict[int, Dict[str, OpStats]] = field(default_factory=dict)
+    # per size, each operation's cost in every rep
+    samples: Dict[int, Dict[str, List[int]]] = field(default_factory=dict)
+
+    def _mean(self, size: int, op: str) -> float:
+        return statistics.fmean(self.samples[size][op])
 
     def deterministic(self) -> bool:
-        return all(op.stdev == 0.0
-                   for per_size in self.stats.values()
-                   for op in per_size.values())
+        """Every rep of an operation cost the same at each size."""
+        return all(len(set(reps)) == 1
+                   for per in self.samples.values() for reps in per.values())
 
     def ordering_holds(self) -> bool:
         """invoke < create < destroy at every size."""
-        return all(per["invoke"].mean < per["create"].mean
-                   < per["destroy"].mean
-                   for per in self.stats.values())
+        return all(self._mean(size, "invoke") < self._mean(size, "create")
+                   < self._mean(size, "destroy")
+                   for size in self.samples)
 
     def invoke_constant(self) -> bool:
-        values = {op.samples[0]
-                  for per in self.stats.values()
-                  for name, op in per.items() if name == "invoke"}
+        values = {per["invoke"][0] for per in self.samples.values()}
         return len(values) == 1
 
     def teardown_gap_r2(self) -> float:
         """Correlation of (destroy - create) against donated bytes."""
         xs = [size * PAGE_SIZE for size in self.sizes]
-        ys = [self.stats[size]["destroy"].mean
-              - self.stats[size]["create"].mean
+        ys = [self._mean(size, "destroy") - self._mean(size, "create")
               for size in self.sizes]
         r = statistics.correlation(xs, ys)
         return r * r
@@ -68,10 +56,10 @@ class BenchReport:
         lines = ["%6s %10s %10s %10s   (simulated cost units, %d reps)"
                  % ("pages", "create", "invoke", "destroy", self.reps)]
         for size in self.sizes:
-            per = self.stats[size]
             lines.append("%6d %10.0f %10.0f %10.0f"
-                         % (size, per["create"].mean, per["invoke"].mean,
-                            per["destroy"].mean))
+                         % (size, self._mean(size, "create"),
+                            self._mean(size, "invoke"),
+                            self._mean(size, "destroy")))
         lines.append("deterministic: %s" % self.deterministic())
         lines.append("invoke < create < destroy: %s" % self.ordering_holds())
         lines.append("invoke size-independent: %s" % self.invoke_constant())
@@ -80,7 +68,7 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def _measure_size(size: int, reps: int) -> Dict[str, OpStats]:
+def _measure_size(size: int, reps: int) -> Dict[str, List[int]]:
     """One simulation per size; each rep is a full create/invoke/destroy
     cycle whose per-phase cost is the ledger delta."""
     config = MachineConfig(frames=64 + size + 8)
@@ -101,7 +89,7 @@ def _measure_size(size: int, reps: int) -> Dict[str, OpStats]:
         out["create"].append(created - before)
         out["invoke"].append(invoked - created)
         out["destroy"].append(done - invoked)
-    return {name: OpStats(samples) for name, samples in out.items()}
+    return out
 
 
 def run_bench(sizes: Sequence[int] = (16, 64, 256, 1024),
@@ -111,5 +99,5 @@ def run_bench(sizes: Sequence[int] = (16, 64, 256, 1024),
     for size in sizes:
         if size < 3:
             raise ValueError("donation must cover code, state and channel")
-        report.stats[size] = _measure_size(size, reps)
+        report.samples[size] = _measure_size(size, reps)
     return report

@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Tuple
 
 from ..channel import ChannelStatus
@@ -325,16 +326,24 @@ def fuzz_mixed(ops: int = 2000, seed: int = 0) -> FuzzReport:
 def sabotage_teardown(hv: Hypervisor, defect: str) -> None:
     """Give `hv` a defective enclave teardown: "skip_zeroize" hands the pages
     back unwiped, "remap_before_zeroize" wipes them only after handing them
-    back.  Used to prove the zeroization watchdog bites."""
-    remap = hv._teardown_remap
+    back.  The real teardown runs with its machine's `zero_frame` holding
+    the frames back; the second defect zeroes them once it returns.  A later
+    call replaces the defect.  Used to prove the zeroization watchdog bites."""
+    zero_after = {"skip_zeroize": False, "remap_before_zeroize": True}[defect]
+    machine, teardown = hv.machine, partial(Hypervisor._teardown, hv)
 
-    def remap_then_zeroize(rec, by) -> None:
-        remap(rec, by)
-        for frame in rec.frames():
-            hv.machine.zero_frame(frame, by)
+    def sabotaged(rec, by) -> None:
+        held = []
+        machine.zero_frame = lambda frame, by: held.append(frame)
+        try:
+            teardown(rec, by)
+        finally:
+            del machine.zero_frame
+        if zero_after:
+            for frame in held:
+                machine.zero_frame(frame, by)
 
-    hv._teardown = {"skip_zeroize": remap,
-                    "remap_before_zeroize": remap_then_zeroize}[defect]
+    hv._teardown = sabotaged
 
 
 def verify_oracle_sensitivity(seed: int = 0) -> Dict[str, bool]:

@@ -9,7 +9,9 @@ shared.  The primary's table is identity-mapped RWX by default and stores
 only the pages donated away and its channel pages, so boot costs nothing
 per frame and the table stores nothing again once every enclave is gone.
 
-A destroyed enclave is retired: its record and VM leave ``enclaves`` and
+Destroy runs one teardown, ``_teardown``: it zeroes every donated frame,
+then unmaps the enclave and hands the pages back to the primary.  A
+destroyed enclave is retired: its record and VM leave ``enclaves`` and
 ``vms``, which hold only live state.  Handles are never reused, so a later
 call with a retired handle raises ``EnclaveDestroyed``, not ``BadHandle``.
 
@@ -183,10 +185,6 @@ class EnclaveRecord:
     channel_pages: int
 
     @property
-    def total_pages(self) -> int:
-        return len(self.pages)
-
-    @property
     def private_pages(self) -> int:
         return len(self.pages) - self.channel_pages
 
@@ -197,12 +195,6 @@ class EnclaveRecord:
 
     def frames(self) -> List[int]:
         return [dp.frame for dp in self.pages]
-
-    def private_frames(self) -> List[int]:
-        return [dp.frame for dp in self.pages if not dp.is_channel]
-
-    def channel_frames(self) -> List[int]:
-        return [dp.frame for dp in self.pages if dp.is_channel]
 
     def primary_private_pages(self) -> List[int]:
         """Primary-view IPA pages of the private region (unmapped while the
@@ -473,9 +465,6 @@ class Hypervisor:
         """Zero every donated frame, then hand the pages back, for `by`."""
         for dp in rec.pages:
             self.machine.zero_frame(dp.frame, by)
-        self._teardown_remap(rec, by)
-
-    def _teardown_remap(self, rec: EnclaveRecord, by: Vcpu) -> None:
         for i in range(len(rec.pages)):
             rec.vm.table.unmap(i, by)
         ptab = self.primary.table

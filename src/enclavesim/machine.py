@@ -4,9 +4,10 @@ All byte content lives here; every other module reads and writes frames
 through this one.  Memory is sparse: a frame holds a buffer only from its
 first write until it is next zeroed, and a frame with no buffer reads as
 zeros, so a machine costs what a run touches, not what it could address.
-Simulated time is the trace's running total (``trace.COST``): ``now()``
-returns its ``t`` and the cost ledger is a read-only view of its per-kind
-totals, so identical operation sequences always produce identical timelines.
+Simulated time is the trace's running total (``trace.COST``): the clock
+is ``trace.t``, which ``Simulation.now()`` returns, and the cost ledger is
+a read-only view of its per-kind totals, so identical operation sequences
+always produce identical timelines.
 """
 from __future__ import annotations
 
@@ -174,7 +175,3 @@ class PhysicalMachine:
         self._check_frame(frame)
         buf = self.frames.get(frame)
         return buf is None or buf.count(0) == PAGE_SIZE
-
-    def now(self) -> int:
-        """Current simulated time: the trace's running total."""
-        return self.trace.t

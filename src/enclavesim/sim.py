@@ -1,13 +1,15 @@
 """Top-level simulation wiring.
 
 A Simulation owns one machine (which holds the trace), one hypervisor, a
-timer queue and a seeded RNG.  Everything observable is recorded in the
-trace, so identical (config, seed, operations) always serialize to
-byte-identical JSON lines.  An event only the trace consumes is emitted by
-the vCPU or code that causes it (scheduling, faults, channel steps, and boot
-and timers here); the mapping and zeroing events reach the trace through
-``TraceObserver``, on the hook points the oracles watch, named by the
-hook's `by`: the caller of the hypercall that maps or zeroes.
+timer queue and a seeded RNG; it takes only a config and a seed.  Its
+hypervisor loads programs with ``ta_runtime.load_program``; a caller that
+needs other programs sets ``hv.program_loader``.  Everything observable is
+recorded in the trace, so identical (config, seed, operations) always
+serialize to byte-identical JSON lines.  An event only the trace consumes
+is emitted by the vCPU or code that causes it (scheduling, faults, channel
+steps, and boot and timers here); the mapping and zeroing events reach the
+trace through ``TraceObserver``, on the hook points the oracles watch,
+named by the hook's `by`: the caller of the hypercall that maps or zeroes.
 
 Simulated time is the trace's running total: recording an event charges
 its cost, so ``TraceObserver`` charges the table ops and zeroed pages.  It
@@ -25,6 +27,7 @@ from .errors import OutOfRange, SimulationError
 from .hypervisor import Hypervisor, Vcpu, Vm
 from .machine import MachineConfig, Observer, PhysicalMachine
 from .stage2 import Access, AccessFault, Perms, guest_access
+from .ta_runtime import load_program
 
 
 class TraceObserver(Observer):
@@ -55,14 +58,10 @@ class TraceObserver(Observer):
 
 
 class Simulation:
-    def __init__(self, config: Optional[MachineConfig] = None, seed: int = 0,
-                 program_loader=None):
-        if program_loader is None:
-            from . import ta_runtime
-            program_loader = ta_runtime.load_program
+    def __init__(self, config: Optional[MachineConfig] = None, seed: int = 0):
         self.machine = PhysicalMachine(config)
         self.trace = self.machine.trace
-        self.hv = Hypervisor(self.machine, program_loader, self.check_timers)
+        self.hv = Hypervisor(self.machine, load_program, self.check_timers)
         self.rng = random.Random(seed)
         self.machine.observers.append(TraceObserver(self))
         cfg = self.machine.config
@@ -76,7 +75,8 @@ class Simulation:
     # -- time ---------------------------------------------------------------
 
     def now(self) -> int:
-        return self.machine.now()
+        """Current simulated time: the trace's running total."""
+        return self.trace.t
 
     def arm_timer(self, delay: int, pcpu_id: int = 0) -> int:
         """Schedule an interrupt for the primary vCPU of `pcpu_id` once the

@@ -35,7 +35,7 @@ from enclavesim.harness import (
 from enclavesim.harness import scenario as scenario_module
 from enclavesim.harness.cli import FUZZ_PROFILES
 from enclavesim.harness.cli import main as cli_main
-from enclavesim.hypervisor import Hypervisor, ImageMeta
+from enclavesim.hypervisor import ImageMeta
 from enclavesim.machine import (
     PAGE_SHIFT,
     PAGE_SIZE,
@@ -167,7 +167,7 @@ def test_confinement_flags_write_to_unreachable_frame():
     sim.machine.observers.append(oracle)
     # a store into enclave memory by the running primary, which no longer
     # maps this frame
-    frame = rec.private_frames()[0]
+    frame = rec.pages[0].frame
     sim.machine.write_frame(frame, 0, b"\xee", sim.primary_vcpu(0), False)
     assert oracle.violations == [
         "write to frame %d by primary.v0, which may not write it" % frame]
@@ -180,7 +180,7 @@ def test_confinement_flags_raw_write_to_shared_frame():
     oracle = WriteConfinementOracle(sim.hv)
     sim.machine.observers.append(oracle)
     # primary may write its channel page, but only via the protocol
-    sim.machine.write_frame(rec.channel_frames()[0], 64, b"\xee",
+    sim.machine.write_frame(rec.pages[-1].frame, 64, b"\xee",
                             sim.primary_vcpu(0), False)
     assert any("outside channel protocol" in v for v in oracle.violations)
 
@@ -208,7 +208,7 @@ def test_confinement_flags_a_write_by_a_vcpu_that_is_not_running():
     rec = driver.record_of(fd)
     oracle = WriteConfinementOracle(sim.hv)
     sim.machine.observers.append(oracle)
-    frame, enclave = rec.private_frames()[0], rec.vm.vcpus[0]
+    frame, enclave = rec.pages[0].frame, rec.vm.vcpus[0]
     sim.machine.write_frame(frame, 0, b"\xee", enclave, False)
     sim.hv.schedule_vcpu(0, sim.hv.make_aux_vcpu(0))
     sim.machine.write_frame(100, 0, b"\xee", sim.primary_vcpu(0), False)
@@ -224,12 +224,12 @@ def test_exclusivity_blesses_channels_and_flags_extras():
     sim, driver = make_sim()
     fd = driver.create(image_for_pages("echo", 3, 1))
     rec = driver.record_of(fd)
-    shared = set(rec.channel_frames())
+    shared = set(rec.frames()[rec.private_pages:])
     assert check_frame_exclusivity(sim.hv, shared) == []
     # sneak a second primary mapping of a private frame, data-only so it
     # pattern-matches legal channel sharing
     caller = sim.primary_vcpu(0)
-    sim.hv.primary.table.map(300, rec.private_frames()[0], PERM_RW, caller)
+    sim.hv.primary.table.map(300, rec.pages[0].frame, PERM_RW, caller)
     rec.vm.table.protect(0, PERM_RW, caller)
     problems = check_frame_exclusivity(sim.hv, shared)
     assert any("not a known channel" in p for p in problems)
@@ -242,7 +242,7 @@ def test_exclusivity_flags_a_donated_page_left_in_the_primary(monkeypatch):
                         lambda page, by: page)
     fd = driver.create(image_for_pages("echo", 3, 1))
     rec = driver.record_of(fd)
-    leaked = rec.private_frames()
+    leaked = rec.frames()[:rec.private_pages]
     assert all(sim.hv.primary.table.lookup(f) == (f, PERM_RWX)
                for f in leaked)
     problems = standard_checks(sim, driver)
@@ -269,7 +269,8 @@ def test_exclusivity_flags_executable_sharing():
     rec = driver.record_of(fd)
     page = rec.primary_channel_pages()[0]
     sim.hv.primary.table.protect(page, PERM_RWX, sim.primary_vcpu(0))
-    problems = check_frame_exclusivity(sim.hv, set(rec.channel_frames()))
+    problems = check_frame_exclusivity(
+        sim.hv, set(rec.frames()[rec.private_pages:]))
     assert any("perms" in p for p in problems)
 
 
@@ -279,7 +280,7 @@ def test_retirement_refuses_vm_with_leftover_mappings():
     sim, driver = make_sim()
     fd = driver.create(image_for_pages("echo", 3, 1))
     rec = driver.record_of(fd)
-    rec.vm.table.map(rec.total_pages, 250, PERM_RO, sim.primary_vcpu(0))
+    rec.vm.table.map(len(rec.pages), 250, PERM_RO, sim.primary_vcpu(0))
     with pytest.raises(SimulationError, match="destroyed vm%d still maps 1 "
                        "pages" % rec.vm.vmid):
         sim.hv.destroy_enclave(sim.primary_vcpu(0), rec.handle)
@@ -1013,9 +1014,19 @@ def test_attack_breaches_on_a_donated_page_left_in_the_primary(monkeypatch,
     assert verdicts["steal-private-memory"] == "BREACHED"
 
 
+def _skip_zeroize_everywhere(monkeypatch):
+    """Every simulation a scenario builds gets sabotage_teardown(hv,
+    "skip_zeroize")."""
+    class Sabotaged(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sabotage_teardown(self.hv, "skip_zeroize")
+
+    monkeypatch.setattr(scenario_module, "Simulation", Sabotaged)
+
+
 def test_attack_breaches_on_skipped_zeroization(monkeypatch, capsys):
-    # what sabotage_teardown(hv, "skip_zeroize") does, for every hypervisor
-    monkeypatch.setattr(Hypervisor, "_teardown", Hypervisor._teardown_remap)
+    _skip_zeroize_everywhere(monkeypatch)
     status, verdicts = _attack_verdicts(capsys)
     assert status == 1
     assert verdicts["scavenge-after-destroy"] == "BREACHED"
@@ -1052,9 +1063,9 @@ def test_bench_means_are_the_cost_models():
     destroy also zeroes each page, and an echo invoke costs 5 units, with
     the mapping and zeroing events recorded."""
     report = run_bench(sizes=(16, 64), reps=2)
-    assert {size: {op: stats.mean for op, stats in per.items()}
-            for size, per in report.stats.items()} == {
-        n: {"create": 2 * n + 1, "invoke": 5, "destroy": 3 * n + 1}
+    assert report.samples == {
+        n: {"create": [2 * n + 1] * 2, "invoke": [5] * 2,
+            "destroy": [3 * n + 1] * 2}
         for n in (16, 64)}
     assert report.deterministic()
 
@@ -1152,14 +1163,14 @@ def test_mixed_profile_trace_and_ledger_are_pinned(monkeypatch):
 
 def test_fuzz_mixed_checks_its_final_teardown(monkeypatch):
     # skip zeroization: one op creates an enclave, only the end destroys it
-    monkeypatch.setattr(Hypervisor, "_teardown", Hypervisor._teardown_remap)
+    _skip_zeroize_everywhere(monkeypatch)
     report = fuzz_mixed(1, seed=0)
     assert not report.ok
     assert "remapped to primary without zeroize" in report.format()
 
 
 def test_failed_case_prints_its_statements_from_its_create(monkeypatch):
-    monkeypatch.setattr(Hypervisor, "_teardown", Hypervisor._teardown_remap)
+    _skip_zeroize_everywhere(monkeypatch)
     report = fuzz_mixed(200, seed=0)
     index, _ = report.failures[0]
     assert index < 200 and report.case_script

@@ -114,7 +114,7 @@ def test_surplus_donation_becomes_private():
     pages = list(range(100, 164))  # 64 pages for an image that asks for 61
     handle = hand_create(sim, pages, mem=60, chan=1)
     rec = sim.hv.enclaves[handle]
-    assert rec.total_pages == 64
+    assert len(rec.pages) == 64
     assert rec.private_pages == 63
     assert rec.channel_ipa == 63 << PAGE_SHIFT
     assert rec.primary_channel_pages() == [163]
@@ -621,7 +621,8 @@ def test_program_falling_off_the_end_pops_without_exit_call():
             return prog()
         return factory
 
-    sim = Simulation(MachineConfig(frames=64), program_loader=loader)
+    sim = Simulation(MachineConfig(frames=64))
+    sim.hv.program_loader = loader
     handle = sim.hv.create_enclave(sim.primary_vcpu(0), (40, 41), ImageMeta(1, 1))
     ledger = sim.machine.ledger
     before = ledger.snapshot()
@@ -647,7 +648,8 @@ def test_run_loop_refuses_work_units_that_are_not_an_int(units):
             return prog()
         return factory
 
-    sim = Simulation(MachineConfig(frames=64), program_loader=loader)
+    sim = Simulation(MachineConfig(frames=64))
+    sim.hv.program_loader = loader
     primary = sim.primary_vcpu(0)
     handle = sim.hv.create_enclave(primary, (40, 41), ImageMeta(1, 1))
     events = len(sim.trace.events)
@@ -690,7 +692,8 @@ def test_program_that_raises_leaves_through_the_finish_unwind():
             return prog()
         return factory
 
-    sim = Simulation(MachineConfig(frames=256), program_loader=loader)
+    sim = Simulation(MachineConfig(frames=256))
+    sim.hv.program_loader = loader
     driver = EnclaveDriver(sim)
     echo = driver.create(image_for_pages("echo", 4, 1))
     for _, error in faults:

@@ -117,9 +117,10 @@ def test_now_is_ledger_units():
     costs one unit, charged as its zero_frame event is recorded."""
     sim = Simulation(MachineConfig(frames=8, os_reserved_pages=0))
     machine = sim.machine
-    before = machine.now()
+    before = sim.now()
     machine.zero_frame(0, sim.primary_vcpu())
-    assert machine.now() == before + 1 == machine.trace.events[-1][4]
+    assert sim.now() == before + 1 == machine.trace.t \
+        == machine.trace.events[-1][4]
     assert machine.ledger.zero_bytes == PAGE_SIZE
 
 

@@ -120,13 +120,13 @@ def test_each_table_op_costs_one(machine, table, traced):
     table.map(0, 1, PERM_RW, BY)
     table.protect(0, PERM_RO, BY)
     table.unmap(0, BY)
-    assert machine.ledger.pt_ops == 0 and machine.now() == 0
+    assert machine.ledger.pt_ops == 0 and machine.trace.t == 0
     table = Stage2Table(5, traced)
     by = _vcpu(table)
     table.map(0, 1, PERM_RW, by)
     table.protect(0, PERM_RO, by)
     table.unmap(0, by)
-    assert traced.ledger.pt_ops == 3 and traced.now() == 3
+    assert traced.ledger.pt_ops == 3 and traced.trace.t == 3
     assert [ev[1] for ev in traced.trace.events[-3:]] == [
         "s2_map", "s2_protect", "s2_unmap"]
 

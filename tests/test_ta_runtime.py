@@ -223,10 +223,11 @@ def test_wallet_secrets_stay_in_private_pages():
     driver.invoke(fd, CMD_DERIVE)
     master = ref.ref_master(seed)
     rec = driver.record_of(fd)
+    frames = rec.frames()
     blob = b"".join(sim.machine.read_frame(f, 0, 4096)
-                    for f in rec.private_frames())
+                    for f in frames[:rec.private_pages])
     assert master in blob
-    for f in rec.channel_frames():
+    for f in frames[rec.private_pages:]:
         assert master not in sim.machine.read_frame(f, 0, 4096)
 
 
@@ -250,7 +251,7 @@ def test_wallet_without_a_state_page_keeps_its_key_out_of_the_channel():
     fd = driver.create(image_for_pages("wallet", 2, 1))
     assert driver.invoke(fd, CMD_CREATE_MASTER, b"seed") == \
         (ChannelStatus.ERROR, b"")
-    channel = sim.vm_read(sim.hv.primary, driver.fd_info(fd).channel_ipa,
+    channel = sim.vm_read(sim.hv.primary, driver.fd_info(fd).channel.base_ipa,
                           4096)
     master = wallet_master_key(b"seed")
     assert not any(master[i:i + 4] in channel for i in range(29))
@@ -277,7 +278,7 @@ def test_probe_sees_only_its_own_pages():
     assert status is ChannelStatus.DONE
     assert ret.startswith(b"data:")
     # one page past the channel: nothing mapped there
-    beyond = (rec.total_pages) << PAGE_SHIFT
+    beyond = len(rec.pages) << PAGE_SHIFT
     status, ret = driver.invoke(fd, 1, struct.pack("<Q", beyond))
     assert ret == b"fault:unmapped"
     # a primary-side address has no meaning in the enclave's space

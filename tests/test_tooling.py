@@ -1,6 +1,7 @@
 """The benchmark's per-layer tracer wraps simulator attributes by name, and
 its rounds call the simulator's public API, so a renamed name, a changed
 signature or a changed result must fail here, not only in a benchmark run."""
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 from enclavesim.harness import oracles
 from enclavesim.machine import Observer
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load_bench(monkeypatch):
@@ -91,3 +93,29 @@ def test_every_observer_hook_has_an_oracle():
                and cls.__module__ == oracles.__name__
                for name in vars(cls) if name in hooks}
     assert hooks and watched == hooks
+
+
+def test_every_public_core_method_has_a_caller():
+    """Each public method or property of a class in the core (the modules
+    of ``src/enclavesim``, not the harness) is named somewhere in ``src/``
+    or ``perfbench/`` other than its own definition.  One that only tests
+    name is a test-only view: a test reaches for the record behind it."""
+    names = set()
+    for path in ROOT.glob("src/enclavesim/*.py"):
+        for cls in ast.parse(path.read_text()).body:
+            if isinstance(cls, ast.ClassDef):
+                names |= {"%s.%s.%s" % (path.stem, cls.name, node.name)
+                          for node in cls.body
+                          if isinstance(node, ast.FunctionDef)
+                          and not node.name.startswith("_")}
+    used = set()
+    for path in [*ROOT.glob("src/**/*.py"), *PERFBENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant):    # wrapped by name
+                used.add(node.value)
+    assert names
+    assert sorted(n for n in names if n.rsplit(".", 1)[1] not in used) == []
