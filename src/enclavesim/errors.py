@@ -84,8 +84,8 @@ class WrongPcpu(HypercallError):
 
 
 class NotRunning(HypercallError):
-    """A create, destroy or invoke from a vCPU that is not running: another
-    vCPU is on top of its pCPU's stack."""
+    """A create, destroy, invoke or exit from a vCPU that is not running:
+    another vCPU is on top of its pCPU's stack, or it is on no stack."""
 
 
 class NoParent(SimulationError):

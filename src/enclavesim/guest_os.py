@@ -43,10 +43,6 @@ class OsAllocator:
         self.region = (first_page, end_page)
         self.allocations: Dict[int, List[int]] = {}
 
-    def snapshot(self) -> tuple:
-        return tuple(sorted((aid, tuple(pages))
-                            for aid, pages in self.allocations.items()))
-
     def _free_runs(self) -> Iterator[Tuple[int, int]]:
         """The free pages as [start, end) runs, lowest first."""
         start, end = self.region
@@ -144,19 +140,17 @@ class EnclaveDriver:
         caller = self.sim.primary_vcpu(pcpu)
         fd = self._alloc_fd()
         priv_aid, priv = self.allocator.allocate(image.mem_size_pages)
+        taken = [priv_aid]      # every allocation a refusal gives back
         try:
             chan_aid, chan = self.allocator.allocate_contiguous(
                 image.channel_size_pages)
-        except NoMemory:
-            self.allocator.free(priv_aid)
-            raise
-        try:
+            taken.append(chan_aid)
             self._load_blob(image, priv, caller)
             meta = ImageMeta(image.mem_size_pages, image.channel_size_pages)
             handle = self.hv.create_enclave(caller, priv + chan, meta)
         except (HypercallError, DriverError):
-            self.allocator.free(chan_aid)
-            self.allocator.free(priv_aid)
+            for aid in taken:
+                self.allocator.free(aid)
             raise
         rec = EnclaveFd(handle, caller, priv_aid, chan, ChannelView(
             caller, chan[0] << PAGE_SHIFT, image.channel_size_pages))

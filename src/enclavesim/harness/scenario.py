@@ -67,6 +67,10 @@ act on pCPU 0 unless given `pcpu=N`.  `interrupt <var> pcpu=N` delivers on
 pCPU N, and there `primary` names pCPU N's primary vCPU; without `pcpu=`
 the interrupt goes to the pCPU the vCPU is pinned to.
 
+Each action has a usage line in `_USAGE`.  A statement with too few or too
+many words, or a keyword its usage does not offer, raises ScenarioParseError
+before any statement runs; a bad value raises it when its statement runs.
+
 The interpreter is the one way the harness acts on a simulation: the
 stack, lifecycle and mixed fuzz profiles feed it their statements one at a
 time, and the statements they ran replay with `enclavesim run`.  The attack
@@ -148,9 +152,27 @@ class ScenarioResult:
 
 
 _U32 = 1 << 32   # command ids, payload lengths and image sizes are u32
-_ACTIONS = {"create", "invoke", "resume", "destroy", "timer", "tick",
-            "adversary", "expect", "aux", "schedule", "yield", "interrupt",
-            "secret", "scan"}
+# each action's fewest and most words after its name, and its usage line,
+# in which a bare word is a keyword the statement has there and `a|b` a
+# choice of keywords; a payload or value may hold spaces, so any number
+_ANY = float("inf")
+_USAGE = {
+    "create": (2, 5, "create <var> <program> [mem=N] [chan=N] [pcpu=N]"),
+    "invoke": (2, _ANY, "invoke <var> <cmd> [payload]"),
+    "resume": (1, 1, "resume <var>"),
+    "destroy": (1, 1, "destroy <var>"),
+    "timer": (1, 2, "timer <delay> [pcpu=N]"),
+    "tick": (0, 0, "tick"),
+    "adversary": (4, 4, "adversary read|write <var> private|channel <idx>|all"),
+    "expect": (2, _ANY,
+               "expect status|payload|fault|error|outcome|hits <value>"),
+    "aux": (1, 2, "aux <var> [pcpu=N]"),
+    "schedule": (1, 1, "schedule <var>"),
+    "yield": (0, 1, "yield [pcpu=N]"),
+    "interrupt": (1, 2, "interrupt <var> [pcpu=N]"),
+    "secret": (3, _ANY, "secret <var> wallet <payload>"),
+    "scan": (2, 2, "scan all|primary <var>"),
+}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -180,7 +202,13 @@ def parse_scenario(text: str) -> Scenario:
             if len(step.args) != 1:
                 raise step.fail("seed takes one integer")
             seed = step.number(step.args[0])
-        elif step.op in _ACTIONS:
+        elif step.op in _USAGE:
+            fewest, most, usage = _USAGE[step.op]
+            if not fewest <= len(step.args) <= most or any(
+                    "<" not in want and "[" not in want
+                    and word not in want.split("|")
+                    for want, word in zip(usage.split()[1:], step.args)):
+                raise step.fail("usage: " + usage)
             saw_action = True
             steps.append(step)
         else:
@@ -281,8 +309,6 @@ class _Runner:
     # -- actions ----------------------------------------------------------
 
     def _op_create(self, step: Step) -> None:
-        if len(step.args) < 2:
-            raise step.fail("create needs: create <var> <program>")
         var, ta_name = step.args[0], step.args[1]
         if ta_name not in REGISTRY:
             raise step.fail("no registered program %r" % ta_name)
@@ -313,8 +339,6 @@ class _Runner:
                                          out[1].hex()))
 
     def _op_invoke(self, step: Step) -> None:
-        if len(step.args) < 2:
-            raise step.fail("invoke needs: invoke <var> <cmd> [payload]")
         fd = self._fd(step, step.args[0])
         cmd = step.number(step.args[1], range(_U32), "command")
         payload = b""
@@ -324,15 +348,11 @@ class _Runner:
                        self.driver.invoke(fd, cmd, payload))
 
     def _op_resume(self, step: Step) -> None:
-        if len(step.args) != 1:
-            raise step.fail("resume needs: resume <var>")
         fd = self._fd(step, step.args[0])
         self._exchange(step, "resume " + step.args[0],
                        self.driver.resume(fd))
 
     def _op_destroy(self, step: Step) -> None:
-        if len(step.args) != 1:
-            raise step.fail("destroy needs: destroy <var>")
         fd = self._fd(step, step.args[0])
         # the variable stays bound so a scripted second destroy can observe
         # the driver's BadFd instead of a parse error
@@ -340,8 +360,6 @@ class _Runner:
         self._say(step, "destroy " + step.args[0])
 
     def _op_timer(self, step: Step) -> None:
-        if not step.args:
-            raise step.fail("timer needs a delay")
         delay = step.number(step.args[0], range(_U32), "delay")
         deadline = self.sim.arm_timer(delay, self._pcpu(step, step.args[1:]))
         self._say(step, "timer armed for t=%d" % deadline)
@@ -350,10 +368,6 @@ class _Runner:
         self.sim.check_timers()
 
     def _op_adversary(self, step: Step) -> None:
-        if len(step.args) != 4 or step.args[0] not in ("read", "write") \
-                or step.args[2] not in ("private", "channel"):
-            raise step.fail("adversary needs: adversary read|write <var> "
-                            "private|channel <idx>|all")
         mode, var, region, which = step.args
         if var not in self.pages:
             raise step.fail("unknown enclave variable %r" % var)
@@ -382,15 +396,11 @@ class _Runner:
                   % (mode, region, which, done))
 
     def _op_secret(self, step: Step) -> None:
-        if len(step.args) < 3 or step.args[1] != "wallet":
-            raise step.fail("secret needs: secret <var> wallet <payload>")
         seed = self._payload(step, " ".join(step.args[2:]))
         master = wallet_master_key(seed)
         self.secrets[step.args[0]] = [master, wallet_derived_key(master, 0)]
 
     def _op_scan(self, step: Step) -> None:
-        if len(step.args) != 2 or step.args[0] not in ("all", "primary"):
-            raise step.fail("scan needs: scan all|primary <var>")
         where, var = step.args
         if var not in self.secrets:
             raise step.fail("unknown secret variable %r" % var)
@@ -403,8 +413,6 @@ class _Runner:
 
     # raw stacking, for demos of the scheduling machinery
     def _op_aux(self, step: Step) -> None:
-        if not step.args:
-            raise step.fail("aux needs a variable")
         var = step.args[0]
         if var == "primary":
             raise step.fail("aux variable 'primary' names the primary vcpu")
@@ -417,8 +425,6 @@ class _Runner:
         return self.vcpus[name]
 
     def _op_schedule(self, step: Step) -> None:
-        if not step.args:
-            raise step.fail("schedule needs a vcpu name")
         vcpu = self._resolve_vcpu(step, step.args[0])
         self.sim.hv.schedule_vcpu(vcpu.pcpu, vcpu)
 
@@ -428,8 +434,6 @@ class _Runner:
     def _op_interrupt(self, step: Step) -> None:
         """Deliver on pCPU N for `pcpu=N`, where `primary` is that pCPU's
         primary vCPU; otherwise on the pCPU the vCPU is pinned to."""
-        if not step.args:
-            raise step.fail("interrupt needs a vcpu name")
         vcpu = self._resolve_vcpu(step, step.args[0])
         pcpu = vcpu.pcpu
         if len(step.args) > 1:
@@ -443,8 +447,6 @@ class _Runner:
     # -- expectations -------------------------------------------------------
 
     def _op_expect(self, step: Step) -> None:
-        if len(step.args) < 2:
-            raise step.fail("expect needs: expect <what> <value>")
         what, value = step.args[0], " ".join(step.args[1:])
         if what == "status":
             got = self.last.get("status")
@@ -473,7 +475,7 @@ class _Runner:
                         "line %d: %d payload bytes != expected %d, from byte "
                         "%d: %r != %r" % (step.lineno, len(got), len(want), at,
                                           got[at:at + 8], want[at:at + 8]))
-        elif what in ("fault", "error", "outcome", "hits"):
+        else:   # fault, error, outcome or hits
             value = step.number(value) if what == "hits" else value
             got = self.last.get(what)
             if got != value:
@@ -481,8 +483,6 @@ class _Runner:
                                         % (step.lineno, what, value, got))
             if what == "error":
                 self.unexpected = None
-        else:
-            raise step.fail("unknown expectation %r" % what)
         self.held += self.last.get("pages", 1)
 
 

@@ -482,17 +482,18 @@ class Hypervisor:
         if target.pcpu != caller.pcpu:
             raise WrongPcpu("enclave %d pinned to pcpu %d, invoked from %d"
                             % (rec.handle, target.pcpu, caller.pcpu))
+        # a running primary vCPU is its stack's base and top, so the stack
+        # is [caller] and the target, pinned to this pCPU, is not scheduled
         pcpu = self._running_pcpu(caller, "invoke")
-        if self._is_scheduled(target):
-            raise EnclaveActive("enclave %d already scheduled" % rec.handle)
         self._push(pcpu, target, "invoke")
         self._run_until(pcpu, caller)
         return target.last_leave
 
     def _do_exit(self, caller: Vcpu, hc: Exit) -> None:
         pcpu = self.machine.pcpus[caller.pcpu]
-        if pcpu.stack[-1] is not caller:
-            raise SimulationError("exit from a vcpu that is not running")
+        if pcpu.stack[-1] is not caller:    # _running_pcpu's test, inline
+            raise NotRunning("exit from %s, which is not running"
+                             % caller.name)
         self._unwind(pcpu, len(pcpu.stack) - 1, Resumption.COMPLETED, "exit")
 
     # issuing VM kind and handler of each hypercall type

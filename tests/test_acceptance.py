@@ -30,6 +30,7 @@ from enclavesim.ta_runtime import (
 )
 
 import reference_wallet as ref
+from snapshots import allocations
 
 
 def test_criterion_1_isolation_attacks_fully_contained():
@@ -71,7 +72,7 @@ def test_criterion_4_create_destroy_roundtrip_is_exact():
         chan = rng.randrange(1, 3)
         shapes.append((name, mem, chan))
         table_before = sim.hv.primary.table.snapshot()
-        alloc_before = driver.allocator.snapshot()
+        alloc_before = allocations(driver.allocator)
         fd = driver.create(image_for_pages(name, mem, chan))
         if name == "wallet":
             driver.invoke(fd, CMD_CREATE_MASTER, rng.randbytes(16))
@@ -81,7 +82,7 @@ def test_criterion_4_create_destroy_roundtrip_is_exact():
             driver.invoke(fd, 0, rng.randbytes(64))
         driver.destroy(fd)
         assert sim.hv.primary.table.snapshot() == table_before, shapes[-1]
-        assert driver.allocator.snapshot() == alloc_before, shapes[-1]
+        assert allocations(driver.allocator) == alloc_before, shapes[-1]
     print("criterion 4 PASS: 100 random donation shapes round-trip exactly")
 
 

@@ -278,6 +278,23 @@ def test_bad_magic_detected():
         primary.read_response()
 
 
+@pytest.mark.parametrize("status, field, step", [
+    (ChannelStatus.REQUEST, "arg_len", "serve"),
+    (ChannelStatus.PREEMPTED, "arg_len", "rearm_request"),
+    (ChannelStatus.DONE, "ret_len", "read_response"),
+])
+def test_length_past_capacity_detected(status, field, step):
+    """A header whose payload length overruns the region is refused before
+    the payload is read, by whichever side reads it."""
+    _, primary, enclave = make_channel()
+    length = primary.capacity + 1
+    primary._write(4, struct.pack("<IIII", status, 1, length, length))
+    view = enclave if step == "serve" else primary
+    with pytest.raises(ChannelError,
+                       match="^%s %d exceeds capacity$" % (field, length)):
+        getattr(view, step)()
+
+
 def test_status_written_after_payload():
     """Once a reader sees REQUEST or DONE, the payload bytes are already in
     place, and the one write that carries the status carries the rest of
@@ -395,6 +412,17 @@ def test_lost_write_mapping_faults():
     with pytest.raises(ChannelError):
         primary.write_request(1, b"")
     assert machine.fault_count == 1
+
+
+def test_lost_read_mapping_faults():
+    """A side whose page was unmapped from its table faults on the header
+    read and writes nothing."""
+    machine, primary, enclave = make_channel()
+    primary.table.unmap(0, primary.vcpu)
+    with pytest.raises(ChannelError, match="^channel read fault: "):
+        primary.write_request(1, b"")
+    assert machine.fault_count == 1
+    assert machine.read_frame(0, 4, 4) == struct.pack("<I", ChannelStatus.IDLE)
 
 
 def test_channel_writes_are_marked():

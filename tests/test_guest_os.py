@@ -13,11 +13,13 @@ from enclavesim.harness import (
     check_allocator_conservation,
     standard_checks,
 )
+from enclavesim.image import EnclaveImage
 from enclavesim.machine import MachineConfig, Observer
 from enclavesim.sim import Simulation
+from enclavesim.stage2 import PERM_RWX, Access, guest_access
 from enclavesim.ta_runtime import image_for_pages
 
-from snapshots import full_state
+from snapshots import allocations, full_state
 
 
 def make_driver(frames=256, max_vms=16):
@@ -83,16 +85,16 @@ def test_allocator_check_flags_pages_it_could_not_hand_out():
 
 def test_fresh_allocator_holds_nothing_at_65536_frames():
     sim, driver = make_driver(frames=65536)
-    assert driver.allocator.snapshot() == ()
+    assert allocations(driver.allocator) == ()
     assert len(_free_pages(driver.allocator)) == 65536 - 64
 
 
 def test_aid_rollback_keeps_error_paths_invisible():
     alloc = OsAllocator(10, 20)
-    snap = alloc.snapshot()
+    snap = allocations(alloc)
     aid, _ = alloc.allocate(3)
     alloc.free(aid)
-    assert alloc.snapshot() == snap
+    assert allocations(alloc) == snap
     # an allocation's id is its first page: page 10, freed and taken
     # again, names its new allocation too
     a, pages_a = alloc.allocate(1)
@@ -182,7 +184,7 @@ def test_allocate_contiguous_matches_reference_loop(free_pages, sizes):
                 alloc.allocate_contiguous(n)
         else:
             assert alloc.allocate_contiguous(n) == want
-        assert alloc.snapshot() == ref.snapshot()
+        assert allocations(alloc) == allocations(ref)
 
 
 # -- driver lifecycle ------------------------------------------------------------
@@ -254,8 +256,13 @@ def test_bad_magic_refuses_invoke_before_any_hypercall():
      "^payload must be bytes-like, not str$"),
     (lambda sim, driver, fd: sim.vm_write(sim.hv.primary, 0, None),
      OutOfRange, "^write access requires data$"),
+    (lambda sim, driver, fd: guest_access(
+        sim.machine, sim.hv.primary.table, 0, Access.READ, data=b"x",
+        by=sim.primary_vcpu(0)),
+     OutOfRange, "^data only valid for write access$"),
 ], ids=["cmd-id-negative", "cmd-id-over-u32", "vm-read-negative-length",
-        "payload-list", "payload-str", "vm-write-no-data"])
+        "payload-list", "payload-str", "vm-write-no-data",
+        "read-with-data"])
 def test_malformed_api_call_is_refused_before_any_access(call, error,
                                                          message):
     """A typed error before any frame is read or written, with no event and
@@ -305,11 +312,11 @@ def test_vm_write_refuses_data_that_is_not_bytes_like(data, kind):
 
 def test_destroy_returns_allocator_to_prior_state():
     sim, driver = make_driver()
-    snap = driver.allocator.snapshot()
+    snap = allocations(driver.allocator)
     fd = driver.create(image_for_pages("wallet", 4, 1))
-    assert driver.allocator.snapshot() != snap
+    assert allocations(driver.allocator) != snap
     driver.destroy(fd)
-    assert driver.allocator.snapshot() == snap
+    assert allocations(driver.allocator) == snap
 
 
 def test_failed_create_rolls_back_allocator():
@@ -342,6 +349,49 @@ def test_create_with_no_memory_rolls_back():
     with pytest.raises(NoMemory):
         driver.create(image_for_pages("echo", 500, 1))
     assert full_state(sim, driver) == before
+
+
+def _zero_page_channel(sim, driver):
+    """An image with no channel page: its channel allocation is refused."""
+    image = image_for_pages("echo", 3, 1)
+    return EnclaveImage(image.mem_size_pages, 0, image.cmd_ids,
+                        image.code_blob)
+
+
+def _channel_run_too_short(sim, driver):
+    """Pages 64-67 and 72-75 free: the private pages fit, no 5-page run
+    is left for the channel."""
+    fds = [driver.create(image_for_pages("echo", 3, 1)) for _ in range(4)]
+    driver.destroy(fds[0])
+    driver.destroy(fds[2])
+    return image_for_pages("echo", 3, 5)
+
+
+def _private_page_unmapped(sim, driver):
+    """Page 64, the first the allocator hands out, unmapped from the
+    primary's table: the blob load faults on it."""
+    sim.hv.primary.table.unmap(64, sim.primary_vcpu(0))
+    return image_for_pages("echo", 3, 1)
+
+
+@pytest.mark.parametrize("setup, error, message", [
+    (_zero_page_channel, DriverError, "^allocation of 0 pages$"),
+    (_channel_run_too_short, NoMemory, "^no contiguous run of 5 pages$"),
+    (_private_page_unmapped, DriverError, "^faulted writing own page 0x40$"),
+], ids=["zero-page-channel", "channel-no-memory", "blob-fault"])
+def test_refused_create_gives_back_every_allocation(setup, error, message):
+    """A create refused after its private allocation went through, by the
+    channel allocation or by the blob load, frees what it took: tables,
+    allocator and fds are as before, and the end checks are clean."""
+    sim, driver = make_driver(frames=80)
+    image = setup(sim, driver)
+    before = full_state(sim, driver)
+    with pytest.raises(error, match=message):
+        driver.create(image)
+    assert full_state(sim, driver) == before
+    if setup is _private_page_unmapped:
+        sim.hv.primary.table.map(64, 64, PERM_RWX, sim.primary_vcpu(0))
+    assert standard_checks(sim, driver) == []
 
 
 def test_bad_fd_everywhere():

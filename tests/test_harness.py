@@ -35,7 +35,7 @@ from enclavesim.harness import (
 from enclavesim.harness import scenario as scenario_module
 from enclavesim.harness.cli import FUZZ_PROFILES
 from enclavesim.harness.cli import main as cli_main
-from enclavesim.hypervisor import ImageMeta
+from enclavesim.hypervisor import Hypervisor, ImageMeta
 from enclavesim.machine import (
     PAGE_SHIFT,
     PAGE_SIZE,
@@ -742,6 +742,43 @@ def test_scenario_timer_delay_is_at_least_zero():
 
 
 @pytest.mark.parametrize("bad", [
+    "tick junk",
+    "schedule a1 junk",
+    "create e",
+    "invoke e",
+    "resume",
+    "destroy e f",
+    "timer",
+    "timer 5 pcpu=0 junk",
+    "adversary peek e private 0",
+    "adversary read e shared 0",
+    "adversary read e private",
+    "expect nothing 1",
+    "expect status",
+    "aux",
+    "yield pcpu=0 pcpu=0",
+    "interrupt",
+    "secret k rsa str:x",
+    "scan some k",
+])
+def test_scenario_refuses_a_malformed_statement_before_running_any(bad):
+    """A statement with too few or too many words, or a word its usage line
+    does not offer, is refused by the parser with that usage line, so no
+    statement of the script runs."""
+    op = bad.split()[0]
+    with pytest.raises(ScenarioParseError,
+                       match="^line 2: usage: %s( |$)" % op):
+        parse_scenario("create e echo\n" + bad + "\ncreate f echo")
+
+
+def test_scenario_expect_payload_len_names_what_came_back():
+    with pytest.raises(ExpectationFailed,
+                       match="^line 3: expected 3 payload bytes, got b'x'$"):
+        run_scenario_text("create e echo\ninvoke e 0 str:x\n"
+                          "expect payload len:3")
+
+
+@pytest.mark.parametrize("bad", [
     "warp 9",
     "create e echo\nmachine frames=64",
     "invoke ghost 0",
@@ -771,6 +808,11 @@ def test_scenario_rejects_malformed_scripts(bad):
     ("create e echo pcpu=1", 1),
     ("machine pcpus=2\ncreate e echo mem=3 pcpu=2", 2),
     ("machine pcpus=0", 1),
+    ("create e echo mem", 1),
+    ("create e echo size=3", 1),
+    ("create e nosuch", 1),
+    ("create e echo\nadversary read ghost private 0", 2),
+    ("schedule ghost", 1),
 ])
 def test_scenario_bad_values_name_their_line(bad, lineno, tmp_path, capsys):
     with pytest.raises(ScenarioParseError, match="^line %d: " % lineno):
@@ -1070,6 +1112,12 @@ def test_bench_means_are_the_cost_models():
     assert report.deterministic()
 
 
+def test_bench_refuses_a_donation_without_room_for_state():
+    with pytest.raises(ValueError,
+                       match="^donation must cover code, state and channel$"):
+        run_bench(sizes=(16, 2), reps=1)
+
+
 def test_cli_bench_small(capsys):
     assert cli_main(["bench", "--pages", "16,32", "--reps", "3"]) == 0
     capsys.readouterr()
@@ -1140,6 +1188,46 @@ def test_stack_profile_trace_and_ledger_are_pinned(monkeypatch):
     assert sim.machine.ledger.snapshot() == {
         "pt_ops": 0, "zero_bytes": 0, "ctx_switches": 1217, "hypercalls": 0,
         "work_units": 0}
+
+
+def _popped_vcpu_stays(real):
+    def yield_vcpu(self, pcpu_id):
+        vcpu = real(self, pcpu_id)
+        self.machine.pcpus[pcpu_id].stack.append(vcpu)
+        return vcpu
+    return yield_vcpu
+
+
+def _pending_flag_dropped(real):
+    def deliver_interrupt(self, pcpu_id, target):
+        outcome = real(self, pcpu_id, target)
+        target.pending_irq = False
+        return outcome
+    return deliver_interrupt
+
+
+def _switch_charged_twice(real):
+    def charge_switch(self, *args):
+        real(self, *args)
+        real(self, *args)
+    return charge_switch
+
+
+@pytest.mark.parametrize("method, defect, report", [
+    ("yield_vcpu", _popped_vcpu_stays, r"pcpu \d stack \["),
+    ("deliver_interrupt", _pending_flag_dropped, r"pending \["),
+    ("_charge_switch", _switch_charged_twice, r"charged \d+ switches, model"),
+], ids=["stack", "pending", "switches"])
+def test_stack_profile_reports_each_model_mismatch(method, defect, report,
+                                                   monkeypatch):
+    """Each of the stack fuzzer's three comparisons with the reference
+    model fails on a hypervisor that gets its part wrong."""
+    monkeypatch.setattr(Hypervisor, method,
+                        defect(getattr(Hypervisor, method)))
+    result = fuzz_stack_ops(300, seed=0)
+    assert not result.ok
+    assert re.match(r"line \d+: " + report, result.failures[0][1]), \
+        result.failures
 
 
 def test_mixed_profile_trace_and_ledger_are_pinned(monkeypatch):

@@ -41,7 +41,7 @@ from enclavesim.harness import (
 )
 from enclavesim.ta_runtime import image_for_pages, load_program
 
-from snapshots import full_state
+from snapshots import allocations, full_state
 
 
 def boot(frames=256, pcpus=1, max_vms=16):
@@ -423,6 +423,29 @@ def test_invoke_while_enclave_holds_the_pcpu_refused():
         sim.hv.schedule_vcpu(0, vcpu)
 
 
+def test_exit_from_an_enclave_that_is_not_running_is_refused():
+    """An exit from an enclave vCPU on no stack is refused with NotRunning
+    and traced as a hypercall error, as create, destroy and invoke are.
+    The stack is untouched and the enclave still invokes."""
+    sim = boot()
+    handle = hand_create(sim, [100, 101, 102, 103], mem=3, chan=1)
+    vcpu = sim.hv.enclaves[handle].vm.vcpus[0]
+    events = len(sim.trace.events)
+    with pytest.raises(NotRunning, match="^exit from enclave1.v0, which is "
+                       "not running$"):
+        sim.hv.dispatch(vcpu, Exit())
+    trace = sim.trace
+    assert [(kind, vcpu_name) for _, kind, _, vcpu_name, _
+            in trace.events[events:]] == [("hypercall", "enclave1.v0"),
+                                          ("hypercall_error", "enclave1.v0")]
+    assert trace.details[trace.events[-1][0]] == {
+        "call": "Exit", "error": "NotRunning",
+        "message": "exit from enclave1.v0, which is not running"}
+    assert sim.hv.stack_of(0) == [sim.primary_vcpu(0)]
+    assert sim.hv.invoke_enclave(sim.primary_vcpu(0), handle) \
+        is Resumption.COMPLETED
+
+
 # -- stacking ------------------------------------------------------------------
 
 
@@ -585,10 +608,10 @@ def test_a_pcpu_id_that_is_not_an_int_is_refused(entry, pcpu):
 def test_driver_rejects_a_missing_pcpu(pcpu):
     sim = boot(pcpus=2)
     driver = EnclaveDriver(sim)
-    free, events = driver.allocator.snapshot(), len(sim.trace.events)
+    free, events = allocations(driver.allocator), len(sim.trace.events)
     with pytest.raises(SimulationError, match="^no pcpu %d$" % pcpu):
         driver.create(image_for_pages("echo", 3, 1), pcpu=pcpu)
-    assert driver.allocator.snapshot() == free
+    assert allocations(driver.allocator) == free
     assert driver.open_fds() == []
     assert len(sim.trace.events) == events
 

@@ -54,6 +54,12 @@ def test_bounds_checking(machine):
         machine.write_frame(0, PAGE_SIZE - 2, b"abc", BY, False)
     with pytest.raises(OutOfRange):
         machine.read_frame(0, PAGE_SIZE, 1)
+    for call in (lambda: machine.write_frame(8, 0, b"a", BY, False),
+                 lambda: machine.zero_frame(8, BY),
+                 lambda: machine.frame_is_zero(-1)):
+        with pytest.raises(OutOfRange, match=r"^frame -?\d+ outside \[0, 8\)$"):
+            call()
+    assert machine.frames == {}
 
 
 def test_write_observer_carries_data(machine):

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enclavesim.channel import ChannelStatus
+from enclavesim.errors import SimulationError
 from enclavesim.guest_os import EnclaveDriver
 from enclavesim.harness.scenario import run_scenario_text
 from enclavesim.machine import MachineConfig, PAGE_SHIFT
 from enclavesim.sim import Simulation
+from enclavesim.stage2 import PERM_RO
 from enclavesim.ta_runtime import (
     CMD_ADDRESS,
     CMD_CREATE_MASTER,
@@ -18,7 +20,9 @@ from enclavesim.ta_runtime import (
     CMD_PUBKEY,
     CMD_SIGN,
     CMD_VERIFY,
+    MAX_KEYS,
     REGISTRY,
+    TAG_LEN,
     digest_chain,
     image_for,
     image_for_pages,
@@ -215,6 +219,21 @@ def test_wallet_rejects_bad_key_id():
     assert status is ChannelStatus.ERROR
     status, _ = driver.invoke(fd, CMD_ADDRESS, b"\x01")  # short args
     assert status is ChannelStatus.ERROR
+    # a verify one byte short of a key id and a tag
+    status, _ = driver.invoke(fd, CMD_VERIFY, bytes(3 + TAG_LEN))
+    assert status is ChannelStatus.ERROR
+
+
+def test_wallet_key_table_holds_max_keys():
+    sim, driver, fd = wallet_fixture()
+    for i in range(MAX_KEYS):
+        assert driver.invoke(fd, CMD_DERIVE) == (ChannelStatus.DONE,
+                                                 struct.pack("<I", i))
+    assert driver.invoke(fd, CMD_DERIVE) == (ChannelStatus.ERROR, b"")
+    last = struct.pack("<I", MAX_KEYS - 1)
+    assert driver.invoke(fd, CMD_ADDRESS, last)[0] is ChannelStatus.DONE
+    status, _ = driver.invoke(fd, CMD_ADDRESS, struct.pack("<I", MAX_KEYS))
+    assert status is ChannelStatus.ERROR
 
 
 def test_wallet_secrets_stay_in_private_pages():
@@ -244,6 +263,28 @@ def test_state_past_the_private_pages_is_an_error_reply(script):
     channel: the command fails instead, and the enclave can be destroyed."""
     result = run_scenario_text(script)
     assert result.ok, result.violations
+
+
+@pytest.mark.parametrize("perms, access", [(None, "read"), (PERM_RO, "write")],
+                         ids=["unmapped", "read-only"])
+def test_state_page_lost_from_the_enclaves_table_fails_the_invoke(perms,
+                                                                  access):
+    """State lives behind the enclave's own table: with its state page
+    unmapped a command cannot read it, and with it read-only it cannot
+    write it.  The program is over and the invoker is running again."""
+    sim, driver = make_driver()
+    fd = driver.create(image_for("counter"))
+    rec = driver.record_of(fd)
+    page, vcpu = image_for("counter").code_pages, rec.vm.vcpus[0]
+    if perms is None:
+        rec.vm.table.unmap(page, vcpu)
+    else:
+        rec.vm.table.protect(page, perms, vcpu)
+    with pytest.raises(SimulationError,
+                       match="^TA state %s fault: " % access):
+        driver.invoke(fd, 1)
+    assert sim.hv.stack_of(0) == [sim.primary_vcpu(0)]
+    assert vcpu.saved_context.gi_frame is None
 
 
 def test_wallet_without_a_state_page_keeps_its_key_out_of_the_channel():
@@ -284,3 +325,5 @@ def test_probe_sees_only_its_own_pages():
     # a primary-side address has no meaning in the enclave's space
     status, ret = driver.invoke(fd, 1, struct.pack("<Q", 200 << PAGE_SHIFT))
     assert ret == b"fault:unmapped"
+    # an address shorter than a <Q fails the command
+    assert driver.invoke(fd, 1, bytes(7)) == (ChannelStatus.ERROR, b"")
