@@ -213,10 +213,12 @@ ProgramLoader = Callable[[bytes], Optional[Callable[[EnclaveRecord], GuestProgra
 
 class Hypervisor:
     def __init__(self, machine: PhysicalMachine,
-                 program_loader: ProgramLoader, tick: Callable[[], None]):
+                 program_loader: ProgramLoader, tick: Callable[[], None],
+                 timers: List[Tuple[int, int, int]]):
         self.machine = machine
         self.program_loader = program_loader
-        self.tick = tick        # runs after each costed guest step
+        self.tick = tick        # fires the due timers
+        self.timers = timers    # the heap `tick` fires from, earliest first
         self.emit = machine.trace.emit  # records one scheduling event
         self.vms: Dict[int, Vm] = {}
         self.enclaves: Dict[int, EnclaveRecord] = {}
@@ -398,6 +400,8 @@ class Hypervisor:
         ptab = self.primary.table
         staged: List[Tuple[int, int, Perms]] = []
         for p in pages:
+            if type(p) is not int:      # a float or a bool would be traced
+                raise InvalidDonation("donated page %r is not an int" % (p,))
             ent = ptab.lookup(p)
             if ent is None:
                 raise PageNotMapped("ipa page %#x not mapped in primary" % p)
@@ -508,7 +512,7 @@ class Hypervisor:
 
     def _run_until(self, pcpu: Pcpu, stop: Vcpu) -> None:
         """Advance the running guest until `stop` is back on the pCPU."""
-        stack = pcpu.stack
+        stack, timers, trace = pcpu.stack, self.timers, self.machine.trace
         while stack[-1] is not stop:
             cur = stack[-1]
             gen = cur.saved_context
@@ -541,7 +545,8 @@ class Hypervisor:
                 if isinstance(exc, StopIteration):
                     continue
                 raise
-            self.tick()
+            if timers and timers[0][0] <= trace.t:    # a timer is due
+                self.tick()
 
     # -- raw scheduling for tests and demos -----------------------------------
 

@@ -15,7 +15,9 @@ Simulated time is the trace's running total: recording an event charges
 its cost, so ``TraceObserver`` charges the table ops and zeroed pages.  It
 stays an observer while the benchmark builds its span list from its hooks.
 Timers fire against that clock from inside the hypervisor's run loop,
-which is what makes mid-command preemption deterministic.
+which reads the earliest deadline of the shared heap after each guest step
+and calls ``check_timers`` only once it is due; that is what makes
+mid-command preemption deterministic.
 """
 from __future__ import annotations
 
@@ -61,7 +63,10 @@ class Simulation:
     def __init__(self, config: Optional[MachineConfig] = None, seed: int = 0):
         self.machine = PhysicalMachine(config)
         self.trace = self.machine.trace
-        self.hv = Hypervisor(self.machine, load_program, self.check_timers)
+        self._timers: List[Tuple[int, int, int]] = []  # (deadline, seq, pcpu)
+        self._timer_seq = 0
+        self.hv = Hypervisor(self.machine, load_program, self.check_timers,
+                             self._timers)
         self.rng = random.Random(seed)
         self.machine.observers.append(TraceObserver(self))
         cfg = self.machine.config
@@ -69,8 +74,6 @@ class Simulation:
                         {"frames": cfg.frames, "pcpus": cfg.pcpus,
                          "max_vms": cfg.max_vms, "seed": seed,
                          "os_reserved_pages": cfg.os_reserved_pages})
-        self._timers: List[Tuple[int, int, int]] = []  # (deadline, seq, pcpu)
-        self._timer_seq = 0
 
     # -- time ---------------------------------------------------------------
 
@@ -95,9 +98,10 @@ class Simulation:
         return deadline
 
     def check_timers(self) -> None:
-        """Fire every due timer.  Runs after each costed guest step and may
-        be called between driver operations."""
-        while self._timers and self._timers[0][0] <= self.now():
+        """Fire every due timer.  The run loop calls it after a guest step
+        once the earliest deadline is due; it may also be called between
+        driver operations."""
+        while self._timers and self._timers[0][0] <= self.trace.t:
             deadline, _, pcpu_id = heapq.heappop(self._timers)
             self.trace.emit("timer_fired", pcpu_id,
                             self.machine.pcpus[pcpu_id].stack[-1].name,

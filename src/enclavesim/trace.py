@@ -1,87 +1,62 @@
 """Append-only event trace with deterministic JSON-lines serialization.
 
 Every hypervisor-visible action (mapping changes, zeroing, context switches,
-hypercalls, faults, channel transitions) is recorded as one event carrying
-its step, which is its index in the trace, and the simulated time ``t``
-right after the event's own cost was charged.  The trace is the one record
-of a run and simulated time is its running total: ``emit`` charges each
-event's ``COST`` to ``t`` and its kind's ``totals`` as it records it, and
-the cost ledger is a view of those totals.  Two runs of the same
-scenario must serialize byte-for-byte identically, so details contain only
-ints, strings, bools, None and nested dicts/lists/tuples of those.  A
-recorded event is an immutable tuple and is never changed.
-``TraceRecorder.emit`` keeps the detail dict it is given without a copy,
-so every caller passes a fresh dict built for that one event.
+hypercalls, faults, channel transitions) is one event carrying its step, its
+index in the trace, and the simulated time ``t`` right after its own cost
+was charged.  The trace is the one record of a run: ``emit`` charges each
+event's ``COST`` to ``t`` and its kind's ``totals``, of which the cost
+ledger is a view.  A recorded event is an immutable tuple; ``emit`` keeps
+its detail dict without a copy, so each caller builds a fresh one.
 
-Stored layout: ``TraceRecorder.events[i]`` is the exact tuple
-``(step, kind, pcpu, vcpu, t)`` and ``TraceRecorder.details[step]`` is that
-event's detail dict.  An event holds no container on purpose.  CPython's
-cyclic garbage collector tracks every tuple it creates, and untracks one at
-its first young collection only if it is an exact ``tuple`` whose items are
-all atoms (ints, strings, None) or untracked exact tuples.  A named tuple
-subclass, or a tuple holding a dict, stays tracked for its whole life, so a
-long trace would be walked again by every older-generation collection, and
-those collections land on the same operations in every run.  A stored event
-therefore leaves the collector at the first young collection after it is
-recorded.  A detail dict whose values are all atoms is never tracked.  The
-details sit in their own list, indexed by absolute step, so a slice of
-``events`` still serializes with its own details.
+``events[i]`` is the exact tuple ``(step, kind, pcpu, vcpu, t)`` and
+``details[step]`` its detail.  An event holds no container on purpose:
+CPython's garbage collector untracks a tuple at its first young collection
+only if it is an exact ``tuple`` of atoms, and a tracked trace would be
+walked again by every older collection, at the same operations in every
+run.  A detail of atoms is never tracked.  Details are indexed by absolute
+step, so a slice of ``events`` serializes with its own details.  A
+``channel`` event traces the header in hex and ``zlib.crc32`` of the active
+payload, not its bytes: a rerun of the script reproduces them.
 
-The trace records events, not copies of guest data.  A ``channel`` event's
-detail is ``side``, ``old`` and ``new`` (status words), ``header`` (the
-20-byte channel header as it reads after the transition, in hex) and
-``payload_crc32`` (``zlib.crc32`` of the active payload, an int); the
-payload's length is the header's ``arg_len`` or ``ret_len``.  The payload
-bytes themselves are not traced: a CRC is enough to show where two runs
-diverge, and rerunning the scenario script reproduces the bytes, which stay
-in the channel's frames until the next step overwrites them.
-
-One event is one line, its six keys in sorted order and no spaces:
+One event is one line, ``json.dumps(record, sort_keys=True,
+separators=(",", ":"))``, its six keys sorted, with no spaces:
 
     {"detail":{...},"event":"s2_map","pcpu":0,"step":7,"t":12,"vcpu":"primary.v0"}
 
-The line equals ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
-of that record.  Only ``detail`` goes through the JSON encoder; the fixed
-keys are written directly by one f-string, kinds and vCPU names escaped as
-``json.dumps`` escapes them (ASCII only), each quoted once per call, and a
-missing vCPU as ``null``.  ``pcpu``, ``step`` and ``t`` are written with
-``str()``, so they are exact ints: ``step`` is an index,
-``Hypervisor.check_pcpu`` refuses a float or bool pCPU id at every entry
-point that takes one (``arm_timer``, ``primary_vcpu`` and so the driver's
-``create``, ``deliver_interrupt``, the raw scheduling calls), and the run
-loop refuses work units that are not an exact int.
-
-The trace is serialized in blocks of ``BLOCK`` events, one encoder call per
-block.  A block's details are encoded together as one JSON array; with the
-array's ``[{`` and ``}]`` stripped, the text is cut at each ``},{`` into one
-piece per event, the body of its detail without its braces.  The cut is
-exact whenever it gives exactly as many pieces as the block has events: the
-n-1 top-level boundaries between the n detail dicts are always there, and
-two occurrences of ``},{`` cannot overlap, so a ``},{`` inside a detail (a
-nested list of dicts, or a string holding those three characters) can only
-add pieces.  A block whose piece count differs is encoded one detail at a
-time with the same encoder.  The encoder keeps no record of the containers
-it is inside: details are fresh dicts of atoms and nested containers, so
-they hold no cycle, and a cyclic one would still fail, with
-``RecursionError``.  ``to_jsonl`` joins the blocks, and ``write_jsonl``
-writes them to the file one by one, so neither builds a list of every line.
+``SCHEMA`` declares each kind's detail keys and their value types.  An
+``int`` is an exact int, written with ``str()``.  A ``name`` (a vCPU name,
+perms tag, reason, outcome) is quoted once per call through ``_Quoted``,
+like kinds and vCPU names.  A ``text`` (a channel header, an error message)
+is quoted on every use, so a call keeps no copy of each one.  At import one
+line function per declared kind is compiled from it, an f-string per shape,
+which checks the detail's key count first and falls back to the JSON
+encoder on another count or a ``KeyError``: a detail with a key missing,
+added or renamed serializes as ``json.dumps`` does.  A hypercall has a
+shape per ``call``, and as its arguments are traced before they are
+checked, its templates check each int's type too.  ``CreateEnclave``'s (a
+page tuple, a meta dict), ``boot`` and undeclared kinds go to the encoder.
+Other types are not checked: an entry point that traces an ``int`` (or a
+``pcpu``) takes only exact ints (``Hypervisor.check_pcpu``, ``arm_timer``'s
+delay, the run loop's work units, ``_do_create``'s pages), and tier-1
+checks each in-tree emitter against ``SCHEMA``.  Details hold no cycle, so the encoder keeps no record
+of its containers; a cyclic one fails with ``RecursionError``.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 _encode_detail = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                   check_circular=False).encode
-BLOCK = 256     # events serialized per encoder call
+BLOCK = 256     # events per string that _blocks yields
 
 
 class _Quoted(dict):
-    """Event kinds and vCPU names as JSON strings, ``null`` for None, each
-    quoted on first use; one per serialization, so it holds one trace's
-    names."""
+    """Event kinds, vCPU names and `name` values as JSON strings, ``null``
+    for None, each quoted on first use; one per serialization, so it holds
+    one trace's names."""
 
     def __missing__(self, name: Optional[str]) -> str:
         text = self[name] = "null" if name is None else _quote(name)
@@ -95,6 +70,61 @@ TraceEvent = Tuple[int, str, int, Optional[str], int]
 # ``units``; every other kind costs nothing
 COST = {"s2_map": 1, "s2_unmap": 1, "s2_protect": 1, "zero_frame": 1,
         "ctx_switch": 1, "hypercall": 1, "work": None}
+
+# the detail of each event kind: its keys and the type of each value; a
+# hypercall's by its `call`, besides `call` itself
+INT, NAME, TEXT = "int", "name", "text"
+SCHEMA = {
+    "s2_map": {"vm": INT, "ipa_page": INT, "frame": INT, "perms": NAME},
+    "s2_unmap": {"vm": INT, "ipa_page": INT, "frame": INT},
+    "s2_protect": {"vm": INT, "ipa_page": INT, "frame": INT,
+                   "old": NAME, "new": NAME},
+    "zero_frame": {"frame": INT},
+    "fault": {"vm": INT, "ipa": INT, "fault": NAME},
+    "push": {},
+    "pop": {"resumption": NAME},
+    "ctx_switch": {"frm": NAME, "to": NAME, "reason": NAME},
+    "interrupt": {"target": NAME, "outcome": NAME},
+    "hypercall": {"InvokeEnclave": {"handle": INT}, "Exit": {},
+                  "DestroyEnclave": {"handle": INT}},
+    "hypercall_error": {"call": NAME, "error": NAME, "message": TEXT},
+    "work": {"units": INT},
+    "channel": {"side": NAME, "old": INT, "new": INT, "header": TEXT,
+                "payload_crc32": INT},
+    "timer_armed": {"deadline": INT},
+    "timer_fired": {"deadline": INT},
+}
+
+# each value type in a template, `%s` the value; a line's f-string, `%s`
+# its detail and then its kind, both JSON text
+_VALUE = {INT: "{%s}", NAME: "{q[%s]}", TEXT: "{quote(%s)}"}
+_LINE = ('{{"detail":%s,"event":%s,"pcpu":{pcpu},"step":{step},"t":{t},'
+         '"vcpu":{q[vcpu]}}}\\n')
+
+
+def _compile(kind: str, shapes) -> Callable[..., str]:
+    """The line function of `kind`: a guarded template per (call, keys)
+    shape, the encoder for any other detail.  Keys are identifiers."""
+    source = "def line(d, step, kind, pcpu, vcpu, t, q):\n try:\n  pass\n"
+    for call, keys in shapes:
+        body = {k: _VALUE[of] % ('d["%s"]' % k) for k, of in keys.items()}
+        guard = ["len(d) == %d" % (len(keys) + (call is not None))]
+        if call is not None:    # traced before its handler checks it
+            body["call"] = '"%s"' % call
+            guard = ['d["call"] == "%s"' % call, *guard, *(
+                'type(d["%s"]) is int' % k for k in keys if keys[k] == INT)]
+        detail = ",".join('"%s":%s' % (k, body[k]) for k in sorted(body))
+        source += "  if %s:\n   return f'%s'\n" % (
+            " and ".join(guard), _LINE % ("{{%s}}" % detail, '"%s"' % kind))
+    scope = {"quote": _quote, "encode": _encode_detail}
+    exec(source + " except KeyError:\n  pass\n return f'%s'"
+         % (_LINE % ("{encode(d)}", "{q[kind]}")), scope)
+    return scope["line"]
+
+
+_encoded = _compile("", ())     # the line function of any undeclared kind
+_LINES = {kind: _compile(kind, SCHEMA[kind].items() if kind == "hypercall"
+                         else [(None, SCHEMA[kind])]) for kind in SCHEMA}
 
 
 @dataclass
@@ -122,20 +152,12 @@ class TraceRecorder:
 
     def _blocks(self) -> Iterator[str]:
         """The JSONL text of each block of `BLOCK` events, in order."""
-        events, all_details = self.events, self.details
-        quoted = _Quoted()
+        events, details = self.events, self.details
+        q, line, other = _Quoted(), _LINES.get, _encoded
         for i in range(0, len(events), BLOCK):
-            block = events[i:i + BLOCK]
-            details = [all_details[ev[0]] for ev in block]
-            pieces = _encode_detail(details)[2:-2].split("},{")
-            if len(pieces) != len(block):   # a "},{" inside some detail
-                pieces = [_encode_detail(detail)[1:-1] for detail in details]
             yield "".join([
-                f'{{"detail":{{{text}}},"event":{quoted[kind]},'
-                f'"pcpu":{pcpu},"step":{step},"t":{t},'
-                f'"vcpu":{quoted[vcpu]}}}\n'
-                for text, (step, kind, pcpu, vcpu, t) in zip(pieces, block)
-            ])
+                line(kind, other)(details[step], step, kind, pcpu, vcpu, t, q)
+                for step, kind, pcpu, vcpu, t in events[i:i + BLOCK]])
 
     def to_jsonl(self) -> str:
         return "".join(self._blocks())

@@ -84,17 +84,18 @@ def test_invoke_count_does_not_depend_on_the_pcpu():
 
 
 def test_invoke_makes_no_more_python_calls_than_it_needs():
-    """A warm 64 B echo invoke makes 81 Python calls.  It made 98 before
+    """A warm 64 B echo invoke makes 79 Python calls.  It made 98 before
     the calls it did not need went: a ledger sum to stamp each of its 9
     events, a property for each of 4 capacity checks, an enum property for
-    each of 2 pops, a new Exit, and a scheduled-target check that a running
-    primary caller rules out.  A call that creeps back onto the round trip
+    each of 2 pops, a new Exit, a scheduled-target check that a running
+    primary caller rules out, and a timer poll after each of its 2 guest
+    steps with no timer due.  A call that creeps back onto the round trip
     fails here.  A frozen
     dataclass's __init__ sets each field through object.__setattr__, a C
     call no Python count sees, so the step types are checked directly."""
     driver = _driver()
     fd = _warm_enclave(driver)
     calls = count_calls(driver.invoke, fd, 0, bytes(64))
-    assert sum(calls.values()) <= 81, calls
+    assert sum(calls.values()) <= 79, calls
     assert not [cls for cls in (Work, *Hypercall.__subclasses__())
                 if cls.__dataclass_params__.frozen]

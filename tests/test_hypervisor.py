@@ -251,6 +251,28 @@ def test_unwritable_page_cannot_be_donated():
     assert full_state(sim, driver) == before
 
 
+@pytest.mark.parametrize("donate, shown", [
+    (lambda pages: [float(p) for p in pages], "64.0"),
+    (lambda pages: [*pages[:-1], True], "True"),
+], ids=["float", "bool"])
+def test_a_donated_page_that_is_not_an_int_is_refused(donate, shown):
+    """A donated page that is not an exact int is refused before any table
+    changes: page 64.0 would reach the trace as a float, and True as
+    `true`, read back as page 1."""
+    sim = boot()
+    driver = EnclaveDriver(sim)
+    create = sim.hv.create_enclave
+    sim.hv.create_enclave = lambda caller, pages, meta: create(
+        caller, donate(pages), meta)
+    before = full_state(sim, driver)
+    with pytest.raises(InvalidDonation,
+                       match="^donated page %s is not an int$" % shown):
+        driver.create(image_for_pages("echo", 3, 1))
+    assert full_state(sim, driver) == before
+    assert not [kind for _, kind, _, _, _ in sim.trace.events
+                if kind.startswith("s2_")]
+
+
 def test_vm_limit():
     sim = boot(max_vms=2)
     driver = EnclaveDriver(sim)

@@ -7,14 +7,17 @@ import gc
 import hashlib
 import json
 import zlib
+from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from enclavesim.channel import CHANNEL_HEADER, HEADER_LEN, ChannelStatus
 from enclavesim.guest_os import EnclaveDriver
-from enclavesim.harness.scenario import run_scenario_text
+from enclavesim.harness import scenario as scenario_module
+from enclavesim.harness.fuzz import fuzz_lifecycles, fuzz_mixed
+from enclavesim.harness.scenario import PLAYBOOK, run_scenario_text
 from enclavesim.hypervisor import (
     CreateEnclave,
     DestroyEnclave,
@@ -27,7 +30,7 @@ from enclavesim.hypervisor import (
 from enclavesim.machine import PAGE_SIZE, MachineConfig, Observer
 from enclavesim.sim import Simulation
 from enclavesim.ta_runtime import image_for
-from enclavesim.trace import BLOCK, COST, TraceRecorder
+from enclavesim.trace import BLOCK, COST, INT, NAME, SCHEMA, TraceRecorder
 
 
 def _recorder(*events):
@@ -126,6 +129,62 @@ def test_drawn_traces_serialize_as_json_dumps_whole_and_in_slices(
     for i in range(n):
         kind, pcpu, vcpu, detail = pool[i % len(pool)]
         trace.emit(kind, pcpu, vcpu, {} if i in empty else detail)
+    whole = trace.to_jsonl()
+    assert whole == _dumps(trace)
+    events, parts = trace.events, []
+    for i in range(0, n, 256):
+        trace.events = events[i:i + 256]
+        parts.append(trace.to_jsonl())
+    assert "".join(parts) == whole
+
+
+# every declared detail shape, (kind, {key: values}) each: a hypercall has
+# one per call, its `call` fixed; ints reach past 64 bits either way
+_ints = st.integers() | st.integers(-2 ** 80, 2 ** 80)
+_SHAPES = [(kind, {key: _ints if of == INT else _texts
+                   for key, of in keys.items()})
+           for kind, keys in SCHEMA.items() if kind != "hypercall"] + [
+    ("hypercall", {"call": st.just(call),
+                   **{key: _ints for key in keys}})
+    for call, keys in SCHEMA["hypercall"].items()]
+
+
+@st.composite
+def _declared_events(draw):
+    """An event of a declared kind whose detail conforms, or has one key
+    missing, added or renamed, or (a hypercall's) an int that is not one."""
+    kind, fields = draw(st.sampled_from(_SHAPES))
+    detail = draw(st.fixed_dictionaries(fields))
+    change = draw(st.sampled_from(["none", "missing", "added", "renamed",
+                                   "retyped"]))
+    fresh = _texts.filter(lambda key: key not in detail)
+    # a work event's units are its cost, which emit charges
+    keys = sorted(key for key in detail if kind != "work")
+    if change == "added" or not keys:
+        detail[draw(fresh)] = draw(_values)
+    elif change == "missing":
+        del detail[draw(st.sampled_from(keys))]
+    elif change == "renamed":
+        detail[draw(fresh)] = detail.pop(draw(st.sampled_from(keys)))
+    elif change == "retyped" and "handle" in detail:
+        detail["handle"] = draw(st.booleans() | st.floats() | _texts)
+    return kind, draw(st.integers(0, 3)), draw(st.none() | _texts), detail
+
+
+@settings(max_examples=40, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(pool=st.lists(_declared_events(), min_size=1, max_size=8),
+       n=st.integers(0, 2 * BLOCK + 2))
+@example(pool=[("hypercall", 0, None, {"call": "InvokeEnclave", "handle": h})
+               for h in (True, "7", 2 ** 70, -1.5)], n=4)
+def test_declared_kinds_serialize_as_json_dumps_whole_and_in_slices(pool, n):
+    """Details of every declared kind and hypercall shape, conforming or
+    with a key missing, added or renamed, serialize as json.dumps does,
+    whole and in 256-event slices."""
+    trace = TraceRecorder()
+    for i in range(n):
+        kind, pcpu, vcpu, detail = pool[i % len(pool)]
+        trace.emit(kind, pcpu, vcpu, detail)
     whole = trace.to_jsonl()
     assert whole == _dumps(trace)
     events, parts = trace.events, []
@@ -282,6 +341,49 @@ def test_every_event_kind_has_pinned_bytes():
         "interrupt", "channel", "timer_armed", "timer_fired"}
     jsonl = result.sim.trace.to_jsonl().encode()
     assert hashlib.sha256(jsonl).hexdigest() == ALL_KINDS_SHA256
+
+
+def _in_tree_traces():
+    """The trace of each bundled scenario, playbook script, the every-kind
+    run and a short lifecycle and mixed fuzz run, replayed from its
+    script."""
+    here = Path(scenario_module.__file__).parent
+    texts = [path.read_text() for path in sorted(
+        (Path(__file__).parent.parent / "scenarios").glob("*.txt"))]
+    texts += [(here / "playbook" / (name + ".txt")).read_text()
+              for name in PLAYBOOK]
+    texts += ["\n".join(report.script) for report in (
+        fuzz_lifecycles(cases=40, seed=3), fuzz_mixed(ops=150, seed=3))]
+    assert len(texts) == 11
+    for text in texts + [ALL_KINDS_SCENARIO]:
+        yield run_scenario_text(text).sim.trace
+
+
+def test_in_tree_emitters_keep_to_the_schema():
+    """Every kind the simulator emits but `boot` is declared in SCHEMA, and
+    every detail of a declared kind has exactly its keys, with an exact int
+    or a str as declared.  `CreateEnclave`'s hypercall carries its caller's
+    page tuple and meta dict, which the encoder writes."""
+    seen = set()
+    for trace in _in_tree_traces():
+        for step, kind, _, _, _ in trace.events:
+            detail = trace.details[step]
+            if kind == "boot":
+                continue
+            keys, shape = SCHEMA[kind], kind
+            if kind == "hypercall":
+                shape = (kind, detail["call"])
+                if detail["call"] == "CreateEnclave":
+                    assert set(detail) == {"call", "pages", "meta"}
+                    continue
+                keys = dict(keys[detail["call"]], call=NAME)
+            assert set(detail) == set(keys), (step, kind, detail)
+            assert [key for key, of in keys.items()
+                    if type(detail[key]) is not (int if of == INT else str)
+                    ] == [], (step, kind, detail)
+            seen.add(shape)
+    assert seen == set(SCHEMA) - {"hypercall"} | {
+        ("hypercall", call) for call in SCHEMA["hypercall"]}
 
 
 # -- channel events carry a CRC-32 of the payload, not a copy of it --------
