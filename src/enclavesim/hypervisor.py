@@ -1,13 +1,16 @@
 """Minimal hypervisor: VM records, enclave lifecycle, and vCPU stacking.
 
-The hypervisor owns all stage-2 tables and is the only code that mutates
-them.  Enclave VMs are carved out of memory the primary VM donates; the
-primary loses its mapping of donated private pages at create time and gets
-the (zeroed) pages back at destroy time, so at every instant each frame is
-reachable from at most one VM, except channel frames which are deliberately
-shared.  The primary's table is identity-mapped RWX by default and stores
-only the pages donated away and its channel pages, so boot costs nothing
-per frame and the table stores nothing again once every enclave is gone.
+The hypervisor stores the stage-2 tables, the pCPU stacks and the VM and
+enclave records, and it alone mutates a table.  Enclave VMs are carved out
+of memory the primary VM donates; the primary loses its mapping of donated
+private pages at create time and gets the (zeroed) pages back at destroy
+time, so at every instant each frame is reachable from at most one VM,
+except channel frames which are deliberately shared.  The primary's table
+is identity-mapped RWX by default and stores only the pages donated away
+and its channel pages, so boot costs nothing per frame and the table stores
+nothing again once every enclave is gone.  A live channel page is its one
+rw, no-exec entry: create refuses it as a donation, and every page create
+accepts is a default RWX entry, which destroy restores.
 
 Destroy runs one teardown, ``_teardown``: it zeroes every donated frame,
 then unmaps the enclave and hands the pages back to the primary.  A
@@ -60,7 +63,7 @@ from .errors import (
     WrongPcpu,
 )
 from .machine import PAGE_SHIFT, PAGE_SIZE, PhysicalMachine, Pcpu
-from .stage2 import PERM_RW, PERM_RWX, Perms, Stage2Table
+from .stage2 import PERM_RW, PERM_RWX, Stage2Table
 
 
 class VmKind(enum.Enum):
@@ -171,17 +174,15 @@ class Vm:
 
 @dataclass
 class DonatedPage:
-    primary_ipa_page: int
+    primary_ipa_page: int       # held RWX by the primary before the donation
     frame: int
-    orig_perms: Perms
-    is_channel: bool
 
 
 @dataclass(eq=False)
 class EnclaveRecord:
     handle: int
     vm: Vm
-    pages: List[DonatedPage]        # donation order; channel pages last
+    pages: List[DonatedPage]        # donation order; the channel_pages last
     channel_pages: int
 
     @property
@@ -199,10 +200,10 @@ class EnclaveRecord:
     def primary_private_pages(self) -> List[int]:
         """Primary-view IPA pages of the private region (unmapped while the
         enclave lives)."""
-        return [dp.primary_ipa_page for dp in self.pages if not dp.is_channel]
+        return [dp.primary_ipa_page for dp in self.pages[:self.private_pages]]
 
     def primary_channel_pages(self) -> List[int]:
-        return [dp.primary_ipa_page for dp in self.pages if dp.is_channel]
+        return [dp.primary_ipa_page for dp in self.pages[self.private_pages:]]
 
 
 # Resolves the code blob found in the first donated page to a program
@@ -224,7 +225,6 @@ class Hypervisor:
         self.enclaves: Dict[int, EnclaveRecord] = {}
         self._next_vmid = 0
         self._next_handle = 1
-        self._shared_frames: set = set()   # channel frames of live enclaves
         self.primary = self._boot_primary()
 
     # -- boot -----------------------------------------------------------------
@@ -364,6 +364,8 @@ class Hypervisor:
         return pcpu
 
     def _lookup(self, handle: int) -> EnclaveRecord:
+        if type(handle) is not int:     # True or 1.0 would find enclave 1
+            raise BadHandle("handle %r is not an int" % (handle,))
         rec = self.enclaves.get(handle)
         if rec is None:
             # handles count up from 1 and only a successful create takes one
@@ -377,11 +379,11 @@ class Hypervisor:
     def _do_create(self, caller: Vcpu, hc: CreateEnclave) -> int:
         """Donate `hc.pages` of the caller's memory to a new enclave.
 
-        The trailing meta.channel_size_pages pages become the shared channel;
-        everything else (including any surplus beyond meta.mem_size_pages)
-        becomes enclave-private.  Validation happens entirely before the
-        first mutation, so any error leaves the primary's table, the enclave
-        list and all frame contents exactly as they were.
+        The trailing meta.channel_size_pages pages become the shared channel,
+        the rest (any surplus beyond meta.mem_size_pages too) enclave-private.
+        Each must be the primary's RWX entry: not read-only, nor a live
+        channel's rw-.  All validation precedes the first mutation, so any
+        error leaves the primary's table, enclaves and frames as they were.
         """
         self._running_pcpu(caller, "create")
         pages, meta = hc.pages, hc.meta
@@ -398,7 +400,7 @@ class Hypervisor:
         if 1 + len(self.enclaves) + 1 > self.machine.config.max_vms:
             raise Exhausted("VM limit %d reached" % self.machine.config.max_vms)
         ptab = self.primary.table
-        staged: List[Tuple[int, int, Perms]] = []
+        donated: List[DonatedPage] = []
         for p in pages:
             if type(p) is not int:      # a float or a bool would be traced
                 raise InvalidDonation("donated page %r is not an int" % (p,))
@@ -409,12 +411,12 @@ class Hypervisor:
             if not perms.write:
                 raise InvalidDonation("ipa page %#x not writable; the caller "
                                       "does not own it outright" % p)
-            if frame in self._shared_frames:
+            if not perms.execute:       # create maps only a channel rw-
                 raise InvalidDonation("ipa page %#x is another enclave's "
                                       "channel; cannot donate it" % p)
-            staged.append((p, frame, perms))
+            donated.append(DonatedPage(p, frame))
         factory = self.program_loader(
-            self.machine.read_frame(staged[0][1], 0, PAGE_SIZE))
+            self.machine.read_frame(donated[0].frame, 0, PAGE_SIZE))
         if factory is None:
             raise InvalidDonation("unrecognized enclave image")
 
@@ -423,17 +425,13 @@ class Hypervisor:
         self._next_handle += 1
         vm = self._new_vm(VmKind.ENCLAVE, "enclave%d" % handle, (caller.pcpu,))
         n_priv = len(pages) - channel_pages
-        donated: List[DonatedPage] = []
-        for i, (p, frame, perms) in enumerate(staged):
-            if i < n_priv:
-                ptab.unmap(p, caller)
-                vm.table.map(i, frame, PERM_RWX, caller)
-            else:
-                # channel stays mapped in the primary, data only, no exec
-                ptab.protect(p, PERM_RW, caller)
-                vm.table.map(i, frame, PERM_RW, caller)
-                self._shared_frames.add(frame)
-            donated.append(DonatedPage(p, frame, perms, i >= n_priv))
+        for i, dp in enumerate(donated[:n_priv]):
+            ptab.unmap(dp.primary_ipa_page, caller)
+            vm.table.map(i, dp.frame, PERM_RWX, caller)
+        for i, dp in enumerate(donated[n_priv:], n_priv):
+            # channel stays mapped in the primary, data only, no exec
+            ptab.protect(dp.primary_ipa_page, PERM_RW, caller)
+            vm.table.map(i, dp.frame, PERM_RW, caller)
         rec = EnclaveRecord(handle, vm, donated, channel_pages)
         self.enclaves[handle] = rec
         vm.vcpus[0].saved_context = factory(rec)
@@ -459,24 +457,21 @@ class Hypervisor:
         vm.state = VmState.DESTROYED
         del self.enclaves[rec.handle]
         del self.vms[vm.vmid]
-        for dp in rec.pages:
-            if dp.is_channel:
-                self._shared_frames.discard(dp.frame)
         vcpu.saved_context.close()
         vcpu.saved_context = None
 
     def _teardown(self, rec: EnclaveRecord, by: Vcpu) -> None:
-        """Zero every donated frame, then hand the pages back, for `by`."""
+        """Zero every donated frame, then hand the pages back RWX, for `by`."""
         for dp in rec.pages:
             self.machine.zero_frame(dp.frame, by)
         for i in range(len(rec.pages)):
             rec.vm.table.unmap(i, by)
         ptab = self.primary.table
-        for dp in rec.pages:
-            if dp.is_channel:
-                ptab.protect(dp.primary_ipa_page, dp.orig_perms, by)
-            else:
-                ptab.map(dp.primary_ipa_page, dp.frame, dp.orig_perms, by)
+        n_priv = len(rec.pages) - rec.channel_pages
+        for dp in rec.pages[:n_priv]:
+            ptab.map(dp.primary_ipa_page, dp.frame, PERM_RWX, by)
+        for dp in rec.pages[n_priv:]:
+            ptab.protect(dp.primary_ipa_page, PERM_RWX, by)
 
     # -- invoke / exit ------------------------------------------------------
 

@@ -113,8 +113,10 @@ def standard_loop(ctx: TaContext,
                   handlers: Dict[int, Handler]) -> GuestProgram:
     """Serve forever: take a request, run its handler, publish the reply,
     give control back.  A ChannelError (only `serve` raises one) means
-    nothing to serve: no reply.  An unknown command or a failed handler
-    becomes status ERROR with an empty payload."""
+    nothing to serve: no reply.  An unknown command or a handler that fails
+    with any other SimulationError (a TaCommandError, a state fault, a
+    refused hypercall) becomes status ERROR with an empty payload, so the
+    channel is never left holding the request."""
     while True:
         try:
             cmd_id, args = ctx.channel.serve()
@@ -124,7 +126,7 @@ def standard_loop(ctx: TaContext,
             ret = yield from handler(ctx, args)
         except ChannelError:
             pass
-        except TaCommandError:
+        except SimulationError:
             ctx.channel.complete_error()
         else:
             ctx.channel.complete(ret if ret is not None else b"")

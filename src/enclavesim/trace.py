@@ -37,9 +37,10 @@ checked, its templates check each int's type too.  ``CreateEnclave``'s (a
 page tuple, a meta dict), ``boot`` and undeclared kinds go to the encoder.
 Other types are not checked: an entry point that traces an ``int`` (or a
 ``pcpu``) takes only exact ints (``Hypervisor.check_pcpu``, ``arm_timer``'s
-delay, the run loop's work units, ``_do_create``'s pages), and tier-1
-checks each in-tree emitter against ``SCHEMA``.  Details hold no cycle, so the encoder keeps no record
-of its containers; a cyclic one fails with ``RecursionError``.
+delay, the run loop's work units, ``_do_create``'s pages, ``_lookup``'s
+handles), and tier-1 checks each in-tree emitter against ``SCHEMA``.
+Details hold no cycle, so the encoder keeps no record of its containers; a
+cyclic one fails with ``RecursionError``.
 """
 from __future__ import annotations
 

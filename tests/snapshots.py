@@ -7,6 +7,13 @@ def allocations(allocator):
                         for aid, pages in allocator.allocations.items()))
 
 
+def channel_frames(hv):
+    """The frames of the primary's rw, no-exec entries: the channels of the
+    live enclaves, the only pages the hypervisor maps that way."""
+    return {entry[0] for entry in hv.primary.table.snapshot().values()
+            if entry is not None and not entry[1].execute}
+
+
 def full_state(sim, driver):
     """Every VM's stage-2 table, the live enclave handles and the next
     vmid and handle to be issued, the driver's allocator and its open fds."""

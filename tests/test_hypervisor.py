@@ -41,7 +41,7 @@ from enclavesim.harness import (
 )
 from enclavesim.ta_runtime import image_for_pages, load_program
 
-from snapshots import allocations, full_state
+from snapshots import allocations, channel_frames, full_state
 
 
 def boot(frames=256, pcpus=1, max_vms=16):
@@ -100,7 +100,7 @@ def test_create_moves_private_and_shares_channel():
         assert hv.primary.table.lookup(p) is None
     frame, perms = hv.primary.table.lookup(104)
     assert perms == PERM_RW
-    assert frame in hv._shared_frames
+    assert frame in channel_frames(hv)
     # enclave sees private pages rwx at ipa 0.. and the channel rw after them
     for i in range(4):
         f, crumbs = rec.vm.table.lookup(i)
@@ -155,7 +155,7 @@ def test_destroy_restores_original_mappings():
     fd = driver.create(image_for_pages("echo", 4, 1))
     driver.destroy(fd)
     assert sim.hv.primary.table.snapshot() == before
-    assert not sim.hv._shared_frames
+    assert not channel_frames(sim.hv)
 
 
 def test_destroyed_pages_come_back_zeroed():
@@ -241,6 +241,31 @@ def test_failed_create_changes_nothing():
         assert full_state(sim, driver) == before
 
 
+@pytest.mark.parametrize("at", range(4))
+def test_a_live_channel_page_is_refused_at_every_position(at):
+    """A live enclave's channel page is refused wherever it sits in a
+    donation, as a page of the new enclave's private memory or of its
+    channel, before any change.  Once that enclave is destroyed the page is
+    the primary's own again, and the same donation goes through."""
+    sim = boot()
+    driver = EnclaveDriver(sim)
+    victim_fd = driver.create(image_for_pages("echo", 4, 1))
+    page = driver.record_of(victim_fd).primary_channel_pages()[0]
+    pages = [110, 111, 112, 113]
+    meta = load_blob(sim, pages, mem=2, chan=2)
+    pages[at] = page
+    before = full_state(sim, driver)
+    with pytest.raises(InvalidDonation, match="^ipa page %#x is another "
+                       "enclave's channel; cannot donate it$" % page):
+        sim.hv.create_enclave(sim.primary_vcpu(0), pages, meta)
+    assert full_state(sim, driver) == before
+    driver.destroy(victim_fd)
+    assert not channel_frames(sim.hv)
+    rec = sim.hv.enclaves[hand_create(sim, pages, mem=2, chan=2)]
+    assert rec.frames() == pages
+    assert channel_frames(sim.hv) == set(pages[2:])
+
+
 def test_unwritable_page_cannot_be_donated():
     sim = boot()
     driver = EnclaveDriver(sim)
@@ -271,6 +296,34 @@ def test_a_donated_page_that_is_not_an_int_is_refused(donate, shown):
     assert full_state(sim, driver) == before
     assert not [kind for _, kind, _, _, _ in sim.trace.events
                 if kind.startswith("s2_")]
+
+
+@pytest.mark.parametrize("call, handle", [
+    ("invoke", True), ("invoke", 1.0), ("destroy", 1.0), ("destroy", True),
+    ("destroy", "x"),
+], ids=["invoke-bool", "invoke-float", "destroy-float", "destroy-bool",
+        "destroy-str"])
+def test_a_handle_that_is_not_an_int_is_refused(call, handle):
+    """A handle that is not an exact int names no enclave, even one equal to
+    a live handle: True and 1.0 would run or destroy enclave 1, and "x"
+    would fail comparing with an int.  Each is refused with BadHandle and
+    traced as a hypercall and its error, and enclave 1 is untouched."""
+    sim = boot()
+    driver = EnclaveDriver(sim)
+    fd = driver.create(image_for_pages("counter", 4, 1))
+    hcall = {"invoke": sim.hv.invoke_enclave,
+             "destroy": sim.hv.destroy_enclave}[call]
+    before = (full_state(sim, driver),
+              {f: bytes(buf) for f, buf in sim.machine.frames.items()})
+    events = len(sim.trace.events)
+    with pytest.raises(BadHandle, match="^handle %s is not an int$"
+                       % re.escape(repr(handle))):
+        hcall(sim.primary_vcpu(0), handle)
+    assert (full_state(sim, driver),
+            {f: bytes(buf) for f, buf in sim.machine.frames.items()}) == before
+    assert [kind for _, kind, _, _, _ in sim.trace.events[events:]] == [
+        "hypercall", "hypercall_error"]
+    assert driver.invoke(fd, 1) == (ChannelStatus.DONE, b"\x01\0\0\0")
 
 
 def test_vm_limit():
@@ -368,7 +421,7 @@ def _watched_state(sim, watchers):
     frame's bytes and what the watching oracles have found."""
     memory, confinement = watchers
     return ({vmid: vm.table.snapshot() for vmid, vm in sim.hv.vms.items()},
-            sorted(sim.hv.enclaves), set(sim.hv._shared_frames),
+            sorted(sim.hv.enclaves), channel_frames(sim.hv),
             {f: bytes(buf) for f, buf in sim.machine.frames.items()},
             memory.verify(), list(confinement.violations))
 
@@ -415,11 +468,11 @@ def test_driver_create_from_a_vcpu_that_is_not_running_rolls_back():
     driver = EnclaveDriver(sim)
     memory, confinement = _watch(sim)
     sim.hv.schedule_vcpu(0, sim.hv.make_aux_vcpu(0))
-    before, shared = full_state(sim, driver), set(sim.hv._shared_frames)
+    before, shared = full_state(sim, driver), channel_frames(sim.hv)
     with pytest.raises(NotRunning):
         driver.create(image_for_pages("echo", 3, 1))
     assert full_state(sim, driver) == before
-    assert sim.hv._shared_frames == shared
+    assert channel_frames(sim.hv) == shared
     assert memory.verify() == []
     assert len(confinement.violations) == 3     # one per private page
     assert all(v.endswith(" by primary.v0, not running")

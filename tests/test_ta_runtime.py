@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enclavesim.channel import ChannelStatus
-from enclavesim.errors import SimulationError
+from enclavesim.channel import ChannelStatus, ChannelView
 from enclavesim.guest_os import EnclaveDriver
 from enclavesim.harness.scenario import run_scenario_text
+from enclavesim.hypervisor import DestroyEnclave, Work
 from enclavesim.machine import MachineConfig, PAGE_SHIFT
 from enclavesim.sim import Simulation
-from enclavesim.stage2 import PERM_RO
+from enclavesim.stage2 import PERM_RO, PERM_RWX
 from enclavesim.ta_runtime import (
     CMD_ADDRESS,
     CMD_CREATE_MASTER,
@@ -23,10 +23,12 @@ from enclavesim.ta_runtime import (
     MAX_KEYS,
     REGISTRY,
     TAG_LEN,
+    TaContext,
     digest_chain,
     image_for,
     image_for_pages,
     load_program,
+    standard_loop,
     wallet_address,
     wallet_derived_key,
     wallet_master_key,
@@ -265,13 +267,15 @@ def test_state_past_the_private_pages_is_an_error_reply(script):
     assert result.ok, result.violations
 
 
-@pytest.mark.parametrize("perms, access", [(None, "read"), (PERM_RO, "write")],
+@pytest.mark.parametrize("perms, fault", [(None, "unmapped"),
+                                          (PERM_RO, "permission_denied")],
                          ids=["unmapped", "read-only"])
-def test_state_page_lost_from_the_enclaves_table_fails_the_invoke(perms,
-                                                                  access):
+def test_state_page_lost_from_the_enclaves_table_fails_only_the_command(
+        perms, fault):
     """State lives behind the enclave's own table: with its state page
     unmapped a command cannot read it, and with it read-only it cannot
-    write it.  The program is over and the invoker is running again."""
+    write it.  The command answers ERROR, the invoker is running again and
+    the channel is free, so once the page is back the next command runs."""
     sim, driver = make_driver()
     fd = driver.create(image_for("counter"))
     rec = driver.record_of(fd)
@@ -280,11 +284,45 @@ def test_state_page_lost_from_the_enclaves_table_fails_the_invoke(perms,
         rec.vm.table.unmap(page, vcpu)
     else:
         rec.vm.table.protect(page, perms, vcpu)
-    with pytest.raises(SimulationError,
-                       match="^TA state %s fault: " % access):
-        driver.invoke(fd, 1)
+    events = len(sim.trace.events)
+    assert driver.invoke(fd, 1) == (ChannelStatus.ERROR, b"")
+    assert [sim.trace.details[step]["fault"] for step, kind, _, _, _
+            in sim.trace.events[events:] if kind == "fault"] == [fault]
     assert sim.hv.stack_of(0) == [sim.primary_vcpu(0)]
-    assert vcpu.saved_context.gi_frame is None
+    if perms is None:
+        rec.vm.table.map(page, rec.pages[page].frame, PERM_RWX, vcpu)
+    else:
+        rec.vm.table.protect(page, PERM_RWX, vcpu)
+    assert driver.invoke(fd, 2) == (ChannelStatus.DONE, bytes(4))
+    assert driver.invoke(fd, 1) == (ChannelStatus.DONE, struct.pack("<I", 1))
+
+
+def test_a_refused_hypercall_a_handler_lets_out_fails_only_the_command():
+    """A handler that does not catch a refused hypercall answers ERROR like
+    any failed command, and the next command on the channel runs."""
+    def refused(ctx, args):
+        yield DestroyEnclave(1)     # a management call: not an enclave's
+
+    def echo(ctx, args):
+        yield Work(1)
+        return args
+
+    def factory(rec):
+        channel = ChannelView(rec.vm.vcpus[0], rec.channel_ipa,
+                              rec.channel_pages)
+        return standard_loop(TaContext(rec, channel, 1 << PAGE_SHIFT),
+                             {1: refused, 2: echo})
+
+    sim, driver = make_driver()
+    sim.hv.program_loader = lambda page0: factory
+    fd = driver.create(image_for_pages("echo", 4, 1))
+    events = len(sim.trace.events)
+    assert driver.invoke(fd, 1) == (ChannelStatus.ERROR, b"")
+    assert ("hypercall_error", "PrivilegeViolation") in [
+        (kind, sim.trace.details[step].get("error"))
+        for step, kind, _, _, _ in sim.trace.events[events:]]
+    assert sim.hv.stack_of(0) == [sim.primary_vcpu(0)]
+    assert driver.invoke(fd, 2, b"next") == (ChannelStatus.DONE, b"next")
 
 
 def test_wallet_without_a_state_page_keeps_its_key_out_of_the_channel():
